@@ -10,7 +10,6 @@ correlation function and applies the Leggett-Garg bound to it.
 
 from .calibrate import (
     FitResult,
-    corr_Sz_model,
     fit_alpha,
     fit_alpha_modulated,
     fit_decay,
@@ -27,6 +26,7 @@ from .correlation import (
     ensemble_corr,
     entropy_Sz_Ix,
     joint_distribution,
+    lag_products,
     relative_entropy,
 )
 from .engine import CHUNK_SIZE, RunBatch, chunk_rng, classical_runs, simulate_runs
@@ -71,9 +71,9 @@ from .protocol import (
     CycleResult,
     PhysicalParams,
     ProtocolConfig,
-    SpinTrajectory,
     alpha_from_pulses,
     approx_amplitudes,
+    damped_cosine,
     dephasing_rates,
     generate_initial_state,
     measurement_cycle,
@@ -81,7 +81,6 @@ from .protocol import (
     recurrence_matrix,
     recurrence_step,
     resonance_tau,
-    sample_trajectory,
 )
 from .readout import (
     ChargeModel,

@@ -23,13 +23,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .correlation import CorrelationSeries
+from .correlation import CorrelationSeries, lag_products
+from .engine import modulated_drive
 from .errors import (
     AmplificationError,
     DegenerateContrastError,
     FitFailureError,
     InvalidArgumentError,
 )
+from .protocol import damped_cosine
 from .readout import ModulationTrace, PhotonTrace, ReadoutModel
 
 __all__ = [
@@ -40,7 +42,6 @@ __all__ = [
     "fit_decay",
     "fit_alpha_modulated",
     "reconstruct_Ix_corr",
-    "corr_Sz_model",
 ]
 
 
@@ -88,12 +89,6 @@ class FitResult:
         with open(path) as fh:
             d = json.load(fh)
         return cls(**d)
-
-
-def corr_Sz_model(alpha: float, phi: float, lags) -> np.ndarray:
-    """Readout-correlation model sin^2(a) cos(phi N) e^{-(N-1) a^2 / 4}."""
-    n = np.asarray(lags, dtype=float)
-    return np.sin(alpha) ** 2 * np.cos(phi * n) * np.exp(-(n - 1) * alpha**2 / 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,42 +211,19 @@ def reconstruct_Sz_corr(
         raise DegenerateContrastError("n_a must exceed n_b to normalise the correlation")
     if estimator == "auto":
         estimator = "ensemble" if trace.kind == "quantum" else "time-average"
+    if estimator == "ensemble" and trace.first_lag != 0:
+        raise InvalidArgumentError(
+            "ensemble estimator needs the reference measurement in column 0 "
+            "(self-polarised records)")
     counts = trace.counts.astype(float)
-    runs, length = counts.shape
+    length = counts.shape[1]
+    if max_lag is None:
+        max_lag = length - 1 if estimator == "ensemble" else min(length - 1, length // 2)
+    mean, std, count = lag_products(counts, max_lag, estimator)
     scale = 4.0 / contrast**2
-    offset = model.n_av**2
-
-    if estimator == "ensemble":
-        if trace.first_lag != 0:
-            raise InvalidArgumentError(
-                "ensemble estimator needs the reference measurement in column 0 "
-                "(self-polarised records)")
-        if runs < 2:
-            raise InvalidArgumentError("need at least 2 runs for the ensemble estimator")
-        top = length - 1
-        if max_lag is None:
-            max_lag = top
-        if not (1 <= max_lag <= top):
-            raise InvalidArgumentError(f"max_lag must be in [1, {top}], got {max_lag}")
-        prod = counts[:, :1] * counts[:, 1 : max_lag + 1]
-        vals = scale * (prod.mean(axis=0) - offset)
-        errs = scale * prod.std(axis=0, ddof=1) / np.sqrt(runs)
-        lags = np.arange(1, max_lag + 1)
-    elif estimator == "time-average":
-        top = length - 1
-        if max_lag is None:
-            max_lag = min(top, length // 2)
-        if not (1 <= max_lag <= top):
-            raise InvalidArgumentError(f"max_lag must be in [1, {top}], got {max_lag}")
-        lags = np.arange(1, max_lag + 1)
-        vals = np.empty(max_lag)
-        errs = np.empty(max_lag)
-        for j, n in enumerate(lags):
-            prod = (counts[:, :-n] * counts[:, n:]).ravel()
-            vals[j] = scale * (prod.mean() - offset)
-            errs[j] = scale * prod.std(ddof=1) / np.sqrt(prod.size)
-    else:
-        raise InvalidArgumentError(f"unknown estimator {estimator!r}")
+    vals = scale * (mean - model.n_av**2)
+    errs = scale * std / np.sqrt(count)
+    lags = np.arange(1, max_lag + 1)
 
     return CorrelationSeries(
         lags, vals, errs, kind="Sz-reconstructed",
@@ -309,7 +281,7 @@ def fit_alpha(
 ) -> FitResult:
     """Measurement strength from a readout correlation series.
 
-    Minimises sum_N w_N (C(N) - corr_Sz_model(alpha, phi, N))^2 with
+    Minimises sum_N w_N (C(N) - damped_cosine(alpha, phi, N, sin^2 alpha))^2 with
     w = 1/stderr^2 when the series carries errors.  weighting='boxcar'
     does a two-pass fit: after a full-window pass, lags beyond
     boxcar_fraction of the fitted 1/e decay length 4/alpha^2 are dropped
@@ -330,7 +302,7 @@ def fit_alpha(
         n, v, w = lags[sel], values[sel], w_full[sel]
 
         def sse(a):
-            return float(np.sum(w * (v - corr_Sz_model(a, phi, n)) ** 2))
+            return float(np.sum(w * (v - damped_cosine(a, phi, n, np.sin(a) ** 2)) ** 2))
 
         opt = minimize_scalar(sse, bounds=bounds, method="bounded", options={"xatol": xatol})
         if not opt.success or not np.isfinite(opt.fun):
@@ -347,9 +319,10 @@ def fit_alpha(
             sel = np.argsort(lags)[:2]
         a_hat, residual, n, v, w = run_pass(sel)
 
-    # Gauss-Newton stderr from the analytic model derivative
-    damp = np.exp(-(n - 1) * a_hat**2 / 4.0)
-    dm = (np.sin(2 * a_hat) - np.sin(a_hat) ** 2 * (n - 1) * a_hat / 2.0) * np.cos(phi * n) * damp
+    # Gauss-Newton stderr from the analytic model derivative, a damped
+    # cosine whose per-lag amplitude is d/da of sin^2(a) e^{-(N-1) a^2/4}
+    d_amp = np.sin(2 * a_hat) - np.sin(a_hat) ** 2 * (n - 1) * a_hat / 2.0
+    dm = damped_cosine(a_hat, phi, n, d_amp)
     fisher = float(np.sum(w * dm**2))
     if np.all(w == 1.0):
         dof = max(n.size - 1, 1)
@@ -421,13 +394,6 @@ def fit_decay(
     )
 
 
-def _modulated_signal(length: int, alpha: float, phi_s: float) -> np.ndarray:
-    """Deterministic spin signal of the phase-modulated classical drive."""
-    k = np.arange(length)
-    return np.sin(0.5 * np.pi * np.sin(2 * np.pi * k / 8.0)
-                  + alpha * np.cos(k * phi_s * np.pi / 4.0))
-
-
 def fit_alpha_modulated(
     trace: PhotonTrace,
     phi_s: float = 1.0,
@@ -456,10 +422,12 @@ def fit_alpha_modulated(
     se = counts.std(axis=0, ddof=1) / np.sqrt(runs)
     se = np.maximum(se, 1e-9 * max(1.0, np.abs(mean_path).max()))
     w = 1.0 / se**2
+    k = np.arange(length)
 
     def sse(p):
         n_a, n_b, alpha = p
-        model = 0.5 * (n_a + n_b) + 0.5 * (n_a - n_b) * _modulated_signal(length, alpha, phi_s)
+        m = np.sin(modulated_drive(k, alpha, phi_s)[0])
+        model = 0.5 * (n_a + n_b) + 0.5 * (n_a - n_b) * m
         return float(np.sum(w * (mean_path - model) ** 2))
 
     if x0 is None:
@@ -474,10 +442,9 @@ def fit_alpha_modulated(
         raise DegenerateContrastError("modulated fit found no positive bright/dark contrast")
 
     # Gauss-Newton covariance at the optimum
-    m = _modulated_signal(length, abs(alpha), phi_s)
-    k = np.arange(length)
-    dm = np.cos(0.5 * np.pi * np.sin(2 * np.pi * k / 8.0)
-                + abs(alpha) * np.cos(k * phi_s * np.pi / 4.0)) * np.cos(k * phi_s * np.pi / 4.0)
+    angle, slope = modulated_drive(k, abs(alpha), phi_s)
+    m = np.sin(angle)
+    dm = np.cos(angle) * slope
     jac = np.column_stack([0.5 * (1.0 + m), 0.5 * (1.0 - m), 0.5 * (n_a - n_b) * dm])
     try:
         cov = np.linalg.inv(jac.T @ (w[:, None] * jac))

@@ -133,44 +133,49 @@ def _outdir(args) -> str:
     return args.out
 
 
-def _write_summary(out: str, payload: dict) -> str:
-    path = os.path.join(out, "summary.json")
-    with open(path, "w") as fh:
+def _write_json(out: str, name: str, payload: dict) -> None:
+    with open(os.path.join(out, name), "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    return path
 
 
 # ---------------------------------------------------------------------------
 # pipeline stages (shared by the stage subcommands and `report`)
 
 
-def _make_trace(args, cfg: dict) -> ro.PhotonTrace:
+def _make_trace(args, cfg: dict, out: str) -> ro.PhotonTrace:
+    """Simulate the photon record and write it to <out>/trace.csv."""
     seed = int(_setting(args, cfg, "seed", 0))
     runs = int(_setting(args, cfg, "runs", 1))
     workers = int(_setting(args, cfg, "workers", 1))
     model = _readout_from(cfg)
     if cfg["kind"] == "quantum":
-        return ro.run_quantum_experiment(
+        trace = ro.run_quantum_experiment(
             _protocol_from(cfg), model, runs, seed,
             charge=_charge_from(cfg), workers=workers)
-    c = _need(cfg, "classical")
-    return ro.run_classical_experiment(
-        alpha=float(c["alpha"]),
-        theta_step=float(c["theta_step"]),
-        measurements_per_run=int(c["measurements_per_run"]),
-        model=model,
-        runs=runs,
-        seed=seed,
-        modulated=cfg["kind"] == "classical-modulated",
-        phi_s=float(c.get("phi_s", 1.0)),
-        workers=workers,
-    )
+    else:
+        c = _need(cfg, "classical")
+        trace = ro.run_classical_experiment(
+            alpha=float(c["alpha"]),
+            theta_step=float(c["theta_step"]),
+            measurements_per_run=int(c["measurements_per_run"]),
+            model=model,
+            runs=runs,
+            seed=seed,
+            modulated=cfg["kind"] == "classical-modulated",
+            phi_s=float(c.get("phi_s", 1.0)),
+            workers=workers,
+        )
+    trace.to_csv(os.path.join(out, "trace.csv"))
+    return trace
 
 
-def _make_sweep(args, cfg: dict) -> ro.ModulationTrace:
+def _calibrate(args, cfg: dict, out: str) -> cal.FitResult:
+    """Simulate the rotation sweep, write <out>/modulation.csv and fit it."""
     seed = int(_setting(args, cfg, "seed", 0))
-    return ro.modulation_trace(_readout_from(cfg), aux_rng(seed, 0))
+    sweep = ro.modulation_trace(_readout_from(cfg), aux_rng(seed, 0))
+    sweep.to_csv(os.path.join(out, "modulation.csv"))
+    return cal.fit_na_nb(sweep)
 
 
 def _reconstruct(args, cfg: dict, trace: ro.PhotonTrace, model: ro.ReadoutModel):
@@ -179,52 +184,39 @@ def _reconstruct(args, cfg: dict, trace: ro.PhotonTrace, model: ro.ReadoutModel)
                                    max_lag=None if max_lag is None else int(max_lag))
 
 
-def _signal_phase(cfg: dict) -> float:
-    if cfg["kind"] == "quantum":
-        return float(_need(cfg, "protocol")["phi"])
-    return float(_need(cfg, "classical")["theta_step"])
+def _lg_stage(series: CorrelationSeries, out: str) -> dict:
+    """Leggett-Garg series of `series` to <out>/lg.csv; returns its verdict."""
+    lgs = lg_function(series)
+    lgs.to_csv(os.path.join(out, "lg.csv"))
+    return {"max_lg": lgs.max_lg, "violations": int(lgs.violated.sum()),
+            "violated_taus": [int(t) for t in lgs.taus[lgs.violated]]}
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_simulate(args) -> dict:
+def cmd_trace(args) -> dict:
+    """`simulate` and `classical`: write the photon record of an allowed kind."""
     cfg = load_config(args.config)
-    if cfg["kind"] != "quantum":
-        raise InvalidArgumentError("`simulate` needs kind == 'quantum' (use `classical` otherwise)")
+    if cfg["kind"] not in args.kinds:
+        raise InvalidArgumentError(f"`{args.command}` needs kind in {args.kinds}, got {cfg['kind']!r}")
     out = _outdir(args)
-    trace = _make_trace(args, cfg)
-    trace.to_csv(os.path.join(out, "trace.csv"))
+    trace = _make_trace(args, cfg, out)
     summary = {"kind": cfg["kind"], "runs": trace.runs, "length": trace.length,
                "seed": trace.meta["seed"], "artifacts": ["trace.csv"]}
-    _write_summary(out, summary)
-    return summary
-
-
-def cmd_classical(args) -> dict:
-    cfg = load_config(args.config)
-    if cfg["kind"] not in ("classical", "classical-modulated"):
-        raise InvalidArgumentError("`classical` needs kind == 'classical' or 'classical-modulated'")
-    out = _outdir(args)
-    trace = _make_trace(args, cfg)
-    trace.to_csv(os.path.join(out, "trace.csv"))
-    summary = {"kind": cfg["kind"], "runs": trace.runs, "length": trace.length,
-               "seed": trace.meta["seed"], "artifacts": ["trace.csv"]}
-    _write_summary(out, summary)
+    _write_json(out, "summary.json", summary)
     return summary
 
 
 def cmd_calibrate(args) -> dict:
     cfg = load_config(args.config)
     out = _outdir(args)
-    sweep = _make_sweep(args, cfg)
-    sweep.to_csv(os.path.join(out, "modulation.csv"))
-    fit = cal.fit_na_nb(sweep)
+    fit = _calibrate(args, cfg, out)
     fit.to_json(os.path.join(out, "fit.json"))
     summary = {"kind": "calibration", "n_a": fit["n_a"], "n_b": fit["n_b"],
                "phi_0": fit["phi_0"], "artifacts": ["modulation.csv", "fit.json"]}
-    _write_summary(out, summary)
+    _write_json(out, "summary.json", summary)
     return summary
 
 
@@ -243,20 +235,15 @@ def cmd_correlate(args) -> dict:
     series.to_csv(os.path.join(out, "corr_sz.csv"))
     summary = {"kind": trace.kind, "estimator": series.meta["estimator"],
                "max_lag": int(series.lags.max()), "artifacts": ["corr_sz.csv"]}
-    _write_summary(out, summary)
+    _write_json(out, "summary.json", summary)
     return summary
 
 
 def cmd_lgtest(args) -> dict:
     out = _outdir(args)
     corr_path = args.corr or os.path.join(out, "corr_ix.csv")
-    series = CorrelationSeries.from_csv(corr_path)
-    lgs = lg_function(series)
-    lgs.to_csv(os.path.join(out, "lg.csv"))
-    summary = {"max_lg": lgs.max_lg, "violations": int(lgs.violated.sum()),
-               "violated_taus": [int(t) for t in lgs.taus[lgs.violated]],
-               "artifacts": ["lg.csv"]}
-    _write_summary(out, summary)
+    summary = dict(_lg_stage(CorrelationSeries.from_csv(corr_path), out), artifacts=["lg.csv"])
+    _write_json(out, "summary.json", summary)
     return summary
 
 
@@ -265,16 +252,9 @@ def cmd_report(args) -> dict:
     fit, normalisation and the Leggett-Garg verdict."""
     cfg = load_config(args.config)
     out = _outdir(args)
-    artifacts = []
-
-    trace = _make_trace(args, cfg)
-    trace.to_csv(os.path.join(out, "trace.csv"))
-    artifacts.append("trace.csv")
-
-    sweep = _make_sweep(args, cfg)
-    sweep.to_csv(os.path.join(out, "modulation.csv"))
-    artifacts.append("modulation.csv")
-    cal_fit = cal.fit_na_nb(sweep)
+    trace = _make_trace(args, cfg, out)
+    cal_fit = _calibrate(args, cfg, out)
+    artifacts = ["trace.csv", "modulation.csv"]
     model = ro.ReadoutModel(n_a=cal_fit["n_a"], n_b=cal_fit["n_b"],
                             phi_0=cal_fit["phi_0"],
                             repetitions=_readout_from(cfg).repetitions)
@@ -299,16 +279,17 @@ def cmd_report(args) -> dict:
         series = _reconstruct(args, cfg, trace, model)
         series.to_csv(os.path.join(out, "corr_sz.csv"))
         artifacts.append("corr_sz.csv")
-        phase = _signal_phase(cfg)
 
         if cfg["kind"] == "quantum":
-            weighting = "boxcar" if args.boxcar is not None else "full"
-            alpha_fit = cal.fit_alpha(series, phase, weighting=weighting,
-                                      boxcar_fraction=args.boxcar or 1.0 / 3.0)
+            boxcar = _setting(args, cfg, "boxcar", None)
+            weighting = "boxcar" if boxcar is not None else "full"
+            phi = float(_need(cfg, "protocol")["phi"])
+            alpha_fit = cal.fit_alpha(series, phi, weighting=weighting,
+                                      boxcar_fraction=float(boxcar or 1.0 / 3.0))
             fits["alpha"] = alpha_fit.as_dict()
             a_hat = alpha_fit["alpha"]
-            normalized = cal.reconstruct_Ix_corr(series, a_hat,
-                                                 undo_decay=bool(args.undo_decay))
+            normalized = cal.reconstruct_Ix_corr(
+                series, a_hat, undo_decay=bool(_setting(args, cfg, "undo_decay", False)))
             summary.update(alpha_fit=a_hat, alpha_stderr=alpha_fit.stderr["alpha"])
         else:
             # classical drive: the strength is set, not fitted; normalise by
@@ -323,20 +304,14 @@ def cmd_report(args) -> dict:
         normalized.to_csv(os.path.join(out, "corr_ix.csv"))
         artifacts.append("corr_ix.csv")
 
-        lgs = lg_function(normalized)
-        lgs.to_csv(os.path.join(out, "lg.csv"))
+        summary.update(_lg_stage(normalized, out))
         artifacts.append("lg.csv")
-        summary.update(max_lg=lgs.max_lg, violations=int(lgs.violated.sum()),
-                       violated_taus=[int(t) for t in lgs.taus[lgs.violated]])
 
-    fit_path = os.path.join(out, "fit.json")
-    with open(fit_path, "w") as fh:
-        json.dump(fits, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(out, "fit.json", fits)
     artifacts.append("fit.json")
 
     summary["artifacts"] = sorted(artifacts)
-    _write_summary(out, summary)
+    _write_json(out, "summary.json", summary)
     return summary
 
 
@@ -360,10 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="largest correlation lag")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", parents=[common],
-                   help="write the quantum photon record").set_defaults(func=cmd_simulate)
-    sub.add_parser("classical", parents=[common],
-                   help="write the classical control record").set_defaults(func=cmd_classical)
+    p = sub.add_parser("simulate", parents=[common], help="write the quantum photon record")
+    p.set_defaults(func=cmd_trace, kinds=("quantum",))
+    p = sub.add_parser("classical", parents=[common], help="write the classical control record")
+    p.set_defaults(func=cmd_trace, kinds=("classical", "classical-modulated"))
     sub.add_parser("calibrate", parents=[common],
                    help="rotation sweep and bright/dark fit").set_defaults(func=cmd_calibrate)
 
@@ -377,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lgtest)
 
     p = sub.add_parser("report", parents=[common], help="full analysis pipeline")
-    p.add_argument("--undo-decay", dest="undo_decay", action="store_true",
+    p.add_argument("--undo-decay", dest="undo_decay", action="store_true", default=None,
                    help="divide out the per-cycle measurement decay")
     p.add_argument("--boxcar", type=float, default=None,
                    help="boxcar window fraction for the strength fit")

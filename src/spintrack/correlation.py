@@ -9,8 +9,8 @@ The approximation carries an O(alpha^2) error (it ignores the frequency
 shift of the exact dynamics); at phi = pi/2 its lag-2 error is
 sin(alpha) (exp(-alpha^2/4) - cos(alpha)).  The exact amplitude is
 sin(alpha) times the x component of `protocol.recurrence_step` iterated
-from a unit start; `protocol.approx_amplitudes` gives the same
-approximation with its range of validity.
+from a unit start; `protocol.damped_cosine` defines the approximation
+and states its range of validity.
 
 The joint distribution of the polarising outcome mu and the outcome
 lambda N cycles later is
@@ -24,27 +24,28 @@ eigenvalues would carry an extra factor 1/4):
     readout correlator       C_Sz(N)  = sin(alpha) x_N
                                      ~= sin^2(alpha) cos(phi N) e^{-(N-1) alpha^2/4}
 
-`corr_Ix`, `corr_Ix_normalized` and `corr_Sz` return the approximate
-(damped-cosine) forms.
+`corr_Ix`, `corr_Ix_normalized`, `corr_Sz` and `entropy_Sz_Ix` return
+the approximate forms, all evaluated by `protocol.damped_cosine`.
 
-Empirical estimators: `empirical_corr` is the stationary time-average
-over one long record (appropriate for the classical random-phase
-experiment); `ensemble_corr` correlates the first measurement of each run
-with the one N cycles later, averaged over runs, which is the estimator
-that converges to C_Sz for the quantum protocol — a single outcome-
-averaged record is not stationary (the polarisation decays), so the two
-estimators are *not* interchangeable.
+Empirical estimators all reduce a record with `lag_products`, as does
+`calibrate.reconstruct_Sz_corr` on photon counts.  'time-average' is the
+stationary estimator over long records (the classical random-phase
+experiment; `empirical_corr`); 'ensemble' correlates the first
+measurement of each run with the one N cycles later, averaged over runs,
+which converges to C_Sz for the quantum protocol (`ensemble_corr`) — a
+single outcome-averaged record is not stationary (the polarisation
+decays), so the two estimators are *not* interchangeable.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .protocol import damped_cosine
 
 __all__ = [
     "CorrelationSeries",
@@ -52,6 +53,7 @@ __all__ = [
     "corr_Ix",
     "corr_Ix_normalized",
     "corr_Sz",
+    "lag_products",
     "empirical_corr",
     "ensemble_corr",
     "relative_entropy",
@@ -135,7 +137,7 @@ def corr_Ix(alpha: float, phi: float, max_lag: int) -> CorrelationSeries:
     `protocol.recurrence_step`.
     """
     n = _lag_array(max_lag)
-    vals = np.sin(alpha) * np.cos(phi * n) * np.exp(-(n - 1) * alpha**2 / 4.0)
+    vals = damped_cosine(alpha, phi, n, np.sin(alpha))
     return CorrelationSeries(n, vals, np.zeros_like(vals), kind="Ix-model")
 
 
@@ -147,9 +149,7 @@ def corr_Ix_normalized(alpha: float, phi: float, max_lag: int, undo_decay: bool 
     the Leggett-Garg maximum 3/2.
     """
     n = _lag_array(max_lag)
-    vals = np.cos(phi * n)
-    if not undo_decay:
-        vals = vals * np.exp(-(n - 1) * alpha**2 / 4.0)
+    vals = np.cos(phi * n) if undo_decay else damped_cosine(alpha, phi, n, 1.0)
     return CorrelationSeries(n, vals, np.zeros_like(vals), kind="Ix-normalized")
 
 
@@ -162,8 +162,38 @@ def corr_Sz(alpha: float, phi: float, max_lag: int) -> CorrelationSeries:
     of `protocol.recurrence_step`.
     """
     n = _lag_array(max_lag)
-    vals = np.sin(alpha) ** 2 * np.cos(phi * n) * np.exp(-(n - 1) * alpha**2 / 4.0)
+    vals = damped_cosine(alpha, phi, n, np.sin(alpha) ** 2)
     return CorrelationSeries(n, vals, np.zeros_like(vals), kind="Sz-model")
+
+
+def lag_products(records, max_lag: int, estimator: str):
+    """Per-lag (mean, std with ddof=1, count) of the lag-N products, N = 1..max_lag.
+
+    `records` has shape (runs, length).  'ensemble' multiplies column 0,
+    the reference measurement of each run, with column N across runs
+    (count = runs); 'time-average' pools the products s_i s_{i+N} inside
+    every run (count = runs * (length - N)).  The std of a single product
+    is nan.
+    """
+    m = np.atleast_2d(records)
+    runs, length = m.shape
+    if not (1 <= max_lag <= length - 1):
+        raise InvalidArgumentError(f"max_lag must be in [1, {length - 1}], got {max_lag}")
+    if estimator == "ensemble":
+        if runs < 2:
+            raise InvalidArgumentError("need at least 2 runs for an ensemble estimate")
+        prod = m[:, :1] * m[:, 1 : max_lag + 1]
+        return prod.mean(axis=0), prod.std(axis=0, ddof=1), np.full(max_lag, runs)
+    if estimator != "time-average":
+        raise InvalidArgumentError(f"unknown estimator {estimator!r}")
+    lags = _lag_array(max_lag)
+    means = np.empty(max_lag)
+    stds = np.empty(max_lag)
+    for j, n in enumerate(lags):
+        prod = (m[:, :-n] * m[:, n:]).ravel()
+        means[j] = prod.mean()
+        stds[j] = prod.std(ddof=1) if prod.size > 1 else np.nan
+    return means, stds, runs * (length - lags)
 
 
 def empirical_corr(series, max_lag: int) -> CorrelationSeries:
@@ -173,21 +203,14 @@ def empirical_corr(series, max_lag: int) -> CorrelationSeries:
 
     stderr is the sample standard error of the lag-N products (treats the
     products as uncorrelated, which is adequate for the weakly correlated
-    records this is applied to).  Only meaningful for (approximately)
-    stationary records such as the classical random-phase experiment.
+    records this is applied to), inf for a lag with a single product.
+    Only meaningful for (approximately) stationary records such as the
+    classical random-phase experiment.
     """
-    s = np.asarray(series, dtype=float).ravel()
-    k = s.size
-    if max_lag >= k:
-        raise InvalidArgumentError(f"max_lag {max_lag} must be smaller than the record length {k}")
-    lags = _lag_array(max_lag)
-    vals = np.empty(lags.size)
-    errs = np.empty(lags.size)
-    for j, n in enumerate(lags):
-        prod = s[:-n] * s[n:]
-        vals[j] = prod.mean()
-        errs[j] = prod.std(ddof=1) / math.sqrt(prod.size) if prod.size > 1 else np.inf
-    return CorrelationSeries(lags, vals, errs, kind="empirical")
+    s = np.asarray(series, dtype=float).reshape(1, -1)
+    mean, std, count = lag_products(s, max_lag, "time-average")
+    errs = np.where(count > 1, std / np.sqrt(count), np.inf)
+    return CorrelationSeries(_lag_array(max_lag), mean, errs, kind="empirical")
 
 
 def ensemble_corr(records: np.ndarray, max_lag: int | None = None) -> CorrelationSeries:
@@ -198,18 +221,10 @@ def ensemble_corr(records: np.ndarray, max_lag: int | None = None) -> Correlatio
     data).  stderr is the standard error over runs.
     """
     m = np.atleast_2d(np.asarray(records, dtype=float))
-    runs, length = m.shape
-    if runs < 2:
-        raise InvalidArgumentError("need at least 2 runs for an ensemble estimate")
     if max_lag is None:
-        max_lag = length - 1
-    if not (1 <= max_lag <= length - 1):
-        raise InvalidArgumentError(f"max_lag must be in [1, {length - 1}], got {max_lag}")
-    lags = _lag_array(max_lag)
-    prod = m[:, :1] * m[:, 1 : max_lag + 1]
-    vals = prod.mean(axis=0)
-    errs = prod.std(axis=0, ddof=1) / math.sqrt(runs)
-    return CorrelationSeries(lags, vals, errs, kind="ensemble")
+        max_lag = m.shape[1] - 1
+    mean, std, count = lag_products(m, max_lag, "ensemble")
+    return CorrelationSeries(_lag_array(max_lag), mean, std / np.sqrt(count), kind="ensemble")
 
 
 def relative_entropy(p, q) -> float:
@@ -249,7 +264,7 @@ def entropy_Sz_Ix(alpha: float, phi: float, lag: int = 1) -> float:
     """
     if lag < 1:
         raise InvalidArgumentError("lag must be >= 1")
-    x_n = np.sin(alpha) * np.cos(phi * lag) * np.exp(-(lag - 1) * alpha**2 / 4.0)
+    x_n = damped_cosine(alpha, phi, lag, np.sin(alpha))
     zeta = x_n * np.sin(alpha)
     ref = np.cos(phi * lag)
     p = np.array([(1.0 + zeta) / 2.0, (1.0 - zeta) / 2.0])

@@ -31,7 +31,8 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .protocol import ProtocolConfig
 
-__all__ = ["CHUNK_SIZE", "RunBatch", "chunk_rng", "simulate_runs", "classical_runs"]
+__all__ = ["CHUNK_SIZE", "RunBatch", "chunk_rng", "modulated_drive", "simulate_runs",
+           "classical_runs"]
 
 CHUNK_SIZE = 256
 
@@ -113,13 +114,24 @@ def _simulate_chunk(args):
     return outcomes, zetas, counts, signs
 
 
+def modulated_drive(k: np.ndarray, alpha: float, phi_s: float):
+    """Spin angle of the phase-modulated classical drive at measurement indices k.
+
+    Returns (angle, d angle / d alpha) with
+    angle_k = pi/2 sin(2 pi k / 8) + alpha cos(k phi_s pi / 4); the
+    presented polarisation is sin(angle).
+    """
+    slope = np.cos(k * phi_s * np.pi / 4.0)
+    return 0.5 * np.pi * np.sin(2 * np.pi * k / 8.0) + alpha * slope, slope
+
+
 def _classical_chunk(args):
     (seed, chunk_index, n_runs, alpha, theta_step, length,
      modulated, phi_s, bright, dark) = args
     rng = chunk_rng(seed, chunk_index)
     k = np.arange(length)
     if modulated:
-        zeta_row = np.sin(0.5 * np.pi * np.sin(2 * np.pi * k / 8.0) + alpha * np.cos(k * phi_s * np.pi / 4.0))
+        zeta_row = np.sin(modulated_drive(k, alpha, phi_s)[0])
         zetas = np.broadcast_to(zeta_row, (n_runs, length)).copy()
     else:
         phase = rng.random(n_runs) * 2 * np.pi
@@ -131,7 +143,8 @@ def _classical_chunk(args):
     return outcomes, zetas, counts, np.ones(n_runs, dtype=np.int8)
 
 
-def _run_chunked(worker, arg_builder, runs: int, workers: int):
+def _run_chunked(worker, arg_builder, runs: int, workers: int, first_lag: int,
+                 meta: dict) -> RunBatch:
     if runs < 1:
         raise InvalidArgumentError("runs must be >= 1")
     n_chunks = (runs + CHUNK_SIZE - 1) // CHUNK_SIZE
@@ -142,13 +155,13 @@ def _run_chunked(worker, arg_builder, runs: int, workers: int):
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(worker, args))
-    outcomes = np.concatenate([p[0] for p in parts], axis=0)
-    zetas = np.concatenate([p[1] for p in parts], axis=0)
-    counts = None
-    if parts[0][2] is not None:
-        counts = np.concatenate([p[2] for p in parts], axis=0)
-    signs = np.concatenate([p[3] for p in parts], axis=0)
-    return outcomes, zetas, counts, signs
+
+    def stack(i):
+        return np.concatenate([p[i] for p in parts], axis=0)
+
+    return RunBatch(outcomes=stack(0), zetas=stack(1),
+                    counts=None if parts[0][2] is None else stack(2),
+                    signs=stack(3), first_lag=first_lag, meta=meta)
 
 
 def simulate_runs(
@@ -178,15 +191,9 @@ def simulate_runs(
         return (seed, i, size, config.alpha, config.phi, config.cycles,
                 config.prepolarized, p_minus, bright, dark, nv0_mean)
 
-    outcomes, zetas, counts, signs = _run_chunked(_simulate_chunk, build, runs, workers)
-    return RunBatch(
-        outcomes=outcomes,
-        zetas=zetas,
-        counts=counts,
-        signs=signs,
-        first_lag=1 if config.prepolarized else 0,
-        meta={"seed": seed, "p_minus": p_minus},
-    )
+    return _run_chunked(_simulate_chunk, build, runs, workers,
+                        first_lag=1 if config.prepolarized else 0,
+                        meta={"seed": seed, "p_minus": p_minus})
 
 
 def classical_runs(
@@ -218,12 +225,5 @@ def classical_runs(
     def build(i, size):
         return (seed, i, size, alpha, theta_step, length, modulated, phi_s, bright, dark)
 
-    outcomes, zetas, counts, signs = _run_chunked(_classical_chunk, build, runs, workers)
-    return RunBatch(
-        outcomes=outcomes,
-        zetas=zetas,
-        counts=counts,
-        signs=signs,
-        first_lag=0,
-        meta={"seed": seed, "modulated": modulated},
-    )
+    return _run_chunked(_classical_chunk, build, runs, workers,
+                        first_lag=0, meta={"seed": seed, "modulated": modulated})

@@ -25,11 +25,18 @@ other in the test-suite, do not collapse them.
 On an initially mixed target the very first measurement polarises it to
 (+-sin(alpha), 0, 0) with equal probability for the two readout outcomes
 — the protocol generates its own initial state.
+
+`damped_cosine` is the weak-measurement approximation of the iterated
+recurrence, amplitude * cos(phi N) exp(-(N-1) alpha^2/4); it is the one
+definition of that model behind the correlation functions of
+`spintrack.correlation` and the strength fit of `spintrack.calibrate`.
+Runs are sampled by `spintrack.engine`, which iterates the same
+recurrence vectorised over runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +47,6 @@ __all__ = [
     "PhysicalParams",
     "ProtocolConfig",
     "CycleResult",
-    "SpinTrajectory",
     "INTERACTION_H",
     "FREE_PRECESSION_H",
     "resonance_tau",
@@ -51,8 +57,8 @@ __all__ = [
     "measurement_cycle",
     "recurrence_step",
     "recurrence_matrix",
+    "damped_cosine",
     "approx_amplitudes",
-    "sample_trajectory",
 ]
 
 _EYE2 = np.eye(2, dtype=complex)
@@ -278,89 +284,24 @@ def recurrence_matrix(alpha: float, phi: float) -> np.ndarray:
     return np.array([[c, -s], [s * ca, c * ca]])
 
 
-def approx_amplitudes(
-    alpha: float,
-    phi: float,
-    n_cycles: int,
-    amplitude: float = 1.0,
-    form: str = "exponential",
-) -> np.ndarray:
-    """Closed-form approximation of the x amplitude after N = 1..n cycles:
+def damped_cosine(alpha: float, phi: float, lags, amplitude) -> np.ndarray:
+    """Damped-cosine approximation of the x amplitude after N cycles:
 
-        x_N ~= amplitude * cos(phi N) * d^(N-1)
+        x_N ~= amplitude * cos(phi N) * exp(-(N-1) alpha^2 / 4)
 
-    with damping d = exp(-alpha^2/4) (form='exponential') or
-    d = cos^2(alpha/2) (form='half-angle'); the two agree to O(alpha^4).
-    `amplitude` is sin(alpha) for the self-generated initial state and 1
-    for an externally polarised one.  Accurate to a few percent of
-    `amplitude` for alpha up to ~0.1 pi over tens of cycles; the exact
-    recurrence also picks up an O(alpha^2) frequency shift that this form
-    ignores.
+    evaluated on the array `lags`.  `amplitude` is sin(alpha) for the
+    self-generated initial state, 1 for an externally polarised one and
+    sin^2(alpha) for the readout correlator C_Sz; it may also be a per-lag
+    array.  Accurate to a few percent of `amplitude` for alpha up to
+    ~0.1 pi over tens of cycles; the exact recurrence also picks up an
+    O(alpha^2) frequency shift that this form ignores.
     """
+    n = np.asarray(lags)
+    return amplitude * np.cos(phi * n) * np.exp(-(n - 1) * alpha**2 / 4.0)
+
+
+def approx_amplitudes(alpha: float, phi: float, n_cycles: int, amplitude: float = 1.0) -> np.ndarray:
+    """`damped_cosine` on the cycles N = 1..n_cycles."""
     if n_cycles < 1:
         raise InvalidArgumentError("n_cycles must be >= 1")
-    n = np.arange(1, n_cycles + 1)
-    if form == "exponential":
-        damp = np.exp(-(n - 1) * alpha**2 / 4.0)
-    elif form == "half-angle":
-        damp = np.cos(alpha / 2.0) ** (2 * (n - 1))
-    else:
-        raise InvalidArgumentError(f"form must be 'exponential' or 'half-angle', got {form!r}")
-    return amplitude * np.cos(phi * n) * damp
-
-
-@dataclass
-class SpinTrajectory:
-    """A single simulated measurement record.
-
-    outcomes  +-1 readout results; for a self-polarised run index 0 is the
-              polarising measurement itself (its outcome is the sign)
-    zetas     sensor polarisation presented to each readout
-    x, y      unconditional target Bloch components after each measurement
-    sign      polarisation sign of the run (+1 for prepolarised runs)
-    config    the ProtocolConfig that produced the record
-    """
-
-    outcomes: np.ndarray
-    zetas: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    sign: int
-    config: ProtocolConfig = field(repr=False)
-
-
-def sample_trajectory(config: ProtocolConfig, rng: np.random.Generator) -> SpinTrajectory:
-    """Simulate one run: initialisation plus `config.cycles` cycles.
-
-    The target state follows the outcome-averaged recurrence (conditioning
-    enters only through the polarising measurement); each readout draws
-    +-1 with probability (1 +- zeta)/2.  Large batches are better served
-    by `spintrack.engine.simulate_runs`, which is the vectorised
-    equivalent of calling this in a loop.
-    """
-    sa = np.sin(config.alpha)
-    outcomes, zetas, xs, ys = [], [], [], []
-    if config.prepolarized:
-        sign, x, y = 1, 1.0, 0.0
-    else:
-        sign, bloch = generate_initial_state(config.alpha, rng)
-        x, y = bloch[0], bloch[1]
-        outcomes.append(sign)
-        zetas.append(0.0)
-        xs.append(x)
-        ys.append(y)
-    for _ in range(config.cycles):
-        x, y = recurrence_step(x, y, config.alpha, config.phi)
-        zeta = x * sa
-        outcomes.append(1 if rng.random() < (1.0 + zeta) / 2.0 else -1)
-        zetas.append(zeta)
-        xs.append(x)
-        ys.append(y)
-    return SpinTrajectory(
-        outcomes=np.array(outcomes, dtype=np.int8),
-        zetas=np.array(zetas),
-        x=np.array(xs),
-        y=np.array(ys),
-        sign=sign,
-        config=config,
-    )
+    return damped_cosine(alpha, phi, np.arange(1, n_cycles + 1), amplitude)

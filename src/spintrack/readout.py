@@ -163,7 +163,12 @@ class PhotonTrace:
                 raise InvalidArgumentError(f"{path}: missing JSON header line")
             header = json.loads(first[1:].strip())
             counts = [int(row["count"]) for row in csv.DictReader(fh)]
-        arr = np.array(counts, dtype=np.int64).reshape(header["runs"], header["length"])
+        runs, length = header["runs"], header["length"]
+        if len(counts) != runs * length:
+            raise InvalidArgumentError(
+                f"{path}: header promises {runs} x {length} = {runs * length} counts, "
+                f"found {len(counts)} rows")
+        arr = np.array(counts, dtype=np.int64).reshape(runs, length)
         return cls(arr, kind=header["kind"], first_lag=header.get("first_lag", 0),
                    meta=header.get("meta", {}))
 

@@ -3,7 +3,6 @@ import pytest
 
 from spintrack.calibrate import (
     FitResult,
-    corr_Sz_model,
     fit_alpha,
     fit_alpha_modulated,
     fit_decay,
@@ -177,11 +176,6 @@ def test_reconstruct_Ix_amplification_guards():
 
 # ---------------------------------------------------------------------------
 # strength fits
-
-
-def test_corr_Sz_model_matches_series():
-    series = corr_Sz(0.37, 0.8, 20)
-    assert np.allclose(corr_Sz_model(0.37, 0.8, series.lags), series.values, atol=1e-15)
 
 
 def test_fit_alpha_on_exact_model():

@@ -150,6 +150,37 @@ def test_identical_output_across_invocations_and_workers(tmp_path):
         assert (outs[2] / name).read_bytes() == ref, name
 
 
+def test_trace_commands_check_the_kind(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    assert main(["classical", "--config", quantum_config(tmp_path), "--out", out]) == 2
+    assert main(["simulate", "--config", classical_config(tmp_path), "--out", out]) == 2
+    assert capsys.readouterr().err.count("error[InvalidArgumentError]") == 2
+
+
+def test_truncated_trace_exits_2(tmp_path, capsys):
+    cfg = quantum_config(tmp_path, runs=50, protocol={"alpha": ALPHA, "phi": PHI, "cycles": 24})
+    out = tmp_path / "cut"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    trace = out / "trace.csv"
+    lines = trace.read_bytes().splitlines(keepends=True)
+    trace.write_bytes(b"".join(lines[:-3]))
+    assert main(["correlate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[InvalidArgumentError]") and err.count("\n") == 1
+    assert str(trace) in err and "1250" in err and "1247" in err
+
+
+def test_config_keys_match_report_flags(tmp_path):
+    flags = tmp_path / "flags"
+    keys = tmp_path / "keys"
+    assert main(["report", "--config", quantum_config(tmp_path), "--out", str(flags),
+                 "--undo-decay", "--boxcar", "0.3"]) == 0
+    cfg = quantum_config(tmp_path, undo_decay=True, boxcar=0.3)
+    assert main(["report", "--config", cfg, "--out", str(keys)]) == 0
+    for name in ("corr_ix.csv", "lg.csv", "fit.json", "summary.json"):
+        assert (keys / name).read_bytes() == (flags / name).read_bytes(), name
+
+
 def test_bad_schema_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema": 99, "kind": "quantum"}))

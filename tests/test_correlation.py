@@ -12,6 +12,7 @@ from spintrack.correlation import (
     ensemble_corr,
     entropy_Sz_Ix,
     joint_distribution,
+    lag_products,
     relative_entropy,
 )
 from spintrack.errors import InvalidArgumentError
@@ -98,6 +99,26 @@ def test_empirical_corr_validation():
         empirical_corr(np.ones(5), max_lag=5)
     with pytest.raises(InvalidArgumentError):
         empirical_corr(np.ones(5), max_lag=0)
+
+
+def test_lag_products_match_loop_reference(rng):
+    m = rng.integers(0, 9, size=(5, 12)).astype(float)
+    mean, std, count = lag_products(m, 11, "ensemble")
+    for j, n in enumerate(range(1, 12)):
+        prod = m[:, 0] * m[:, n]
+        assert mean[j] == prod.mean() and std[j] == prod.std(ddof=1) and count[j] == 5
+    mean, std, count = lag_products(m, 11, "time-average")
+    for j, n in enumerate(range(1, 12)):
+        prod = np.concatenate([m[r, :-n] * m[r, n:] for r in range(5)])
+        assert mean[j] == prod.mean() and std[j] == prod.std(ddof=1) and count[j] == prod.size
+    # one record: the last lag has a single product and no spread
+    _, std, count = lag_products(m[:1], 11, "time-average")
+    assert count[-1] == 1 and np.isnan(std[-1])
+    assert empirical_corr(m[0], 11).stderr[-1] == np.inf
+    with pytest.raises(InvalidArgumentError):
+        lag_products(m, 3, "median")
+    with pytest.raises(InvalidArgumentError):
+        lag_products(m[:1], 3, "ensemble")
 
 
 def test_estimators_agree_on_stationary_noise(rng):

@@ -1,0 +1,15 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import spintrack
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(spintrack.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(f"spintrack.{name}")
+    missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+    assert missing == []

@@ -10,6 +10,7 @@ from spintrack.protocol import (
     _conditioned_bloch_update,
     alpha_from_pulses,
     approx_amplitudes,
+    damped_cosine,
     dephasing_rates,
     generate_initial_state,
     measurement_cycle,
@@ -17,7 +18,6 @@ from spintrack.protocol import (
     recurrence_matrix,
     recurrence_step,
     resonance_tau,
-    sample_trajectory,
 )
 
 from conftest import target_density
@@ -111,35 +111,14 @@ def test_protocol_config_validation():
         ProtocolConfig(alpha=0.3, phi=np.inf, cycles=1)
 
 
-def test_trajectory_bookkeeping(rng):
-    cfg = ProtocolConfig(alpha=ALPHA, phi=PHI, cycles=12)
-    traj = sample_trajectory(cfg, rng)
-    assert traj.outcomes.shape == (13,)  # polarising measurement + 12 cycles
-    assert traj.outcomes[0] == traj.sign
-    assert traj.zetas[0] == 0.0
-    assert set(np.unique(traj.outcomes)) <= {-1, 1}
-    # deterministic x path given the sign
-    x, y = traj.sign * np.sin(ALPHA), 0.0
-    for i in range(1, 13):
-        x, y = recurrence_step(x, y, ALPHA, PHI)
-        assert traj.x[i] == pytest.approx(x, abs=1e-12)
-        assert traj.zetas[i] == pytest.approx(x * np.sin(ALPHA), abs=1e-12)
-
-
-def test_trajectory_prepolarized(rng):
-    cfg = ProtocolConfig(alpha=ALPHA, phi=PHI, cycles=8, prepolarized=True)
-    traj = sample_trajectory(cfg, rng)
-    assert traj.outcomes.shape == (8,)
-    assert traj.sign == 1
-    assert traj.zetas[0] == pytest.approx(np.sin(ALPHA) * np.cos(PHI), abs=1e-12)
-
-
-def test_approx_amplitude_forms_agree_at_weak_coupling():
-    a = approx_amplitudes(0.05 * np.pi, PHI, 60, form="exponential")
-    b = approx_amplitudes(0.05 * np.pi, PHI, 60, form="half-angle")
-    assert np.max(np.abs(a - b)) < 2e-3
-    with pytest.raises(InvalidArgumentError):
-        approx_amplitudes(0.1, PHI, 10, form="gaussian")
+def test_approx_amplitudes_is_damped_cosine():
+    alpha = 0.05 * np.pi
+    want = damped_cosine(alpha, PHI, np.arange(1, 61), np.sin(alpha))
+    assert np.array_equal(approx_amplitudes(alpha, PHI, 60, amplitude=np.sin(alpha)), want)
+    # a per-lag amplitude multiplies lag by lag
+    amps = np.linspace(0.5, 1.0, 60)
+    assert np.allclose(damped_cosine(alpha, PHI, np.arange(1, 61), amps),
+                       amps * approx_amplitudes(alpha, PHI, 60), rtol=1e-14, atol=0)
     with pytest.raises(InvalidArgumentError):
         approx_amplitudes(0.1, PHI, 0)
 
