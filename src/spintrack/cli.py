@@ -20,8 +20,9 @@ undo_decay / boxcar defaults that the flags override.
 Everything is deterministic given the seed: the trace engine splits the
 seed by run chunk, the calibration sweep uses the reserved auxiliary
 stream (1, 0), and files are written with repr floats / sorted JSON
-keys, so repeated invocations and different --workers values produce
-byte-identical artifacts.
+keys, so repeated invocations produce byte-identical artifacts.  The
+--workers flag and the workers key are accepted and ignored: sampling
+runs in one process.
 
 Exit codes: 0 success, 2 configuration/argument error, 3 fit failure
 (including noise amplification), 4 degenerate contrast.
@@ -330,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--runs", type=int, default=None, help="override the number of runs")
     common.add_argument("--workers", type=int, default=None,
-                        help="worker processes (results identical for any value)")
+                        help="accepted and ignored (sampling runs in one process)")
     common.add_argument("--max-lag", dest="max_lag", type=int, default=None,
                         help="largest correlation lag")
 

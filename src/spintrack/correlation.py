@@ -172,8 +172,9 @@ def lag_products(records, max_lag: int, estimator: str):
     `records` has shape (runs, length).  'ensemble' multiplies column 0,
     the reference measurement of each run, with column N across runs
     (count = runs); 'time-average' pools the products s_i s_{i+N} inside
-    every run (count = runs * (length - N)).  The std of a single product
-    is nan.
+    every run (count = runs * (length - N)).  A single product has no
+    spread estimate: its std is inf, so every standard error built on it
+    is inf too.
     """
     m = np.atleast_2d(records)
     runs, length = m.shape
@@ -192,7 +193,7 @@ def lag_products(records, max_lag: int, estimator: str):
     for j, n in enumerate(lags):
         prod = (m[:, :-n] * m[:, n:]).ravel()
         means[j] = prod.mean()
-        stds[j] = prod.std(ddof=1) if prod.size > 1 else np.nan
+        stds[j] = prod.std(ddof=1) if prod.size > 1 else np.inf
     return means, stds, runs * (length - lags)
 
 
@@ -209,8 +210,7 @@ def empirical_corr(series, max_lag: int) -> CorrelationSeries:
     """
     s = np.asarray(series, dtype=float).reshape(1, -1)
     mean, std, count = lag_products(s, max_lag, "time-average")
-    errs = np.where(count > 1, std / np.sqrt(count), np.inf)
-    return CorrelationSeries(_lag_array(max_lag), mean, errs, kind="empirical")
+    return CorrelationSeries(_lag_array(max_lag), mean, std / np.sqrt(count), kind="empirical")
 
 
 def ensemble_corr(records: np.ndarray, max_lag: int | None = None) -> CorrelationSeries:

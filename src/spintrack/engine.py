@@ -1,12 +1,13 @@
-"""Vectorised multi-run simulation with reproducible, worker-invariant seeding.
+"""Vectorised multi-run simulation with reproducible chunk seeding.
 
 Runs are partitioned into fixed chunks of `CHUNK_SIZE`; chunk ``c`` of a
 simulation with master seed ``s`` always draws from
-``SeedSequence(entropy=s, spawn_key=(c,))`` in a fixed order, so results
-are bit-identical no matter how many worker processes execute the chunks
-(and identical to a plain sequential loop).  Do not reorder the RNG calls
-inside `_simulate_chunk` / `_classical_chunk` without bumping CHUNK logic:
-the draw order is part of the determinism contract.
+``SeedSequence(entropy=s, spawn_key=(c,))`` in a fixed order, and a batch
+is the concatenation of its chunks, sampled one after another in this
+process.  Do not reorder the RNG calls inside `_simulate_chunk` /
+`_classical_chunk` without bumping CHUNK logic: the draw order is part of
+the determinism contract.  The `workers` argument of the entry points is
+accepted and ignored: a process pool made sampling slower, not faster.
 
 The target spin follows the outcome-averaged recurrence of
 `spintrack.protocol`; readout outcomes are drawn from the presented
@@ -23,7 +24,6 @@ level.  A neutral polarising measurement leaves the run unpolarised.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,18 +143,13 @@ def _classical_chunk(args):
     return outcomes, zetas, counts, np.ones(n_runs, dtype=np.int8)
 
 
-def _run_chunked(worker, arg_builder, runs: int, workers: int, first_lag: int,
+def _run_chunked(sample_chunk, arg_builder, runs: int, first_lag: int,
                  meta: dict) -> RunBatch:
     if runs < 1:
         raise InvalidArgumentError("runs must be >= 1")
     n_chunks = (runs + CHUNK_SIZE - 1) // CHUNK_SIZE
-    sizes = [min(CHUNK_SIZE, runs - i * CHUNK_SIZE) for i in range(n_chunks)]
-    args = [arg_builder(i, sizes[i]) for i in range(n_chunks)]
-    if workers <= 1 or n_chunks == 1:
-        parts = [worker(a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(worker, args))
+    parts = [sample_chunk(arg_builder(i, min(CHUNK_SIZE, runs - i * CHUNK_SIZE)))
+             for i in range(n_chunks)]
 
     def stack(i):
         return np.concatenate([p[i] for p in parts], axis=0)
@@ -179,6 +174,7 @@ def simulate_runs(
     bright/dark are per-measurement mean photon counts conditioned on the
     +-1 outcome; leave them None to skip photon sampling.  nv0_mean is the
     photon level of charge-neutral measurements (defaults to `dark`).
+    `workers` is accepted and ignored (see module docstring).
     """
     if not (0.0 <= p_minus <= 1.0):
         raise InvalidArgumentError(f"p_minus must lie in [0, 1], got {p_minus}")
@@ -191,7 +187,7 @@ def simulate_runs(
         return (seed, i, size, config.alpha, config.phi, config.cycles,
                 config.prepolarized, p_minus, bright, dark, nv0_mean)
 
-    return _run_chunked(_simulate_chunk, build, runs, workers,
+    return _run_chunked(_simulate_chunk, build, runs,
                         first_lag=1 if config.prepolarized else 0,
                         meta={"seed": seed, "p_minus": p_minus})
 
@@ -215,7 +211,8 @@ def classical_runs(
     deterministic phase-modulation pattern
     zeta_k = sin(pi/2 sin(2 pi k / 8) + alpha cos(k phi_s pi / 4)) is used
     instead (phi_s is the free sequence-phase parameter).  Outcomes and
-    photons are sampled exactly as in the quantum engine.
+    photons are sampled exactly as in the quantum engine.  `workers` is
+    accepted and ignored.
     """
     if length < 1:
         raise InvalidArgumentError("length must be >= 1")
@@ -225,5 +222,5 @@ def classical_runs(
     def build(i, size):
         return (seed, i, size, alpha, theta_step, length, modulated, phi_s, bright, dark)
 
-    return _run_chunked(_classical_chunk, build, runs, workers,
+    return _run_chunked(_classical_chunk, build, runs,
                         first_lag=0, meta={"seed": seed, "modulated": modulated})

@@ -138,18 +138,28 @@ DESPAGNAT_A = (_IDX[0] == 0) & (_IDX[1] == 0)   # {xi = +1, phi = +1}
 DESPAGNAT_B = (_IDX[1] == 1) & (_IDX[2] == 0)   # {phi = -1, theta = +1}
 
 
+_ATOMS = (-3, -2, -1)
+
+
 def _check_joint(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    if p.shape != (2, 2, 2):
-        raise InvalidArgumentError(f"joint must have shape (2, 2, 2), got {p.shape}")
+    if p.shape[-3:] != (2, 2, 2):
+        raise InvalidArgumentError(f"joint must have shape (..., 2, 2, 2), got {p.shape}")
     if np.any(p < -1e-12):
         raise InvalidArgumentError("joint has negative entries")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise InvalidArgumentError(f"joint must sum to 1, got {p.sum()}")
+    total = p.sum(axis=_ATOMS)
+    off = np.abs(total - 1.0) > 1e-9
+    if np.any(off):
+        raise InvalidArgumentError(f"joint must sum to 1, got {total[off].flat[0]}")
     return p
 
 
-def wigner_despagnat_check(p) -> tuple[float, float, bool]:
+def _scalar_or_array(x):
+    """A plain float/bool for one joint, the array for a batch."""
+    return x.item() if x.ndim == 0 else x
+
+
+def wigner_despagnat_check(p) -> tuple:
     """Pairwise-marginal inequality for three +-1 variables on one space.
 
     Returns (lhs, rhs, holds) for
@@ -158,28 +168,38 @@ def wigner_despagnat_check(p) -> tuple[float, float, bool]:
 
     lhs - rhs equals the probability of the two atoms (+,+,-) and
     (-,-,+), so `holds` is true for every valid joint; the 1e-12 slack
-    only absorbs float rounding of the sums.
+    only absorbs float rounding of the sums.  `p` is one (2,2,2) joint
+    (floats and a bool come back) or a batch (..., 2, 2, 2) (arrays of
+    the batch shape come back).
     """
     p = _check_joint(p)
-    lhs = float(p[0, 0, :].sum() + p[:, 1, 0].sum())
-    rhs = float(p[0, :, 0].sum())
-    return lhs, rhs, bool(lhs + 1e-12 >= rhs)
+    lhs = p[..., 0, 0, :].sum(axis=-1) + p[..., :, 1, 0].sum(axis=-1)
+    rhs = p[..., 0, :, 0].sum(axis=-1)
+    return (_scalar_or_array(lhs), _scalar_or_array(rhs),
+            _scalar_or_array(lhs + 1e-12 >= rhs))
 
 
-def strong_additivity_check(p, set_a=None, set_b=None, tol: float = 1e-12) -> bool:
+def strong_additivity_check(p, set_a=None, set_b=None, tol: float = 1e-12):
     """Verify P(A) + P(B) = P(A and B) + P(A or B) on an atom measure.
 
-    `p` is a (2,2,2) probability table; the sets are boolean masks over
-    it (default: the canonical pair above, which is disjoint, so the
+    `p` is a (2,2,2) probability table, or a batch (..., 2, 2, 2) of them;
+    the sets are boolean masks over it, one mask or one per joint
+    (default: the canonical pair above, which is disjoint, so the
     identity degenerates to plain additivity).  This is the measure-
     theoretic fact behind `wigner_despagnat_check`: apply it to the
     canonical sets and drop the non-shared atoms to get the inequality.
+    Returns a bool for one joint, a bool array of the batch shape for a
+    batch.
     """
     p = _check_joint(p)
     a = DESPAGNAT_A if set_a is None else np.asarray(set_a, dtype=bool)
     b = DESPAGNAT_B if set_b is None else np.asarray(set_b, dtype=bool)
-    if a.shape != p.shape or b.shape != p.shape:
-        raise InvalidArgumentError("set masks must have the joint's shape")
-    lhs = p[a].sum() + p[b].sum()
-    rhs = p[a & b].sum() + p[a | b].sum()
-    return bool(abs(lhs - rhs) <= tol)
+    if a.shape[-3:] != (2, 2, 2) or b.shape[-3:] != (2, 2, 2):
+        raise InvalidArgumentError("set masks must have the joint's (2, 2, 2) shape")
+
+    def measure(mask):
+        return (p * mask).sum(axis=_ATOMS)
+
+    lhs = measure(a) + measure(b)
+    rhs = measure(a & b) + measure(a | b)
+    return _scalar_or_array(np.abs(lhs - rhs) <= tol)

@@ -58,6 +58,7 @@ DEFAULT_ANGLES_DEG = tuple(range(0, 361, 30))
 DEFAULT_SAMPLES_PER_ANGLE = 50
 DEFAULT_ANCHOR_ANGLE = 90
 DEFAULT_ANCHOR_SAMPLES = 500
+_CSV_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -114,12 +115,15 @@ class ChargeModel:
 
 @dataclass
 class PhotonTrace:
-    """Photon counts of a multi-run experiment, shape (runs, length).
+    r"""Photon counts of a multi-run experiment, shape (runs, length).
 
     `first_lag` is the lag carried by column 0 (0 when column 0 is the
     polarising measurement of each run, 1 when records start at cycle 1).
-    CSV layout: a '# {json meta}' header line, then index,count rows in
-    row-major order.
+
+    CSV layout, byte for byte: ``# `` + the header as JSON with sorted keys
+    + ``\n``, then ``index,count\r\n``, then one ``i,c\r\n`` row per count
+    in row-major order, i = 0 .. runs * length - 1.  `from_csv` rejects a
+    file that departs from it with an `InvalidArgumentError` naming the file.
     """
 
     counts: np.ndarray
@@ -148,29 +152,52 @@ class PhotonTrace:
     def to_csv(self, path) -> None:
         header = {"kind": self.kind, "runs": self.runs, "length": self.length,
                   "first_lag": self.first_lag, "meta": self.meta}
+        flat = self.counts.ravel()
         with open(path, "w", newline="") as fh:
             fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-            w = csv.writer(fh)
-            w.writerow(["index", "count"])
-            for i, cval in enumerate(self.counts.ravel()):
-                w.writerow([i, int(cval)])
+            fh.write("index,count\r\n")
+            # format a block of rows at a time: small blocks keep the
+            # temporary strings (and peak memory) small
+            for start in range(0, flat.size, _CSV_BLOCK_ROWS):
+                block = flat[start:start + _CSV_BLOCK_ROWS]
+                pairs = np.empty((block.size, 2), dtype=np.int64)
+                pairs[:, 0] = np.arange(start, start + block.size)
+                pairs[:, 1] = block
+                fh.write(("%d,%d\r\n" * block.size) % tuple(pairs.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "PhotonTrace":
-        with open(path, newline="") as fh:
+        with open(path, "rb") as fh:
             first = fh.readline()
-            if not first.startswith("#"):
+            if not first.startswith(b"#"):
                 raise InvalidArgumentError(f"{path}: missing JSON header line")
-            header = json.loads(first[1:].strip())
-            counts = [int(row["count"]) for row in csv.DictReader(fh)]
-        runs, length = header["runs"], header["length"]
-        if len(counts) != runs * length:
+            try:
+                header = json.loads(first[1:])
+                runs, length, kind = int(header["runs"]), int(header["length"]), header["kind"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise InvalidArgumentError(f"{path}: bad JSON header line: {exc}") from None
+            if fh.readline().rstrip(b"\r\n") != b"index,count":
+                raise InvalidArgumentError(f"{path}: second line must be 'index,count'")
+            rows = np.empty((0, 2), dtype=np.int64)
+            if fh.peek(1):
+                try:
+                    rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2,
+                                      comments=None)
+                except ValueError as exc:
+                    raise InvalidArgumentError(f"{path}: {exc}") from None
+                fh.seek(-1, 2)
+                if fh.read(1) != b"\n":
+                    raise InvalidArgumentError(f"{path}: the last row has no line end")
+        if rows.shape[1] != 2:
+            raise InvalidArgumentError(f"{path}: rows must have 2 fields, found {rows.shape[1]}")
+        if len(rows) != runs * length:
             raise InvalidArgumentError(
                 f"{path}: header promises {runs} x {length} = {runs * length} counts, "
-                f"found {len(counts)} rows")
-        arr = np.array(counts, dtype=np.int64).reshape(runs, length)
-        return cls(arr, kind=header["kind"], first_lag=header.get("first_lag", 0),
-                   meta=header.get("meta", {}))
+                f"found {len(rows)} rows")
+        if not np.array_equal(rows[:, 0], np.arange(len(rows))):
+            raise InvalidArgumentError(f"{path}: the index column must run 0 .. {len(rows) - 1}")
+        return cls(rows[:, 1].copy().reshape(runs, length), kind=kind,
+                   first_lag=header.get("first_lag", 0), meta=header.get("meta", {}))
 
 
 @dataclass
@@ -254,7 +281,10 @@ def run_quantum_experiment(
     charge: ChargeModel | None = None,
     workers: int = 1,
 ) -> PhotonTrace:
-    """Simulate the full photon record of a multi-run protocol experiment."""
+    """Simulate the full photon record of a multi-run protocol experiment.
+
+    `workers` is accepted and ignored (see `spintrack.engine`).
+    """
     p_minus = 1.0 if charge is None else charge.p_minus
     nv0 = None if charge is None else charge.nv0_mean
     batch = engine.simulate_runs(
@@ -286,7 +316,8 @@ def run_classical_experiment(
     """Simulate the classical control experiment's photon record.
 
     theta_step is the field phase advance per measurement (omega * t_s).
-    See `spintrack.engine.classical_runs` for the signal model.
+    See `spintrack.engine.classical_runs` for the signal model; `workers`
+    is accepted and ignored.
     """
     batch = engine.classical_runs(
         alpha, theta_step, measurements_per_run, runs, seed,

@@ -266,19 +266,16 @@ def test_09_three_variable_joint_inequality_oracle(announce):
     t0 = time.perf_counter()
     for _ in range(10):
         block = rng.dirichlet(np.ones(8), size=total // 10).reshape(-1, 2, 2, 2)
-        for joint in block:
-            if not wigner_despagnat_check(joint)[2]:
-                violations += 1
+        violations += int(np.count_nonzero(~wigner_despagnat_check(block)[2]))
     dt = time.perf_counter() - t0
 
-    additivity_ok = True
+    joints, masks_a, masks_b = [], [], []
     for _ in range(10_000):
-        joint = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
-        mask_a = rng.integers(0, 2, size=8).astype(bool).reshape(2, 2, 2)
-        mask_b = rng.integers(0, 2, size=8).astype(bool).reshape(2, 2, 2)
-        if not strong_additivity_check(joint, set_a=mask_a, set_b=mask_b, tol=1e-12):
-            additivity_ok = False
-            break
+        joints.append(rng.dirichlet(np.ones(8)).reshape(2, 2, 2))
+        masks_a.append(rng.integers(0, 2, size=8).astype(bool).reshape(2, 2, 2))
+        masks_b.append(rng.integers(0, 2, size=8).astype(bool).reshape(2, 2, 2))
+    additivity_ok = bool(np.all(strong_additivity_check(
+        np.stack(joints), set_a=np.stack(masks_a), set_b=np.stack(masks_b), tol=1e-12)))
     ok = violations == 0 and additivity_ok
     announce(9, "1e6 random joints: inequality + strong additivity", ok,
              f"{violations} violations, additivity ok={additivity_ok}, {dt:.1f}s")

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,76 @@ def test_truncated_trace_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error[InvalidArgumentError]") and err.count("\n") == 1
     assert str(trace) in err and "1250" in err and "1247" in err
+
+
+def _corrupt_count(lines):
+    lines[12] = b"10,12x\r\n"
+
+
+def _corrupt_columns(lines):
+    lines[1] = b"index,counts\r\n"
+
+
+def _corrupt_index(lines):
+    lines[7] = b"6" + lines[7][1:]
+
+
+def _corrupt_last_row(lines):
+    lines[-1] = lines[-1][:-3]
+
+
+def _drop_every_row(lines):
+    del lines[2:]
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_count, _corrupt_columns, _corrupt_index,
+                                     _corrupt_last_row, _drop_every_row])
+def test_malformed_trace_exits_2(tmp_path, capsys, corrupt):
+    cfg = quantum_config(tmp_path, runs=20)
+    out = tmp_path / "bad"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    trace = out / "trace.csv"
+    lines = trace.read_bytes().splitlines(keepends=True)
+    corrupt(lines)
+    trace.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main(["correlate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[InvalidArgumentError]") and err.count("\n") == 1
+    assert str(trace) in err
+
+
+def test_stage_chain_matches_report(tmp_path):
+    """simulate -> calibrate -> correlate --fit reads the trace back and
+    must land on the bytes `report` writes at the same seed."""
+    cfg = quantum_config(tmp_path)
+    stages = tmp_path / "stages"
+    report = tmp_path / "report"
+    assert main(["simulate", "--config", cfg, "--out", str(stages)]) == 0
+    assert main(["calibrate", "--config", cfg, "--out", str(stages)]) == 0
+    assert main(["correlate", "--config", cfg, "--out", str(stages),
+                 "--fit", str(stages / "fit.json")]) == 0
+    assert main(["report", "--config", cfg, "--out", str(report)]) == 0
+    for name in ("trace.csv", "modulation.csv", "corr_sz.csv"):
+        assert (stages / name).read_bytes() == (report / name).read_bytes(), name
+
+
+def test_single_product_lag_has_inf_stderr(tmp_path):
+    """One 20-measurement classical run: lag 19 has a single product, so
+    its standard error is inf in both series, with no numpy warning."""
+    cfg = classical_config(tmp_path, measurements_per_run=20)
+    with open(cfg) as fh:
+        one_run = dict(json.load(fh), runs=1, max_lag=19)
+    with open(cfg, "w") as fh:
+        json.dump(one_run, fh)
+    out = tmp_path / "one"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["report", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("corr_sz.csv", "corr_ix.csv"):
+        last = (out / name).read_text().splitlines()[-1].split(",")
+        assert last[0] == "19" and last[2] == "inf", name
+        assert "nan" not in (out / name).read_text(), name
 
 
 def test_config_keys_match_report_flags(tmp_path):

@@ -111,9 +111,9 @@ def test_lag_products_match_loop_reference(rng):
     for j, n in enumerate(range(1, 12)):
         prod = np.concatenate([m[r, :-n] * m[r, n:] for r in range(5)])
         assert mean[j] == prod.mean() and std[j] == prod.std(ddof=1) and count[j] == prod.size
-    # one record: the last lag has a single product and no spread
+    # one record: the last lag has a single product and no spread estimate
     _, std, count = lag_products(m[:1], 11, "time-average")
-    assert count[-1] == 1 and np.isnan(std[-1])
+    assert count[-1] == 1 and std[-1] == np.inf
     assert empirical_corr(m[0], 11).stderr[-1] == np.inf
     with pytest.raises(InvalidArgumentError):
         lag_products(m, 3, "median")

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from spintrack.engine import CHUNK_SIZE, chunk_rng, classical_runs, simulate_runs
+from spintrack.engine import (
+    CHUNK_SIZE,
+    _classical_chunk,
+    _simulate_chunk,
+    chunk_rng,
+    classical_runs,
+    simulate_runs,
+)
 from spintrack.errors import InvalidArgumentError
 from spintrack.protocol import ProtocolConfig, recurrence_step
 
@@ -18,6 +25,24 @@ def test_same_seed_same_batch():
     assert np.array_equal(a.signs, b.signs)
     c = simulate_runs(CFG, runs=300, seed=43)
     assert not np.array_equal(a.outcomes, c.outcomes)
+
+
+def test_batch_is_concatenation_of_chunks():
+    """Run i depends only on (seed, i // CHUNK_SIZE): a batch is its chunks'
+    outputs stacked in order, for both samplers and whatever `workers` says."""
+    runs = 3 * CHUNK_SIZE + 17
+    sizes = [CHUNK_SIZE] * 3 + [17]
+    quantum = simulate_runs(CFG, runs=runs, seed=7, bright=90.0, dark=30.0, workers=4)
+    quantum_parts = [_simulate_chunk((7, i, n, ALPHA, PHI, CFG.cycles, CFG.prepolarized,
+                                      1.0, 90.0, 30.0, 30.0)) for i, n in enumerate(sizes)]
+    classical = classical_runs(0.3, 0.5, length=40, runs=runs, seed=12,
+                               bright=90.0, dark=30.0, workers=3)
+    classical_parts = [_classical_chunk((12, i, n, 0.3, 0.5, 40, False, 1.0, 90.0, 30.0))
+                       for i, n in enumerate(sizes)]
+    for batch, parts in ((quantum, quantum_parts), (classical, classical_parts)):
+        for k, name in enumerate(("outcomes", "zetas", "counts", "signs")):
+            stacked = np.concatenate([part[k] for part in parts])
+            assert np.array_equal(getattr(batch, name), stacked), name
 
 
 def test_worker_count_does_not_change_results():

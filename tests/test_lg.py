@@ -155,6 +155,27 @@ def test_strong_additivity_overlapping_sets():
     assert strong_additivity_check(p, set_a=a, set_b=b)
 
 
+def test_oracles_take_a_batch_of_joints():
+    """A leading batch axis gives per-joint results equal to scalar calls."""
+    rng = np.random.default_rng(13)
+    p = rng.dirichlet(np.ones(8), size=(4, 5)).reshape(4, 5, 2, 2, 2)
+    a = rng.integers(0, 2, size=(4, 5, 2, 2, 2)).astype(bool)
+    b = rng.integers(0, 2, size=(4, 5, 2, 2, 2)).astype(bool)
+    lhs, rhs, holds = wigner_despagnat_check(p)
+    additive = strong_additivity_check(p, set_a=a, set_b=b)
+    assert lhs.shape == rhs.shape == holds.shape == additive.shape == (4, 5)
+    for idx in np.ndindex(4, 5):
+        one = wigner_despagnat_check(p[idx])
+        assert isinstance(one[2], bool) and isinstance(one[0], float)
+        assert (lhs[idx], rhs[idx], holds[idx]) == one
+        assert additive[idx] == strong_additivity_check(p[idx], set_a=a[idx], set_b=b[idx])
+    assert strong_additivity_check(p).all()
+    bad = p.copy()
+    bad[2, 3, 0, 0, 0] += 0.1
+    with pytest.raises(InvalidArgumentError):
+        wigner_despagnat_check(bad)
+
+
 def test_quantum_joint_respects_additivity_but_lg_does_not():
     """The deep point: every two-time joint from the protocol is a valid
     probability assignment (additivity holds), yet the three correlators

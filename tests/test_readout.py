@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -82,6 +83,34 @@ def test_photon_trace_csv_roundtrip(tmp_path):
     assert back.first_lag == 1
     assert back.kind == "quantum"
     assert back.meta["seed"] == 9
+
+
+def _csv_writer_reference(trace, path):
+    """The row-by-row csv.writer layout the block writer must reproduce."""
+    header = {"kind": trace.kind, "runs": trace.runs, "length": trace.length,
+              "first_lag": trace.first_lag, "meta": trace.meta}
+    with open(path, "w", newline="") as fh:
+        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
+        w = csv.writer(fh)
+        w.writerow(["index", "count"])
+        for i, cval in enumerate(trace.counts.ravel()):
+            w.writerow([i, int(cval)])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4095), (1, 4096), (1, 4097), (3, 5), (2, 8193)])
+def test_photon_trace_csv_matches_csv_writer(tmp_path, shape):
+    rng = np.random.default_rng(sum(shape))
+    counts = rng.integers(0, 5000, size=shape, dtype=np.int64)
+    counts.flat[0] = 0
+    counts.flat[-1] = 2**40
+    trace = PhotonTrace(counts=counts, kind="quantum", first_lag=1, meta={"seed": 3})
+    trace.to_csv(tmp_path / "block.csv")
+    _csv_writer_reference(trace, tmp_path / "reference.csv")
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    back = PhotonTrace.from_csv(tmp_path / "block.csv")
+    assert back.counts.dtype == np.int64
+    assert np.array_equal(back.counts, counts)
+    assert (back.kind, back.first_lag, back.meta) == ("quantum", 1, {"seed": 3})
 
 
 def test_modulation_trace_csv_roundtrip(tmp_path):
