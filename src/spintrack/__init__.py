@@ -90,7 +90,6 @@ from .readout import (
     modulation_trace,
     run_classical_experiment,
     run_quantum_experiment,
-    sample_readout,
 )
 
 __version__ = "0.1.0"

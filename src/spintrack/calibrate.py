@@ -264,6 +264,15 @@ def reconstruct_Ix_corr(
 # measurement-strength fits
 
 
+def _gauss_newton_stderr(jac, w, scale: float = 1.0) -> np.ndarray:
+    """Parameter standard errors sqrt(diag((J^T W J / scale)^-1)), inf if singular."""
+    try:
+        cov = np.linalg.inv(jac.T @ (w[:, None] * jac) / scale)
+    except np.linalg.LinAlgError:
+        return np.full(jac.shape[1], np.inf)
+    return np.sqrt(np.maximum(np.diag(cov), 0.0))
+
+
 def _weights(series: CorrelationSeries) -> np.ndarray:
     se = series.stderr
     if np.all(se > 0) and np.all(np.isfinite(se)):
@@ -363,27 +372,19 @@ def fit_decay(
     if amp0 is None:
         amp0 = float(np.abs(v).max())
 
-    def sse(p):
-        amp, gam = p
-        return float(np.sum(w * (v - amp * np.cos(phi * n) * np.exp(-gam * (n - 1))) ** 2))
+    def model(amp, gam):
+        return amp * np.cos(phi * n) * np.exp(-gam * (n - 1))
 
-    opt = minimize(sse, x0=[amp0, gamma0], method="Nelder-Mead",
+    opt = minimize(lambda p: float(np.sum(w * (v - model(*p)) ** 2)), x0=[amp0, gamma0],
+                   method="Nelder-Mead",
                    options={"xatol": 1e-13, "fatol": 1e-15, "maxfev": 20000})
     if not opt.success:
         raise FitFailureError(f"decay fit did not converge: {opt.message}")
     amp, gam = map(float, opt.x)
 
-    env = np.cos(phi * n) * np.exp(-gam * (n - 1))
-    jac = np.column_stack([env, -amp * (n - 1) * env])
-    fisher = jac.T @ (w[:, None] * jac)
-    if stderr is None:
-        dof = max(n.size - 2, 1)
-        fisher = fisher / (opt.fun / dof) if opt.fun > 0 else fisher
-    try:
-        cov = np.linalg.inv(fisher)
-        errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    except np.linalg.LinAlgError:
-        errs = np.full(2, np.inf)
+    env = model(1.0, gam)
+    scale = opt.fun / max(n.size - 2, 1) if stderr is None and opt.fun > 0 else 1.0
+    errs = _gauss_newton_stderr(np.column_stack([env, -amp * (n - 1) * env]), w, scale)
     return FitResult(
         params={"amplitude": amp, "gamma": gam},
         stderr={"amplitude": float(errs[0]), "gamma": float(errs[1])},
@@ -441,16 +442,11 @@ def fit_alpha_modulated(
     if n_a - n_b <= 0:
         raise DegenerateContrastError("modulated fit found no positive bright/dark contrast")
 
-    # Gauss-Newton covariance at the optimum
     angle, slope = modulated_drive(k, abs(alpha), phi_s)
     m = np.sin(angle)
-    dm = np.cos(angle) * slope
-    jac = np.column_stack([0.5 * (1.0 + m), 0.5 * (1.0 - m), 0.5 * (n_a - n_b) * dm])
-    try:
-        cov = np.linalg.inv(jac.T @ (w[:, None] * jac))
-        errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    except np.linalg.LinAlgError:
-        errs = np.full(3, np.inf)
+    jac = np.column_stack([0.5 * (1.0 + m), 0.5 * (1.0 - m),
+                           0.5 * (n_a - n_b) * (np.cos(angle) * slope)])
+    errs = _gauss_newton_stderr(jac, w)
     return FitResult(
         params={"n_a": n_a, "n_b": n_b, "alpha": abs(alpha)},
         stderr={"n_a": float(errs[0]), "n_b": float(errs[1]), "alpha": float(errs[2])},

@@ -148,12 +148,11 @@ def _make_trace(args, cfg: dict, out: str) -> ro.PhotonTrace:
     """Simulate the photon record and write it to <out>/trace.csv."""
     seed = int(_setting(args, cfg, "seed", 0))
     runs = int(_setting(args, cfg, "runs", 1))
-    workers = int(_setting(args, cfg, "workers", 1))
     model = _readout_from(cfg)
     if cfg["kind"] == "quantum":
         trace = ro.run_quantum_experiment(
             _protocol_from(cfg), model, runs, seed,
-            charge=_charge_from(cfg), workers=workers)
+            charge=_charge_from(cfg))
     else:
         c = _need(cfg, "classical")
         trace = ro.run_classical_experiment(
@@ -165,7 +164,6 @@ def _make_trace(args, cfg: dict, out: str) -> ro.PhotonTrace:
             seed=seed,
             modulated=cfg["kind"] == "classical-modulated",
             phi_s=float(c.get("phi_s", 1.0)),
-            workers=workers,
         )
     trace.to_csv(os.path.join(out, "trace.csv"))
     return trace

@@ -3,11 +3,13 @@
 Runs are partitioned into fixed chunks of `CHUNK_SIZE`; chunk ``c`` of a
 simulation with master seed ``s`` always draws from
 ``SeedSequence(entropy=s, spawn_key=(c,))`` in a fixed order, and a batch
-is the concatenation of its chunks, sampled one after another in this
-process.  Do not reorder the RNG calls inside `_simulate_chunk` /
-`_classical_chunk` without bumping CHUNK logic: the draw order is part of
-the determinism contract.  The `workers` argument of the entry points is
-accepted and ignored: a process pool made sampling slower, not faster.
+is the concatenation of its chunks, sampled one after another
+(`_run_chunked`).  Each kind of draw has one helper, which both samplers
+call where they make that draw: `_draw_outcomes` (the +-1 readout),
+`_draw_charge` (the per-cycle charge state) and `_draw_photons` (the
+Poisson counts).  Do not reorder the RNG calls inside `_simulate_chunk` /
+`_classical_chunk` or these helpers: the draw order is part of the
+determinism contract.
 
 The target spin follows the outcome-averaged recurrence of
 `spintrack.protocol`; readout outcomes are drawn from the presented
@@ -24,7 +26,7 @@ level.  A neutral polarising measurement leaves the run unpolarised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +62,6 @@ class RunBatch:
     counts: np.ndarray | None
     signs: np.ndarray
     first_lag: int
-    meta: dict = field(default_factory=dict, repr=False)
 
     @property
     def runs(self) -> int:
@@ -71,47 +72,59 @@ class RunBatch:
         return self.outcomes.shape[1]
 
 
-def _simulate_chunk(args):
-    (seed, chunk_index, n_runs, alpha, phi, cycles, prepolarized,
-     p_minus, bright, dark, nv0_mean) = args
-    rng = chunk_rng(seed, chunk_index)
+def _draw_outcomes(rng, zetas) -> np.ndarray:
+    """+-1 readout outcomes, +1 with probability (1 + zeta) / 2."""
+    return np.where(rng.random(zetas.shape) < (1.0 + zetas) / 2.0, 1, -1).astype(np.int8)
+
+
+def _draw_charge(rng, n_runs: int, p_minus: float) -> np.ndarray:
+    """Charge state of one cycle per run, True when active; no draw at p_minus 1."""
+    if p_minus < 1.0:
+        return rng.random(n_runs) < p_minus
+    return np.ones(n_runs, dtype=bool)
+
+
+def _draw_photons(rng, outcomes, bright, dark, live=None, nv0_mean=None):
+    """Poisson counts at the bright/dark level of each outcome, or at
+    nv0_mean where `live` is False; None when there is no photon model."""
+    if bright is None:
+        return None
+    lam = np.where(outcomes == 1, bright, dark)
+    if live is not None:
+        lam = np.where(live, lam, nv0_mean)
+    return rng.poisson(lam).astype(np.int64)
+
+
+def _simulate_chunk(rng, n_runs, config: ProtocolConfig, p_minus, bright, dark, nv0_mean):
+    alpha, phi = config.alpha, config.phi
     sa, ca = np.sin(alpha), np.cos(alpha)
     c, s = np.cos(phi), np.sin(phi)
-    charged = p_minus < 1.0
 
     out_cols, zeta_cols, live_cols = [], [], []
-    if prepolarized:
+    if config.prepolarized:
         signs = np.ones(n_runs, dtype=np.int8)
         x = np.ones(n_runs)
-        y = np.zeros(n_runs)
     else:
-        s0 = np.where(rng.random(n_runs) < 0.5, 1, -1).astype(np.int8)
-        live0 = rng.random(n_runs) < p_minus if charged else np.ones(n_runs, dtype=bool)
-        signs = np.where(live0, s0, 0).astype(np.int8)
-        x = np.where(live0, s0 * sa, 0.0)
-        y = np.zeros(n_runs)
-        out_cols.append(s0)
         zeta_cols.append(np.zeros(n_runs))
-        live_cols.append(live0)
+        out_cols.append(_draw_outcomes(rng, zeta_cols[0]))
+        live_cols.append(_draw_charge(rng, n_runs, p_minus))
+        signs = np.where(live_cols[0], out_cols[0], 0).astype(np.int8)
+        x = signs * sa
+    y = np.zeros(n_runs)
 
-    for _ in range(cycles):
-        live = rng.random(n_runs) < p_minus if charged else np.ones(n_runs, dtype=bool)
+    for _ in range(config.cycles):
+        live = _draw_charge(rng, n_runs, p_minus)
         x, yr = x * c - y * s, x * s + y * c
         zeta = np.where(live, x * sa, 0.0)
         y = np.where(live, yr * ca, yr)
-        out_cols.append(np.where(rng.random(n_runs) < (1.0 + zeta) / 2.0, 1, -1).astype(np.int8))
+        out_cols.append(_draw_outcomes(rng, zeta))
         zeta_cols.append(zeta)
         live_cols.append(live)
 
     outcomes = np.column_stack(out_cols)
-    zetas = np.column_stack(zeta_cols)
-    counts = None
-    if bright is not None:
-        lam = np.where(outcomes == 1, bright, dark)
-        if charged:
-            lam = np.where(np.column_stack(live_cols), lam, nv0_mean)
-        counts = rng.poisson(lam).astype(np.int64)
-    return outcomes, zetas, counts, signs
+    live = np.column_stack(live_cols) if p_minus < 1.0 else None
+    counts = _draw_photons(rng, outcomes, bright, dark, live, nv0_mean)
+    return outcomes, np.column_stack(zeta_cols), counts, signs
 
 
 def modulated_drive(k: np.ndarray, alpha: float, phi_s: float):
@@ -125,10 +138,8 @@ def modulated_drive(k: np.ndarray, alpha: float, phi_s: float):
     return 0.5 * np.pi * np.sin(2 * np.pi * k / 8.0) + alpha * slope, slope
 
 
-def _classical_chunk(args):
-    (seed, chunk_index, n_runs, alpha, theta_step, length,
-     modulated, phi_s, bright, dark) = args
-    rng = chunk_rng(seed, chunk_index)
+def _classical_chunk(rng, n_runs, alpha, theta_step, length, modulated, phi_s,
+                     bright, dark):
     k = np.arange(length)
     if modulated:
         zeta_row = np.sin(modulated_drive(k, alpha, phi_s)[0])
@@ -136,27 +147,22 @@ def _classical_chunk(args):
     else:
         phase = rng.random(n_runs) * 2 * np.pi
         zetas = np.sin(alpha * np.sin(theta_step * k[None, :] + phase[:, None]))
-    outcomes = np.where(rng.random((n_runs, length)) < (1.0 + zetas) / 2.0, 1, -1).astype(np.int8)
-    counts = None
-    if bright is not None:
-        counts = rng.poisson(np.where(outcomes == 1, bright, dark)).astype(np.int64)
+    outcomes = _draw_outcomes(rng, zetas)
+    counts = _draw_photons(rng, outcomes, bright, dark)
     return outcomes, zetas, counts, np.ones(n_runs, dtype=np.int8)
 
 
-def _run_chunked(sample_chunk, arg_builder, runs: int, first_lag: int,
-                 meta: dict) -> RunBatch:
+def _run_chunked(sample, seed: int, runs: int, first_lag: int, bright, dark) -> RunBatch:
+    """Stack `sample(chunk_rng(seed, i), n)` over the chunks of `runs` runs."""
     if runs < 1:
         raise InvalidArgumentError("runs must be >= 1")
-    n_chunks = (runs + CHUNK_SIZE - 1) // CHUNK_SIZE
-    parts = [sample_chunk(arg_builder(i, min(CHUNK_SIZE, runs - i * CHUNK_SIZE)))
-             for i in range(n_chunks)]
-
-    def stack(i):
-        return np.concatenate([p[i] for p in parts], axis=0)
-
-    return RunBatch(outcomes=stack(0), zetas=stack(1),
-                    counts=None if parts[0][2] is None else stack(2),
-                    signs=stack(3), first_lag=first_lag, meta=meta)
+    if (bright is None) != (dark is None):
+        raise InvalidArgumentError("bright and dark must be provided together")
+    parts = [sample(chunk_rng(seed, i), min(CHUNK_SIZE, runs - start))
+             for i, start in enumerate(range(0, runs, CHUNK_SIZE))]
+    outcomes, zetas, counts, signs = (
+        None if arrays[0] is None else np.concatenate(arrays) for arrays in zip(*parts))
+    return RunBatch(outcomes, zetas, counts, signs, first_lag)
 
 
 def simulate_runs(
@@ -167,29 +173,20 @@ def simulate_runs(
     bright: float | None = None,
     dark: float | None = None,
     nv0_mean: float | None = None,
-    workers: int = 1,
 ) -> RunBatch:
     """Simulate `runs` independent protocol runs (see module docstring).
 
     bright/dark are per-measurement mean photon counts conditioned on the
     +-1 outcome; leave them None to skip photon sampling.  nv0_mean is the
     photon level of charge-neutral measurements (defaults to `dark`).
-    `workers` is accepted and ignored (see module docstring).
     """
     if not (0.0 <= p_minus <= 1.0):
         raise InvalidArgumentError(f"p_minus must lie in [0, 1], got {p_minus}")
-    if (bright is None) != (dark is None):
-        raise InvalidArgumentError("bright and dark must be provided together")
     if nv0_mean is None:
         nv0_mean = dark
-
-    def build(i, size):
-        return (seed, i, size, config.alpha, config.phi, config.cycles,
-                config.prepolarized, p_minus, bright, dark, nv0_mean)
-
-    return _run_chunked(_simulate_chunk, build, runs,
-                        first_lag=1 if config.prepolarized else 0,
-                        meta={"seed": seed, "p_minus": p_minus})
+    return _run_chunked(
+        lambda rng, n: _simulate_chunk(rng, n, config, p_minus, bright, dark, nv0_mean),
+        seed, runs, 1 if config.prepolarized else 0, bright, dark)
 
 
 def classical_runs(
@@ -202,7 +199,6 @@ def classical_runs(
     phi_s: float = 1.0,
     bright: float | None = None,
     dark: float | None = None,
-    workers: int = 1,
 ) -> RunBatch:
     """Classical control: a spin driven by a coherent field, no back-action.
 
@@ -211,16 +207,11 @@ def classical_runs(
     deterministic phase-modulation pattern
     zeta_k = sin(pi/2 sin(2 pi k / 8) + alpha cos(k phi_s pi / 4)) is used
     instead (phi_s is the free sequence-phase parameter).  Outcomes and
-    photons are sampled exactly as in the quantum engine.  `workers` is
-    accepted and ignored.
+    photons are sampled exactly as in the quantum engine.
     """
     if length < 1:
         raise InvalidArgumentError("length must be >= 1")
-    if (bright is None) != (dark is None):
-        raise InvalidArgumentError("bright and dark must be provided together")
-
-    def build(i, size):
-        return (seed, i, size, alpha, theta_step, length, modulated, phi_s, bright, dark)
-
-    return _run_chunked(_classical_chunk, build, runs,
-                        first_lag=0, meta={"seed": seed, "modulated": modulated})
+    return _run_chunked(
+        lambda rng, n: _classical_chunk(rng, n, alpha, theta_step, length, modulated, phi_s,
+                                        bright, dark),
+        seed, runs, 0, bright, dark)

@@ -6,10 +6,11 @@ Photon number conventions
 the sensor in the bright (+1) and dark (-1) state.  Two sampling modes
 reflect how measurements are composed of repeated optical readouts:
 
-* trace readout (`sample_readout`): the sensor is projected once per
-  cycle and then read repeatedly without disturbing it, so the count is a
-  single Poisson draw with mean n_a or n_b conditioned on the outcome —
-  the record is bimodal, which is what carries the correlation signal;
+* trace readout (drawn by `spintrack.engine` with each run's outcomes):
+  the sensor is projected once per cycle and then read repeatedly without
+  disturbing it, so the count is a single Poisson draw with mean n_a or
+  n_b conditioned on the outcome — the record is bimodal, which is what
+  carries the correlation signal;
 * calibration readout (`modulation_trace`): every one of the
   ``repetitions`` readouts re-prepares and re-rotates the sensor, so one
   measurement sums `repetitions` independent projection+Poisson draws.
@@ -46,7 +47,6 @@ __all__ = [
     "ChargeModel",
     "PhotonTrace",
     "ModulationTrace",
-    "sample_readout",
     "modulation_trace",
     "run_quantum_experiment",
     "run_classical_experiment",
@@ -59,6 +59,7 @@ DEFAULT_SAMPLES_PER_ANGLE = 50
 DEFAULT_ANCHOR_ANGLE = 90
 DEFAULT_ANCHOR_SAMPLES = 500
 _CSV_BLOCK_ROWS = 4096
+_CSV_READ_BYTES = 1 << 20
 
 
 @dataclass
@@ -176,18 +177,26 @@ class PhotonTrace:
                 runs, length, kind = int(header["runs"]), int(header["length"]), header["kind"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise InvalidArgumentError(f"{path}: bad JSON header line: {exc}") from None
-            if fh.readline().rstrip(b"\r\n") != b"index,count":
-                raise InvalidArgumentError(f"{path}: second line must be 'index,count'")
+            if first != b"# " + json.dumps(header, sort_keys=True).encode() + b"\n":
+                raise InvalidArgumentError(f"{path}: header must be '# ' + sorted-key JSON + LF")
+            if fh.readline() != b"index,count\r\n":
+                raise InvalidArgumentError(f"{path}: second line must be 'index,count\\r\\n'")
             rows = np.empty((0, 2), dtype=np.int64)
             if fh.peek(1):
+                # given the path, loadtxt parses in C-sized chunks: about twice
+                # as fast as iterating over the lines of an open handle
                 try:
-                    rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2,
-                                      comments=None)
+                    rows = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2,
+                                      comments=None, skiprows=2, encoding="latin1")
                 except ValueError as exc:
                     raise InvalidArgumentError(f"{path}: {exc}") from None
-                fh.seek(-1, 2)
-                if fh.read(1) != b"\n":
-                    raise InvalidArgumentError(f"{path}: the last row has no line end")
+            # count the line ends block by block, so the body is never held whole
+            size = crlf = 0
+            last = b""
+            while block := fh.read(_CSV_READ_BYTES):
+                size += len(block)
+                crlf += block.count(b"\r\n") + (last == b"\r" and block[:1] == b"\n")
+                last = block[-1:]
         if rows.shape[1] != 2:
             raise InvalidArgumentError(f"{path}: rows must have 2 fields, found {rows.shape[1]}")
         if len(rows) != runs * length:
@@ -196,8 +205,27 @@ class PhotonTrace:
                 f"found {len(rows)} rows")
         if not np.array_equal(rows[:, 0], np.arange(len(rows))):
             raise InvalidArgumentError(f"{path}: the index column must run 0 .. {len(rows) - 1}")
+        if rows[:, 1].min(initial=0) < 0:
+            raise InvalidArgumentError(f"{path}: counts must be non-negative")
+        # `to_csv` writes these values in exactly `canonical` bytes: digits, a
+        # comma and a CRLF per row.  Any sign, space, leading zero, lone LF or
+        # blank line adds a byte; with one CRLF per row and the last byte a LF,
+        # an equal size leaves the written layout as the only one possible.
+        canonical = _digits(rows[:, 0]) + _digits(rows[:, 1]) + 3 * len(rows)
+        if size != canonical or crlf != len(rows) or (rows.size and last != b"\n"):
+            raise InvalidArgumentError(
+                f"{path}: every row must read 'i,c\\r\\n' in plain decimal digits")
         return cls(rows[:, 1].copy().reshape(runs, length), kind=kind,
                    first_lag=header.get("first_lag", 0), meta=header.get("meta", {}))
+
+
+def _digits(values: np.ndarray) -> int:
+    """Total number of decimal digits of non-negative integers, as `%d` writes them."""
+    total, top, power = values.size, int(values.max(initial=0)), 10
+    while power <= top:
+        total += int(np.count_nonzero(values >= power))
+        power *= 10
+    return total
 
 
 @dataclass
@@ -228,15 +256,6 @@ class ModulationTrace:
                 angles.append(float(row["angle_deg"]))
                 counts.append(int(row["count"]))
         return cls(np.array(angles), np.array(counts, dtype=np.int64), meta=meta)
-
-
-def sample_readout(outcomes, model: ReadoutModel, rng: np.random.Generator) -> np.ndarray:
-    """Trace-readout photon counts for +-1 outcomes (single projection each)."""
-    out = np.asarray(outcomes)
-    if not np.all(np.isin(out, (-1, 1))):
-        raise InvalidArgumentError("outcomes must be +-1")
-    lam = np.where(out == 1, model.n_a, model.n_b)
-    return rng.poisson(lam).astype(np.int64)
 
 
 def modulation_trace(
@@ -283,15 +302,12 @@ def run_quantum_experiment(
 ) -> PhotonTrace:
     """Simulate the full photon record of a multi-run protocol experiment.
 
-    `workers` is accepted and ignored (see `spintrack.engine`).
+    `workers` is accepted and ignored: sampling runs in one process.
     """
     p_minus = 1.0 if charge is None else charge.p_minus
     nv0 = None if charge is None else charge.nv0_mean
-    batch = engine.simulate_runs(
-        config, runs, seed,
-        p_minus=p_minus, bright=model.n_a, dark=model.n_b, nv0_mean=nv0,
-        workers=workers,
-    )
+    batch = engine.simulate_runs(config, runs, seed, p_minus=p_minus,
+                                 bright=model.n_a, dark=model.n_b, nv0_mean=nv0)
     meta = {
         "seed": seed,
         "protocol": {"alpha": config.alpha, "phi": config.phi,
@@ -317,13 +333,11 @@ def run_classical_experiment(
 
     theta_step is the field phase advance per measurement (omega * t_s).
     See `spintrack.engine.classical_runs` for the signal model; `workers`
-    is accepted and ignored.
+    is accepted and ignored: sampling runs in one process.
     """
-    batch = engine.classical_runs(
-        alpha, theta_step, measurements_per_run, runs, seed,
-        modulated=modulated, phi_s=phi_s,
-        bright=model.n_a, dark=model.n_b, workers=workers,
-    )
+    batch = engine.classical_runs(alpha, theta_step, measurements_per_run, runs, seed,
+                                  modulated=modulated, phi_s=phi_s,
+                                  bright=model.n_a, dark=model.n_b)
     meta = {
         "seed": seed,
         "classical": {"alpha": alpha, "theta_step": theta_step,

@@ -191,8 +191,49 @@ def _drop_every_row(lines):
     del lines[2:]
 
 
+def _header_spacing(lines):
+    lines[0] = lines[0].replace(b'": ', b'":  ')
+
+
+def _negative_count(lines):
+    lines[2] = b"0,-3\r\n"
+
+
+def _space_before_count(lines):
+    lines[2] = lines[2].replace(b",", b", ")
+
+
+def _plus_sign(lines):
+    lines[2] = lines[2].replace(b",", b",+")
+
+
+def _leading_zero(lines):
+    lines[2] = lines[2].replace(b",", b",0")
+
+
+def _row_ends_in_lf(lines):
+    lines[5] = lines[5].replace(b"\r\n", b"\n")
+
+
+def _columns_end_in_lf(lines):
+    lines[1] = b"index,count\n"
+
+
+def _blank_line(lines):
+    lines.insert(6, b"\r\n")
+
+
+def _blank_line_for_last_line_end(lines):
+    # same size and CRLF count as the written file
+    lines.insert(6, b"\r\n")
+    lines[-1] = lines[-1][:-2]
+
+
 @pytest.mark.parametrize("corrupt", [_corrupt_count, _corrupt_columns, _corrupt_index,
-                                     _corrupt_last_row, _drop_every_row])
+                                     _corrupt_last_row, _drop_every_row, _negative_count,
+                                     _space_before_count, _plus_sign, _leading_zero,
+                                     _row_ends_in_lf, _columns_end_in_lf, _blank_line,
+                                     _blank_line_for_last_line_end, _header_spacing])
 def test_malformed_trace_exits_2(tmp_path, capsys, corrupt):
     cfg = quantum_config(tmp_path, runs=20)
     out = tmp_path / "bad"

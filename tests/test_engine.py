@@ -29,27 +29,19 @@ def test_same_seed_same_batch():
 
 def test_batch_is_concatenation_of_chunks():
     """Run i depends only on (seed, i // CHUNK_SIZE): a batch is its chunks'
-    outputs stacked in order, for both samplers and whatever `workers` says."""
+    outputs stacked in order, each chunk drawn from its own `chunk_rng`."""
     runs = 3 * CHUNK_SIZE + 17
     sizes = [CHUNK_SIZE] * 3 + [17]
-    quantum = simulate_runs(CFG, runs=runs, seed=7, bright=90.0, dark=30.0, workers=4)
-    quantum_parts = [_simulate_chunk((7, i, n, ALPHA, PHI, CFG.cycles, CFG.prepolarized,
-                                      1.0, 90.0, 30.0, 30.0)) for i, n in enumerate(sizes)]
-    classical = classical_runs(0.3, 0.5, length=40, runs=runs, seed=12,
-                               bright=90.0, dark=30.0, workers=3)
-    classical_parts = [_classical_chunk((12, i, n, 0.3, 0.5, 40, False, 1.0, 90.0, 30.0))
-                       for i, n in enumerate(sizes)]
+    quantum = simulate_runs(CFG, runs=runs, seed=7, bright=90.0, dark=30.0)
+    quantum_parts = [_simulate_chunk(chunk_rng(7, i), n, CFG, 1.0, 90.0, 30.0, 30.0)
+                     for i, n in enumerate(sizes)]
+    classical = classical_runs(0.3, 0.5, length=40, runs=runs, seed=12, bright=90.0, dark=30.0)
+    classical_parts = [_classical_chunk(chunk_rng(12, i), n, 0.3, 0.5, 40, False, 1.0,
+                                        90.0, 30.0) for i, n in enumerate(sizes)]
     for batch, parts in ((quantum, quantum_parts), (classical, classical_parts)):
         for k, name in enumerate(("outcomes", "zetas", "counts", "signs")):
             stacked = np.concatenate([part[k] for part in parts])
             assert np.array_equal(getattr(batch, name), stacked), name
-
-
-def test_worker_count_does_not_change_results():
-    serial = simulate_runs(CFG, runs=3 * CHUNK_SIZE + 17, seed=7)
-    parallel = simulate_runs(CFG, runs=3 * CHUNK_SIZE + 17, seed=7, workers=4)
-    assert np.array_equal(serial.outcomes, parallel.outcomes)
-    assert np.array_equal(serial.zetas, parallel.zetas)
 
 
 def test_chunking_is_invisible():
@@ -144,12 +136,22 @@ def test_neutral_cycles_read_dark_level():
 
 
 def test_partial_charge_interleaves_live_and_neutral():
-    batch = simulate_runs(CFG, runs=4000, seed=17, p_minus=0.7)
+    batch = simulate_runs(CFG, runs=4000, seed=17, p_minus=0.7,
+                          bright=200.0, dark=40.0, nv0_mean=5.0)
     frac_zero = np.mean(batch.zetas[:, 1:] == 0.0)
     # a cycle reads zero polarisation when it is neutral or when the run
     # started neutral; both are p_minus-controlled
     assert 0.25 < frac_zero < 0.55
     assert np.mean(batch.signs == 0) == pytest.approx(0.3, abs=0.03)
+    # the three photon levels barely overlap: below 20 counts is neutral,
+    # above it the level follows the outcome
+    neutral = batch.counts < 20
+    assert np.mean(neutral) == pytest.approx(0.3, abs=0.01)
+    neutral_se = np.sqrt(5.0 / neutral.sum())
+    assert batch.counts[neutral].mean() == pytest.approx(5.0, abs=4 * neutral_se)
+    on, off = ~neutral & (batch.outcomes == 1), ~neutral & (batch.outcomes == -1)
+    assert batch.counts[on].mean() == pytest.approx(200.0, rel=0.01)
+    assert batch.counts[off].mean() == pytest.approx(40.0, rel=0.01)
 
 
 def test_simulate_validation():
@@ -185,14 +187,9 @@ def test_classical_modulated_rows_are_deterministic():
 def test_classical_counts_and_validation():
     batch = classical_runs(0.3, 0.5, length=50, runs=100, seed=2, bright=90.0, dark=30.0)
     assert batch.counts.shape == (100, 50)
+    assert batch.counts[batch.outcomes == 1].mean() == pytest.approx(90.0, rel=0.01)
+    assert batch.counts[batch.outcomes == -1].mean() == pytest.approx(30.0, rel=0.01)
     with pytest.raises(InvalidArgumentError):
         classical_runs(0.3, 0.5, length=0, runs=10, seed=1)
     with pytest.raises(InvalidArgumentError):
         classical_runs(0.3, 0.5, length=10, runs=10, seed=1, dark=30.0)
-
-
-def test_classical_worker_invariance():
-    serial = classical_runs(0.3, 0.5, length=40, runs=2 * CHUNK_SIZE + 9, seed=12)
-    parallel = classical_runs(0.3, 0.5, length=40, runs=2 * CHUNK_SIZE + 9, seed=12, workers=3)
-    assert np.array_equal(serial.outcomes, parallel.outcomes)
-    assert np.array_equal(serial.zetas, parallel.zetas)

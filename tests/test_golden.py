@@ -1,9 +1,15 @@
-"""Golden sha256 digests of every `report` artifact for three small configs.
+"""Golden sha256 digests of every `report` artifact for three small configs,
+and of the engine's raw streams for five sampler setups.
 
 The refactors this package goes through must keep every artifact byte-
 identical for a fixed seed; this pins the bytes themselves, not only
-their repeatability.  A digest here changes only together with a
-CHANGES.md entry that says which artifact moved and why.
+their repeatability.  The stream digests reach what the artifacts do
+not: the charge and prepolarised paths, `zetas` and `signs`.  A digest
+here changes only together with a CHANGES.md entry that says which
+artifact moved and why.
+
+`python tests/test_golden.py` prints the current digests in the layout
+of `GOLDEN` and `STREAMS` below, ready to paste after a deliberate change.
 """
 
 import hashlib
@@ -13,6 +19,8 @@ import numpy as np
 import pytest
 
 from spintrack.cli import main
+from spintrack.engine import CHUNK_SIZE, classical_runs, simulate_runs
+from spintrack.protocol import ProtocolConfig
 
 READOUT = {"n_a": 1200.0, "n_b": 600.0, "phi_0": 0.02, "repetitions": 200}
 
@@ -65,12 +73,106 @@ GOLDEN = {
     },
 }
 
+# three full chunks and a partial one, so chunk seeding and stacking count
+STREAM_RUNS = 3 * CHUNK_SIZE + 17
+_QUANTUM = {"alpha": 0.18 * np.pi, "phi": np.deg2rad(27.0), "cycles": 10}
+PHOTONS = {"bright": 90.0, "dark": 30.0}
+
+SETUPS = {
+    "self-polarised": lambda: simulate_runs(
+        ProtocolConfig(**_QUANTUM), STREAM_RUNS, seed=7, **PHOTONS),
+    "prepolarised": lambda: simulate_runs(
+        ProtocolConfig(**_QUANTUM, prepolarized=True), STREAM_RUNS, seed=8, **PHOTONS),
+    "charge": lambda: simulate_runs(
+        ProtocolConfig(**_QUANTUM), STREAM_RUNS, seed=9, p_minus=0.7, nv0_mean=5.0,
+        **PHOTONS),
+    "classical": lambda: classical_runs(
+        0.3, 0.5, length=40, runs=STREAM_RUNS, seed=12, **PHOTONS),
+    "classical-modulated": lambda: classical_runs(
+        0.35, 0.5, length=40, runs=STREAM_RUNS, seed=13, modulated=True, **PHOTONS),
+}
+
+STREAMS = {
+    "self-polarised": {
+        "counts": "859dadb01aee63f58bd14fbbaa5901fcc85b194c7fb8a1e5453f61d920b4ddea",
+        "outcomes": "840dd1e5c1d44648bd28a1512560eb6187f7dc7b60860f876d076d0875d0d504",
+        "signs": "57b7ba8e3872d57e7224a548abe3f85d690fa9693c21f232b8803af2ab9e1e37",
+        "zetas": "282f73fc6dce9f00df1f697d291a9d081d8dbb0387127df896562e3e3b64b818",
+    },
+    "prepolarised": {
+        "counts": "c6955b5f16e07e2515e9a05c583fcbd686ffa866a4ec0feb81e339fd4ce1bcf3",
+        "outcomes": "403293143c6e5e8a17553f8b335a1d0b22d55f0dff47b596b0bf141eb0452229",
+        "signs": "4b64b4d0a73d364d1543cd58c9b386e2f40e59e46677ba666df31af82d40a874",
+        "zetas": "90b6cd0ee56c2254f8835776bac6a401a448251cf04139559650a6a0e000814e",
+    },
+    "charge": {
+        "counts": "ed0e81e548ac13899b3a30725414ee1a55dce1ed6edcde08ec5b050c072338a2",
+        "outcomes": "3b469d96bc9b0a2d255c672c9cdcc23002e1e2cba2a66239043a26d5d79b2a92",
+        "signs": "2ef416945b1be3282d8fa17d2d315f7d70113a2cbb00c942c438feedefa7bc35",
+        "zetas": "256269a8703edc1aeb9667d5d76169789413142b351d5033329f1a0d6b784e19",
+    },
+    "classical": {
+        "counts": "ca156b7e63392b9b9409a843eef95796f991776733d3bcbfe4a1871f4d33e6c6",
+        "outcomes": "9050587b7f2680809c37a881ad033fea04cc04cf0a45d1f8d76025bb907ed9d0",
+        "signs": "4b64b4d0a73d364d1543cd58c9b386e2f40e59e46677ba666df31af82d40a874",
+        "zetas": "43d440feb62616d80ca28fcb19c95a420e6f97d47c4c6b470b4df7ab229bee16",
+    },
+    "classical-modulated": {
+        "counts": "d4ebf545110d1a63d17be0aa7c3ec6ac8de29e4ea9b3d05f2c79a3d37ba1ee9d",
+        "outcomes": "f621b8d30c3195942f90b355a5ddff8b183d1b54ff58884d375b3af4dadc25a0",
+        "signs": "4b64b4d0a73d364d1543cd58c9b386e2f40e59e46677ba666df31af82d40a874",
+        "zetas": "b32e3ebc41ca58c5fc292435e54fbf1e068fb6631b2bb0e29054cd91b478d870",
+    },
+}
+
+
+def report_digests(kind, out) -> dict:
+    """Run `report` for CONFIGS[kind] into the directory `out`; digest each file."""
+    out.mkdir(parents=True, exist_ok=True)
+    cfg_path = out / "config.json"
+    cfg_path.write_text(json.dumps(CONFIGS[kind]))
+    art = out / "out"
+    assert main(["report", "--config", str(cfg_path), "--out", str(art)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in art.iterdir()}
+
+
+def stream_digests(setup) -> dict:
+    """Digest of each RunBatch array: dtype, shape and bytes."""
+    batch = SETUPS[setup]()
+    got = {}
+    for name in ("outcomes", "zetas", "counts", "signs"):
+        a = np.ascontiguousarray(getattr(batch, name))
+        h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+        got[name] = h.hexdigest()
+    return got
+
 
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
 def test_report_artifact_digests(kind, tmp_path):
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(CONFIGS[kind]))
-    out = tmp_path / "out"
-    assert main(["report", "--config", str(cfg_path), "--out", str(out)]) == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert got == GOLDEN[kind]
+    assert report_digests(kind, tmp_path) == GOLDEN[kind]
+
+
+@pytest.mark.parametrize("setup", sorted(SETUPS))
+def test_engine_stream_digests(setup):
+    assert stream_digests(setup) == STREAMS[setup]
+
+
+def _layout(name: str, table: dict) -> str:
+    lines = [f"{name} = {{"]
+    for key, digests in table.items():
+        lines.append(f'    "{key}": {{')
+        lines += [f'        "{k}": "{v}",' for k, v in sorted(digests.items())]
+        lines.append("    },")
+    return "\n".join(lines + ["}"])
+
+
+if __name__ == "__main__":
+    import pathlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        report = {kind: report_digests(kind, pathlib.Path(tmp, kind)) for kind in CONFIGS}
+    print(_layout("GOLDEN", report))
+    print()
+    print(_layout("STREAMS", {setup: stream_digests(setup) for setup in SETUPS}))

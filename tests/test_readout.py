@@ -14,7 +14,6 @@ from spintrack.readout import (
     modulation_trace,
     run_classical_experiment,
     run_quantum_experiment,
-    sample_readout,
 )
 
 MODEL = ReadoutModel(n_a=1200.0, n_b=600.0, phi_0=0.02, repetitions=200)
@@ -47,16 +46,6 @@ def test_charge_model_validation():
         ChargeModel(p_minus=1.2)
     with pytest.raises(InvalidArgumentError):
         ChargeModel(p_minus=0.7, nv0_mean=-3.0)
-
-
-def test_sample_readout_levels(rng):
-    outcomes = np.array([[1, -1, 1, -1]] * 3000, dtype=np.int8)
-    counts = sample_readout(outcomes, MODEL, rng)
-    assert counts.shape == outcomes.shape
-    bright = counts[outcomes == 1].mean()
-    dark = counts[outcomes == -1].mean()
-    assert bright == pytest.approx(1200.0, rel=0.01)
-    assert dark == pytest.approx(600.0, rel=0.01)
 
 
 def test_photon_trace_accessors():
@@ -154,7 +143,7 @@ def test_repetition_averaging_shrinks_variance(rng):
 
 def test_run_quantum_experiment_shape_and_meta():
     cfg = ProtocolConfig(alpha=0.4, phi=0.6, cycles=6)
-    trace = run_quantum_experiment(cfg, MODEL, runs=40, seed=77)
+    trace = run_quantum_experiment(cfg, MODEL, runs=40, seed=77, workers=3)
     assert trace.kind == "quantum"
     assert trace.runs == 40
     assert trace.length == 7  # polarising measurement + cycles
