@@ -18,7 +18,7 @@ optimum.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -42,6 +42,7 @@ __all__ = [
     "fit_decay",
     "fit_alpha_modulated",
     "reconstruct_Ix_corr",
+    "write_json",
 ]
 
 
@@ -80,15 +81,30 @@ class FitResult:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        write_json(path, self.as_dict())
 
     @classmethod
     def from_json(cls, path) -> "FitResult":
+        """Read what `to_json` writes (the fit.json of `calibrate`); any
+        other layout raises InvalidArgumentError naming the file and keys."""
         with open(path) as fh:
             d = json.load(fh)
+        keys = set(d) if isinstance(d, dict) else set()
+        missing = sorted(f.name for f in fields(cls) if f.name not in keys
+                         and f.default is MISSING and f.default_factory is MISSING)
+        unexpected = sorted(keys - {f.name for f in fields(cls)})
+        if missing or unexpected:
+            raise InvalidArgumentError(
+                f"{path} is not a fit.json as `calibrate` writes it: "
+                f"missing keys {missing}, unexpected keys {unexpected}")
         return cls(**d)
+
+
+def write_json(path, payload: dict) -> None:
+    """Write `payload` as every JSON artifact is written: sorted keys, indent 1."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

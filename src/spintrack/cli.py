@@ -10,12 +10,13 @@ Subcommands (all driven by a JSON config plus a few override flags):
     report      full chain: trace, calibration, C_Sz,
                 alpha fit, C_Ix, LG                       -> all of the above + summary.json
 
-Config schema (JSON, "schema": 1): "kind" is quantum | classical |
-classical-modulated, with blocks "protocol" (alpha, phi, cycles,
-prepolarized) or "classical" (alpha, theta_step, measurements_per_run,
-phi_s), plus "readout" (n_a, n_b, phi_0, repetitions), optional "charge"
-(p_minus, nv0_mean) and top-level runs / seed / workers / max_lag /
-undo_decay / boxcar defaults that the flags override.
+Config (JSON, "schema": 1): "kind" is quantum | classical |
+classical-modulated.  `CONFIG_KEYS` lists every key once, with its type
+and its default or as required; `read_config` merges the override flags,
+checks every key against it, rejects a key it does not list, and `main`
+passes the checked settings to every subcommand.  The block keys are the
+fields of `ProtocolConfig`, `ReadoutModel`, `ChargeModel` and the
+arguments of `run_classical_experiment`, which keep their range checks.
 
 Everything is deterministic given the seed: the trace engine splits the
 seed by run chunk, the calibration sweep uses the reserved auxiliary
@@ -55,9 +56,39 @@ from .errors import (
 from .lg import lg_function
 from .protocol import ProtocolConfig
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "read_config", "CONFIG_KEYS"]
 
 SCHEMA_VERSION = 1
+REQUIRED = "required"
+
+#: every config key once: (type, default), or REQUIRED for a key that must
+#: be given; the blocks are tables of the same shape
+_BLOCKS = {
+    "protocol": {"alpha": (float, REQUIRED), "phi": (float, REQUIRED),
+                 "cycles": (int, REQUIRED), "prepolarized": (bool, False)},
+    "classical": {"alpha": (float, REQUIRED), "theta_step": (float, REQUIRED),
+                  "measurements_per_run": (int, REQUIRED), "phi_s": (float, 1.0)},
+    "readout": {"n_a": (float, REQUIRED), "n_b": (float, REQUIRED),
+                "phi_0": (float, 0.0), "repetitions": (int, 200)},
+    "charge": {"p_minus": (float, REQUIRED), "nv0_mean": (float, None)},
+}
+_TOP_KEYS = {"schema": (int, REQUIRED), "kind": (str, REQUIRED), "runs": (int, 1),
+             "seed": (int, 0), "workers": (int, 1), "max_lag": (int, None),
+             "undo_decay": (bool, False), "boxcar": (float, None)}
+
+
+def _with_blocks(**blocks) -> dict:
+    return dict(_TOP_KEYS, **{name: (_BLOCKS[name], need) for name, need in blocks.items()})
+
+
+#: the keys of each kind: the top-level ones and the blocks it reads
+CONFIG_KEYS = {
+    "quantum": _with_blocks(protocol=REQUIRED, readout=REQUIRED, charge=None),
+    "classical": _with_blocks(classical=REQUIRED, readout=REQUIRED),
+    "classical-modulated": _with_blocks(classical=REQUIRED, readout=REQUIRED),
+}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a finite number",
+               str: "a string"}
 
 
 def aux_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -70,117 +101,98 @@ def aux_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config reader
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str):
+    """The JSON document at `path`, as read; `read_config` checks it."""
     with open(path) as fh:
-        cfg = json.load(fh)
-    if cfg.get("schema") != SCHEMA_VERSION:
+        return json.load(fh)
+
+
+def _typed(kind: type, value, name: str):
+    """`value` as `kind`: a bool is JSON true/false, an int an integer or an
+    integral float, a float any finite number (coerced with `float`)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is bool and isinstance(value, bool) or kind is str and isinstance(value, str):
+        return value
+    if kind is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if kind is float and number and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise InvalidArgumentError(
+        f"config key '{name}' must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+
+
+def _checked(table: dict, block, where: str) -> dict:
+    """Every key of `table` read from the object `block`, defaults filled in."""
+    if not isinstance(block, dict):
         raise InvalidArgumentError(
-            f"config schema must be {SCHEMA_VERSION}, got {cfg.get('schema')!r}")
-    if cfg.get("kind") not in ("quantum", "classical", "classical-modulated"):
-        raise InvalidArgumentError(f"unknown experiment kind {cfg.get('kind')!r}")
-    return cfg
+            f"config block '{where[:-1]}' must be a JSON object, got {json.dumps(block)}")
+    unknown = sorted(set(block) - set(table))
+    if unknown:
+        raise InvalidArgumentError(
+            "unknown config key " + ", ".join(f"'{where}{key}'" for key in unknown))
+    settings = {}
+    for key, (kind, default) in table.items():
+        value, name = block.get(key), where + key
+        if value is None and default is REQUIRED:
+            raise InvalidArgumentError(f"config key '{name}' is required")
+        if value is None:
+            settings[key] = default
+        elif isinstance(kind, dict):
+            settings[key] = _checked(kind, value, name + ".")
+        else:
+            settings[key] = _typed(kind, value, name)
+    return settings
 
 
-def _need(cfg: dict, block: str) -> dict:
-    try:
-        return cfg[block]
-    except KeyError:
-        raise InvalidArgumentError(f"config is missing the '{block}' block") from None
-
-
-def _protocol_from(cfg: dict) -> ProtocolConfig:
-    p = _need(cfg, "protocol")
-    return ProtocolConfig(
-        alpha=float(p["alpha"]),
-        phi=float(p["phi"]),
-        cycles=int(p["cycles"]),
-        prepolarized=bool(p.get("prepolarized", False)),
-    )
-
-
-def _readout_from(cfg: dict) -> ro.ReadoutModel:
-    r = _need(cfg, "readout")
-    return ro.ReadoutModel(
-        n_a=float(r["n_a"]),
-        n_b=float(r["n_b"]),
-        phi_0=float(r.get("phi_0", 0.0)),
-        repetitions=int(r.get("repetitions", 200)),
-    )
-
-
-def _charge_from(cfg: dict) -> ro.ChargeModel | None:
-    c = cfg.get("charge")
-    if c is None:
-        return None
-    nv0 = c.get("nv0_mean")
-    return ro.ChargeModel(p_minus=float(c["p_minus"]),
-                          nv0_mean=None if nv0 is None else float(nv0))
-
-
-def _setting(args, cfg: dict, name: str, default):
-    """Flag value if given, else config value, else default."""
-    v = getattr(args, name, None)
-    if v is not None:
-        return v
-    v = cfg.get(name)
-    return default if v is None else v
-
-
-def _outdir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
-def _write_json(out: str, name: str, payload: dict) -> None:
-    with open(os.path.join(out, name), "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+def read_config(args) -> dict:
+    """Checked settings of the config at `args.config`, flags merged in."""
+    raw = load_config(args.config)
+    if not isinstance(raw, dict):
+        raise InvalidArgumentError(f"config must be a JSON object, got {json.dumps(raw)}")
+    if isinstance(raw.get("schema"), bool) or raw.get("schema") != SCHEMA_VERSION:
+        raise InvalidArgumentError(
+            f"config schema must be {SCHEMA_VERSION}, got {json.dumps(raw.get('schema'))}")
+    kind = raw.get("kind")
+    if not isinstance(kind, str) or kind not in CONFIG_KEYS:
+        raise InvalidArgumentError(f"unknown experiment kind {json.dumps(kind)}")
+    flags = {key: getattr(args, key) for key in _TOP_KEYS if getattr(args, key, None) is not None}
+    settings = _checked(CONFIG_KEYS[kind], dict(raw, **flags), "")
+    for key, low in (("seed", 0), ("runs", 1)):
+        if settings[key] < low:
+            raise InvalidArgumentError(f"config key '{key}' must be >= {low}, got {settings[key]}")
+    return settings
 
 
 # ---------------------------------------------------------------------------
 # pipeline stages (shared by the stage subcommands and `report`)
 
 
-def _make_trace(args, cfg: dict, out: str) -> ro.PhotonTrace:
+def _make_trace(settings: dict, out: str) -> ro.PhotonTrace:
     """Simulate the photon record and write it to <out>/trace.csv."""
-    seed = int(_setting(args, cfg, "seed", 0))
-    runs = int(_setting(args, cfg, "runs", 1))
-    model = _readout_from(cfg)
-    if cfg["kind"] == "quantum":
+    model = ro.ReadoutModel(**settings["readout"])
+    runs, seed = settings["runs"], settings["seed"]
+    if settings["kind"] == "quantum":
+        charge = settings["charge"]
         trace = ro.run_quantum_experiment(
-            _protocol_from(cfg), model, runs, seed,
-            charge=_charge_from(cfg))
+            ProtocolConfig(**settings["protocol"]), model, runs, seed,
+            charge=None if charge is None else ro.ChargeModel(**charge))
     else:
-        c = _need(cfg, "classical")
         trace = ro.run_classical_experiment(
-            alpha=float(c["alpha"]),
-            theta_step=float(c["theta_step"]),
-            measurements_per_run=int(c["measurements_per_run"]),
-            model=model,
-            runs=runs,
-            seed=seed,
-            modulated=cfg["kind"] == "classical-modulated",
-            phi_s=float(c.get("phi_s", 1.0)),
-        )
+            **settings["classical"], model=model, runs=runs, seed=seed,
+            modulated=settings["kind"] == "classical-modulated")
     trace.to_csv(os.path.join(out, "trace.csv"))
     return trace
 
 
-def _calibrate(args, cfg: dict, out: str) -> cal.FitResult:
+def _calibrate(settings: dict, out: str) -> cal.FitResult:
     """Simulate the rotation sweep, write <out>/modulation.csv and fit it."""
-    seed = int(_setting(args, cfg, "seed", 0))
-    sweep = ro.modulation_trace(_readout_from(cfg), aux_rng(seed, 0))
+    sweep = ro.modulation_trace(ro.ReadoutModel(**settings["readout"]),
+                                aux_rng(settings["seed"], 0))
     sweep.to_csv(os.path.join(out, "modulation.csv"))
     return cal.fit_na_nb(sweep)
-
-
-def _reconstruct(args, cfg: dict, trace: ro.PhotonTrace, model: ro.ReadoutModel):
-    max_lag = _setting(args, cfg, "max_lag", None)
-    return cal.reconstruct_Sz_corr(trace, model,
-                                   max_lag=None if max_lag is None else int(max_lag))
 
 
 def _lg_stage(series: CorrelationSeries, out: str) -> dict:
@@ -192,75 +204,61 @@ def _lg_stage(series: CorrelationSeries, out: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed flags and the checked settings and
+# returns the summary that `main` writes to <out>/summary.json
 
 
-def cmd_trace(args) -> dict:
+def cmd_trace(args, settings: dict) -> dict:
     """`simulate` and `classical`: write the photon record of an allowed kind."""
-    cfg = load_config(args.config)
-    if cfg["kind"] not in args.kinds:
-        raise InvalidArgumentError(f"`{args.command}` needs kind in {args.kinds}, got {cfg['kind']!r}")
-    out = _outdir(args)
-    trace = _make_trace(args, cfg, out)
-    summary = {"kind": cfg["kind"], "runs": trace.runs, "length": trace.length,
-               "seed": trace.meta["seed"], "artifacts": ["trace.csv"]}
-    _write_json(out, "summary.json", summary)
-    return summary
+    if settings["kind"] not in args.kinds:
+        raise InvalidArgumentError(
+            f"`{args.command}` needs kind in {args.kinds}, got {settings['kind']!r}")
+    trace = _make_trace(settings, args.out)
+    return {"kind": settings["kind"], "runs": trace.runs, "length": trace.length,
+            "seed": trace.meta["seed"], "artifacts": ["trace.csv"]}
 
 
-def cmd_calibrate(args) -> dict:
-    cfg = load_config(args.config)
-    out = _outdir(args)
-    fit = _calibrate(args, cfg, out)
-    fit.to_json(os.path.join(out, "fit.json"))
-    summary = {"kind": "calibration", "n_a": fit["n_a"], "n_b": fit["n_b"],
-               "phi_0": fit["phi_0"], "artifacts": ["modulation.csv", "fit.json"]}
-    _write_json(out, "summary.json", summary)
-    return summary
+def cmd_calibrate(args, settings: dict) -> dict:
+    fit = _calibrate(settings, args.out)
+    fit.to_json(os.path.join(args.out, "fit.json"))
+    return {"kind": "calibration", "n_a": fit["n_a"], "n_b": fit["n_b"],
+            "phi_0": fit["phi_0"], "artifacts": ["modulation.csv", "fit.json"]}
 
 
-def cmd_correlate(args) -> dict:
-    cfg = load_config(args.config)
-    out = _outdir(args)
-    trace_path = args.trace or os.path.join(out, "trace.csv")
-    trace = ro.PhotonTrace.from_csv(trace_path)
+def cmd_correlate(args, settings: dict) -> dict:
+    out = args.out
+    trace = ro.PhotonTrace.from_csv(args.trace or os.path.join(out, "trace.csv"))
     if args.fit:
         fitted = cal.FitResult.from_json(args.fit)
         model = ro.ReadoutModel(n_a=fitted["n_a"], n_b=fitted["n_b"],
                                 phi_0=fitted.params.get("phi_0", 0.0))
     else:
-        model = _readout_from(cfg)
-    series = _reconstruct(args, cfg, trace, model)
+        model = ro.ReadoutModel(**settings["readout"])
+    series = cal.reconstruct_Sz_corr(trace, model, max_lag=settings["max_lag"])
     series.to_csv(os.path.join(out, "corr_sz.csv"))
-    summary = {"kind": trace.kind, "estimator": series.meta["estimator"],
-               "max_lag": int(series.lags.max()), "artifacts": ["corr_sz.csv"]}
-    _write_json(out, "summary.json", summary)
-    return summary
+    return {"kind": trace.kind, "estimator": series.meta["estimator"],
+            "max_lag": int(series.lags.max()), "artifacts": ["corr_sz.csv"]}
 
 
-def cmd_lgtest(args) -> dict:
-    out = _outdir(args)
-    corr_path = args.corr or os.path.join(out, "corr_ix.csv")
-    summary = dict(_lg_stage(CorrelationSeries.from_csv(corr_path), out), artifacts=["lg.csv"])
-    _write_json(out, "summary.json", summary)
-    return summary
+def cmd_lgtest(args, settings: dict) -> dict:
+    series = CorrelationSeries.from_csv(args.corr or os.path.join(args.out, "corr_ix.csv"))
+    return dict(_lg_stage(series, args.out), artifacts=["lg.csv"])
 
 
-def cmd_report(args) -> dict:
+def cmd_report(args, settings: dict) -> dict:
     """Full pipeline: trace, calibration pre-pass, correlation, strength
     fit, normalisation and the Leggett-Garg verdict."""
-    cfg = load_config(args.config)
-    out = _outdir(args)
-    trace = _make_trace(args, cfg, out)
-    cal_fit = _calibrate(args, cfg, out)
+    out, kind = args.out, settings["kind"]
+    trace = _make_trace(settings, out)
+    cal_fit = _calibrate(settings, out)
     artifacts = ["trace.csv", "modulation.csv"]
     model = ro.ReadoutModel(n_a=cal_fit["n_a"], n_b=cal_fit["n_b"],
                             phi_0=cal_fit["phi_0"],
-                            repetitions=_readout_from(cfg).repetitions)
+                            repetitions=settings["readout"]["repetitions"])
     fits = {"calibration": cal_fit.as_dict()}
     summary = {
-        "kind": cfg["kind"],
-        "seed": int(_setting(args, cfg, "seed", 0)),
+        "kind": kind,
+        "seed": settings["seed"],
         "runs": trace.runs,
         "length": trace.length,
         "n_a": cal_fit["n_a"],
@@ -268,32 +266,30 @@ def cmd_report(args) -> dict:
         "phi_0": cal_fit["phi_0"],
     }
 
-    if cfg["kind"] == "classical-modulated":
+    if kind == "classical-modulated":
         # calibration variant: joint (n_a, n_b, alpha) fit, no LG stage
-        mod_fit = cal.fit_alpha_modulated(
-            trace, phi_s=float(_need(cfg, "classical").get("phi_s", 1.0)))
+        mod_fit = cal.fit_alpha_modulated(trace, phi_s=settings["classical"]["phi_s"])
         fits["modulated"] = mod_fit.as_dict()
         summary.update(alpha_fit=mod_fit["alpha"], max_lg=None, violations=0)
     else:
-        series = _reconstruct(args, cfg, trace, model)
+        series = cal.reconstruct_Sz_corr(trace, model, max_lag=settings["max_lag"])
         series.to_csv(os.path.join(out, "corr_sz.csv"))
         artifacts.append("corr_sz.csv")
 
-        if cfg["kind"] == "quantum":
-            boxcar = _setting(args, cfg, "boxcar", None)
-            weighting = "boxcar" if boxcar is not None else "full"
-            phi = float(_need(cfg, "protocol")["phi"])
-            alpha_fit = cal.fit_alpha(series, phi, weighting=weighting,
-                                      boxcar_fraction=float(boxcar or 1.0 / 3.0))
+        if kind == "quantum":
+            boxcar = settings["boxcar"]
+            alpha_fit = cal.fit_alpha(series, settings["protocol"]["phi"],
+                                      weighting="full" if boxcar is None else "boxcar",
+                                      boxcar_fraction=boxcar or 1.0 / 3.0)
             fits["alpha"] = alpha_fit.as_dict()
             a_hat = alpha_fit["alpha"]
-            normalized = cal.reconstruct_Ix_corr(
-                series, a_hat, undo_decay=bool(_setting(args, cfg, "undo_decay", False)))
+            normalized = cal.reconstruct_Ix_corr(series, a_hat,
+                                                 undo_decay=settings["undo_decay"])
             summary.update(alpha_fit=a_hat, alpha_stderr=alpha_fit.stderr["alpha"])
         else:
             # classical drive: the strength is set, not fitted; normalise by
             # alpha^2 so the target is the bare random-phase cos(theta k)/2
-            a_known = float(_need(cfg, "classical")["alpha"])
+            a_known = settings["classical"]["alpha"]
             if a_known**2 < 1e-6:
                 raise AmplificationError("classical alpha too small to normalise by alpha^2")
             normalized = CorrelationSeries(
@@ -306,11 +302,9 @@ def cmd_report(args) -> dict:
         summary.update(_lg_stage(normalized, out))
         artifacts.append("lg.csv")
 
-    _write_json(out, "fit.json", fits)
+    cal.write_json(os.path.join(out, "fit.json"), fits)
     artifacts.append("fit.json")
-
     summary["artifacts"] = sorted(artifacts)
-    _write_json(out, "summary.json", summary)
     return summary
 
 
@@ -343,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlate", parents=[common], help="reconstruct the readout correlation")
     p.add_argument("--trace", default=None, help="photon trace CSV (default: <out>/trace.csv)")
-    p.add_argument("--fit", default=None, help="use calibrated levels from this fit.json")
+    p.add_argument("--fit", default=None,
+                   help="use the calibrated levels in the fit.json that `calibrate` writes")
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("lgtest", parents=[common], help="Leggett-Garg test of a correlation CSV")
@@ -362,9 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        settings = read_config(args)
+        os.makedirs(args.out, exist_ok=True)
+        cal.write_json(os.path.join(args.out, "summary.json"), args.func(args, settings))
     except (InvalidArgumentError, UnsupportedStateError, AmbiguousRegimeError,
-            json.JSONDecodeError, OSError) as exc:
+            json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
     except (FitFailureError, AmplificationError) as exc:

@@ -99,13 +99,21 @@ class CorrelationSeries:
 
     @classmethod
     def from_csv(cls, path) -> "CorrelationSeries":
+        """Read what `to_csv` writes: the header lag,value,stderr,kind, then
+        rows of an int lag, two floats and a kind; anything else raises
+        InvalidArgumentError naming the file."""
         lags, vals, errs, kind = [], [], [], "empirical"
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                lags.append(int(row["lag"]))
-                vals.append(float(row["value"]))
-                errs.append(float(row["stderr"]))
-                kind = row["kind"]
+            rows = csv.reader(fh)
+            try:
+                if next(rows, None) != ["lag", "value", "stderr", "kind"]:
+                    raise ValueError("the header must be lag,value,stderr,kind")
+                for lag, value, err, kind in rows:  # a row of other than 4 fields raises
+                    lags.append(int(lag))
+                    vals.append(float(value))
+                    errs.append(float(err))
+            except (ValueError, csv.Error) as exc:
+                raise InvalidArgumentError(f"{path} line {rows.line_num}: {exc}") from None
         return cls(np.array(lags), np.array(vals), np.array(errs), kind=kind)
 
 

@@ -76,17 +76,6 @@ class LgSeries:
             for t, v, s, flag in zip(self.taus, self.lg, self.stderr, self.violated):
                 w.writerow([int(t), repr(float(v)), repr(float(s)), int(flag)])
 
-    @classmethod
-    def from_csv(cls, path) -> "LgSeries":
-        taus, lg, se, vio = [], [], [], []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                taus.append(int(row["tau_index"]))
-                lg.append(float(row["lg"]))
-                se.append(float(row["stderr"]))
-                vio.append(bool(int(row["violated"])))
-        return cls(np.array(taus), np.array(lg), np.array(se), np.array(vio))
-
 
 def lg_function(series: CorrelationSeries) -> LgSeries:
     """Evaluate LG(tau) = 2 C(tau) - C(2 tau) wherever both lags exist.

@@ -72,6 +72,8 @@ class ReadoutModel:
     repetitions: int = 200
 
     def __post_init__(self):
+        if not np.isfinite([self.n_a, self.n_b, self.phi_0]).all():
+            raise InvalidArgumentError(f"n_a, n_b, phi_0 must be finite: {self.to_dict()}")
         if self.n_b < 0 or self.n_a < self.n_b:
             # n_a == n_b is allowed so the degenerate-contrast path can be
             # exercised end to end; reconstruction rejects it downstream.
@@ -107,8 +109,8 @@ class ChargeModel:
     def __post_init__(self):
         if not (0.0 <= self.p_minus <= 1.0):
             raise InvalidArgumentError(f"p_minus must lie in [0, 1], got {self.p_minus}")
-        if self.nv0_mean is not None and self.nv0_mean < 0:
-            raise InvalidArgumentError("nv0_mean must be non-negative")
+        if self.nv0_mean is not None and not 0 <= self.nv0_mean < np.inf:
+            raise InvalidArgumentError(f"nv0_mean must be finite and >= 0, got {self.nv0_mean}")
 
     def to_dict(self) -> dict:
         return {"p_minus": self.p_minus, "nv0_mean": self.nv0_mean}
@@ -243,19 +245,6 @@ class ModulationTrace:
             w.writerow(["angle_deg", "count"])
             for a, cval in zip(self.angles_deg, self.counts):
                 w.writerow([repr(float(a)), int(cval)])
-
-    @classmethod
-    def from_csv(cls, path) -> "ModulationTrace":
-        angles, counts = [], []
-        with open(path, newline="") as fh:
-            first = fh.readline()
-            meta = json.loads(first[1:].strip()).get("meta", {}) if first.startswith("#") else {}
-            if not first.startswith("#"):
-                fh.seek(0)
-            for row in csv.DictReader(fh):
-                angles.append(float(row["angle_deg"]))
-                counts.append(int(row["count"]))
-        return cls(np.array(angles), np.array(counts, dtype=np.int64), meta=meta)
 
 
 def modulation_trace(

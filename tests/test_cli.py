@@ -313,8 +313,9 @@ def test_missing_config_exits_2(tmp_path):
 
 def test_malformed_json_exits_2(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    for body in (b"{not json", b'{"schema": 1, "kind": "\xff"}'):
+        path.write_bytes(body)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_tiny_alpha_normalisation_exits_3(tmp_path, capsys):
@@ -346,3 +347,49 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "trace.csv").exists()
+
+
+def _series_lines(tmp_path):
+    from spintrack.correlation import CorrelationSeries
+    path = tmp_path / "corr.csv"
+    CorrelationSeries(np.arange(1, 7), np.linspace(0.5, -0.5, 6), np.full(6, 0.01),
+                      kind="Ix").to_csv(path)
+    return path, path.read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda lines: lines.__setitem__(3, "3,abc,0.01,Ix\r\n"),
+    lambda lines: lines.__setitem__(0, "lag,val,stderr,kind\r\n"),
+    lambda lines: lines.__setitem__(2, lines[2].rsplit(",", 1)[0] + "\r\n"),
+    lambda lines: lines.__setitem__(4, "1.5" + lines[4][1:]),
+    lambda lines: lines.__setitem__(5, lines[5].rstrip() + ",extra\r\n"),
+    lambda lines: lines.__setitem__(6, "7,0.1,nope,Ix\r\n"),
+    lambda lines: lines.insert(3, "\r\n"),
+    lambda lines: lines.clear(),
+], ids=["value_abc", "header_val", "row_without_kind", "float_lag", "fifth_field",
+        "stderr_nope", "blank_line", "empty_file"])
+def test_malformed_correlation_exits_2(tmp_path, capsys, corrupt):
+    path, lines = _series_lines(tmp_path)
+    cfg = quantum_config(tmp_path)
+    out = str(tmp_path / "lg")
+    assert main(["lgtest", "--config", cfg, "--out", out, "--corr", str(path)]) == 0
+    corrupt(lines)
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["lgtest", "--config", cfg, "--out", out, "--corr", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[InvalidArgumentError]") and err.count("\n") == 1
+    assert str(path) in err
+
+
+def test_correlate_rejects_a_report_fit(tmp_path, capsys):
+    """`correlate --fit` takes `calibrate`'s fit.json; `report`'s is another layout."""
+    cfg = quantum_config(tmp_path)
+    out = tmp_path / "rep"
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    fit = out / "fit.json"
+    assert main(["correlate", "--config", cfg, "--out", str(out), "--fit", str(fit)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[InvalidArgumentError]") and err.count("\n") == 1
+    assert str(fit) in err and "'params'" in err and "'calibration'" in err

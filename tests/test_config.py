@@ -1,0 +1,167 @@
+"""Config gate: every malformed config ends in exit 2, 3 or 4 with one
+`error[...]` line, never a traceback.
+
+Each key of `cli.CONFIG_KEYS` is dropped, nulled and set to a run of
+wrong or edge values in a small valid config of each kind, and `report`
+runs in-process on the result.
+"""
+
+import copy
+import json
+
+import numpy as np
+import pytest
+
+from spintrack.cli import CONFIG_KEYS, REQUIRED, main
+
+READOUT = {"n_a": 120.0, "n_b": 60.0, "phi_0": 0.02, "repetitions": 10}
+TOP = {"schema": 1, "runs": 20, "seed": 3, "workers": 1, "undo_decay": False, "boxcar": 0.5}
+CLASSICAL = {"alpha": 0.3, "theta_step": 0.5, "measurements_per_run": 16, "phi_s": 1.0}
+
+#: a small valid config of each kind that sets every key of the table
+BASE = {
+    "quantum": dict(TOP, kind="quantum", max_lag=4, readout=READOUT,
+                    protocol={"alpha": 0.5, "phi": 1.0, "cycles": 5, "prepolarized": False},
+                    charge={"p_minus": 0.9, "nv0_mean": 50.0}),
+    "classical": dict(TOP, kind="classical", max_lag=6, readout=READOUT, classical=CLASSICAL),
+    "classical-modulated": dict(TOP, kind="classical-modulated", max_lag=6, readout=READOUT,
+                                classical=CLASSICAL),
+}
+
+DROP = object()
+MUTATIONS = [DROP, None, "abc", True, [1], 1.5, -1, 0, float("nan"), float("inf")]
+
+
+def _keys(table, prefix=()):
+    """(path, type, default) of every key in a table, blocks included."""
+    for key, (kind, default) in table.items():
+        yield prefix + (key,), kind, default
+        if isinstance(kind, dict):
+            yield from _keys(kind, prefix + (key,))
+
+
+def _must_exit_2(kind, default, value):
+    """Mutations the table itself rules out, whatever the ranges."""
+    if value is DROP or value is None:
+        return default is REQUIRED
+    if isinstance(value, (str, list)) or (isinstance(value, float) and not np.isfinite(value)):
+        return True
+    if value is True:
+        return kind is not bool
+    return kind in (bool, str) or isinstance(kind, dict) or (kind is int and value == 1.5)
+
+
+def _set(cfg, path, value):
+    cfg = copy.deepcopy(cfg)
+    block = cfg
+    for key in path[:-1]:
+        block = block[key]
+    if value is DROP:
+        del block[path[-1]]
+    else:
+        block[path[-1]] = value
+    return cfg
+
+
+def _run(tmp_path, capsys, cfg, *flags):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    code = main(["report", "--config", str(path), "--out", str(tmp_path / "out"), *flags])
+    return code, capsys.readouterr().err
+
+
+def _check(code, err):
+    """None if (code, err) is an allowed ending, else what is wrong with it."""
+    if code not in (0, 2, 3, 4):
+        return f"exit {code}"
+    if code and not (err.startswith("error[") and err.count("\n") == 1
+                     and err.count("error[") == 1):
+        return f"exit {code} with stderr {err!r}"
+    return None
+
+
+def test_every_key_of_the_table_is_in_the_base_configs():
+    for kind, table in CONFIG_KEYS.items():
+        for path, _, _ in _keys(table):
+            block = BASE[kind]
+            for key in path:
+                assert key in block, (kind, path)
+                block = block[key]
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIG_KEYS))
+def test_config_gate(tmp_path, capsys, kind):
+    base = BASE[kind]
+    assert _run(tmp_path, capsys, base) == (0, "")
+    bad = []
+    cases = [(path, t, d, value) for path, t, d in _keys(CONFIG_KEYS[kind])
+             for value in MUTATIONS]
+    blocks = [()] + [path for path, t, _ in _keys(CONFIG_KEYS[kind]) if isinstance(t, dict)]
+    cases += [(path + ("surplus",), None, None, 1) for path in blocks]
+    for path, t, default, value in cases:
+        try:
+            code, err = _run(tmp_path, capsys, _set(base, path, value))
+        except Exception as exc:  # the gate itself: nothing may escape main
+            bad.append((path, value, f"{type(exc).__name__}: {exc}"))
+            continue
+        problem = _check(code, err)
+        if problem is None and path[-1] == "surplus" and code != 2:
+            problem = f"unknown key accepted with exit {code}"
+        if problem is None and t is not None and _must_exit_2(t, default, value) and code != 2:
+            problem = f"exit {code}, expected 2"
+        if problem is None and code == 2 and not err.startswith("error[InvalidArgumentError]"):
+            problem = f"exit 2 with {err!r}"
+        if problem:
+            bad.append((path, "drop" if value is DROP else value, problem))
+    assert not bad, "\n".join(map(str, bad))
+
+
+#: the README config, at fewer runs
+README = {
+    "schema": 1, "kind": "quantum",
+    "protocol": {"alpha": 0.5655, "phi": 1.0472, "cycles": 24},
+    "readout": {"n_a": 1200.0, "n_b": 600.0, "phi_0": 0.02, "repetitions": 200},
+    "runs": 200, "seed": 123, "max_lag": 24,
+}
+
+
+def _readme(path, value, *flags):
+    return _set(README, path, value), flags
+
+
+#: the probes that ended in a traceback, or in exit 0 on a misread value,
+#: before the config had one reader: (config, flags, what the error names)
+PROBES = {
+    "prepolarised_spelling": (*_readme(("protocol", "prepolarised"), True),
+                              "'protocol.prepolarised'"),
+    "undo_decay_no": (*_readme(("undo_decay",), "no"), "'undo_decay'"),
+    "runs_1_5": (*_readme(("runs",), 1.5), "'runs'"),
+    "alpha_missing": (*_readme(("protocol", "alpha"), DROP), "'protocol.alpha'"),
+    "alpha_abc": (*_readme(("protocol", "alpha"), "abc"), "'protocol.alpha'"),
+    "boxcar_abc": (*_readme(("boxcar",), "abc"), "'boxcar'"),
+    "seed_minus_1": (*_readme(("seed",), -1), "'seed'"),
+    "n_a_nan": (*_readme(("readout", "n_a"), float("nan")), "'readout.n_a'"),
+    "readout_list": (*_readme(("readout",), [1]), "'readout'"),
+    "top_level_list": ([1, 2], (), "JSON object"),
+    "flag_boxcar_nan": (README, ("--boxcar", "nan"), "'boxcar'"),
+    "flag_seed_minus_1": (README, ("--seed", "-1"), "'seed'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBES))
+def test_config_probe_exits_2(tmp_path, capsys, name):
+    cfg, flags, names = PROBES[name]
+    code, err = _run(tmp_path, capsys, cfg, *flags)
+    assert code == 2, err
+    assert err.startswith("error[InvalidArgumentError]") and err.count("\n") == 1, err
+    assert names in err
+
+
+@pytest.mark.parametrize("field,value,code", [
+    ("runs", 600.0, 0), ("runs", True, 2), ("runs", "600", 2), ("undo_decay", "yes", 2),
+    ("boxcar", 10**400, 2), ("seed", 10**400, 0),
+])
+def test_integral_floats_pass_and_lookalikes_do_not(tmp_path, capsys, field, value, code):
+    cfg = dict(README, runs=20, max_lag=6)
+    assert _run(tmp_path, capsys, dict(cfg, **{field: value}))[0] == code

@@ -70,17 +70,6 @@ def test_lg_function_needs_a_doubled_lag():
         lg_function(CorrelationSeries(np.array([3, 5]), np.zeros(2), np.zeros(2)))
 
 
-def test_lg_series_csv_roundtrip(tmp_path):
-    series = lg_theory(np.pi / 3, np.arange(1, 8), amplitude=0.9)
-    path = tmp_path / "lg.csv"
-    series.to_csv(path)
-    back = LgSeries.from_csv(path)
-    assert np.array_equal(back.taus, series.taus)
-    assert np.array_equal(back.lg, series.lg)
-    assert np.array_equal(back.stderr, series.stderr)
-    assert np.array_equal(back.violated, series.violated)
-
-
 def test_lg_series_validation():
     with pytest.raises(InvalidArgumentError):
         LgSeries(np.array([1, 2]), np.array([1.0]), np.zeros(2), np.zeros(2, dtype=bool))

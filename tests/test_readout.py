@@ -8,7 +8,6 @@ from spintrack.errors import InvalidArgumentError
 from spintrack.protocol import ProtocolConfig
 from spintrack.readout import (
     ChargeModel,
-    ModulationTrace,
     PhotonTrace,
     ReadoutModel,
     modulation_trace,
@@ -35,6 +34,10 @@ def test_readout_model_validation():
         ReadoutModel(n_a=100.0, n_b=-1.0)
     with pytest.raises(InvalidArgumentError):
         ReadoutModel(n_a=50.0, n_b=100.0)
+    for n_a, n_b, phi_0 in ((np.nan, 600.0, 0.0), (np.inf, 600.0, 0.0),
+                            (np.inf, np.inf, 0.0), (1200.0, 600.0, np.nan)):
+        with pytest.raises(InvalidArgumentError):
+            ReadoutModel(n_a=n_a, n_b=n_b, phi_0=phi_0)
     # equal levels are constructible (zero contrast is a runtime error
     # only where contrast is actually divided by)
     ReadoutModel(n_a=80.0, n_b=80.0)
@@ -44,8 +47,9 @@ def test_charge_model_validation():
     ChargeModel(p_minus=0.7)
     with pytest.raises(InvalidArgumentError):
         ChargeModel(p_minus=1.2)
-    with pytest.raises(InvalidArgumentError):
-        ChargeModel(p_minus=0.7, nv0_mean=-3.0)
+    for p_minus, nv0_mean in ((0.7, -3.0), (0.5, np.inf), (np.nan, None), (0.5, np.nan)):
+        with pytest.raises(InvalidArgumentError):
+            ChargeModel(p_minus=p_minus, nv0_mean=nv0_mean)
 
 
 def test_photon_trace_accessors():
@@ -100,18 +104,6 @@ def test_photon_trace_csv_matches_csv_writer(tmp_path, shape):
     assert back.counts.dtype == np.int64
     assert np.array_equal(back.counts, counts)
     assert (back.kind, back.first_lag, back.meta) == ("quantum", 1, {"seed": 3})
-
-
-def test_modulation_trace_csv_roundtrip(tmp_path):
-    angles = np.repeat([0.0, 90.0, 180.0], 4)
-    counts = np.arange(12, dtype=np.int64)
-    trace = ModulationTrace(angles_deg=angles, counts=counts, meta={"seed": 2})
-    path = tmp_path / "sweep.csv"
-    trace.to_csv(path)
-    back = ModulationTrace.from_csv(path)
-    assert np.array_equal(back.angles_deg, angles)
-    assert np.array_equal(back.counts, counts)
-    assert back.meta["seed"] == 2
 
 
 def test_modulation_trace_matches_fringe_model(rng):
