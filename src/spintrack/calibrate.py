@@ -18,7 +18,7 @@ optimum.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -69,16 +69,7 @@ class FitResult:
         return self.params[name]
 
     def as_dict(self) -> dict:
-        return {
-            "params": self.params,
-            "stderr": self.stderr,
-            "residual": self.residual,
-            "n_points": self.n_points,
-            "success": self.success,
-            "boundary": self.boundary,
-            "message": self.message,
-            "meta": self.meta,
-        }
+        return asdict(self)
 
     def to_json(self, path) -> None:
         write_json(path, self.as_dict())
@@ -134,11 +125,15 @@ def _angle_groups(angles_deg, counts):
     return uniq, means, errs
 
 
-def fit_na_nb(trace, counts=None, phi0_bounds=(-0.5, 0.5), xatol=1e-10) -> FitResult:
+#: search interval of the sweep offset phi_0, rad, and its tolerance
+PHI0_BOUNDS = (-0.5, 0.5)
+PHI0_XATOL = 1e-10
+
+
+def fit_na_nb(trace: ModulationTrace) -> FitResult:
     """Recover (n_a, n_b, phi_0) from a rotation-sweep photon record.
 
-    `trace` is a ModulationTrace, or an array of angles (degrees) with
-    `counts` given separately.  The per-angle means follow
+    The per-angle means of `trace` follow
 
         n(k) = a + b sin^2(phi_k/2 + phi_0),  a = (n_a+n_b)/2, b = (n_a-n_b)/2
 
@@ -147,13 +142,7 @@ def fit_na_nb(trace, counts=None, phi0_bounds=(-0.5, 0.5), xatol=1e-10) -> FitRe
     Raises DegenerateContrastError when the recovered contrast is not
     positive by at least 3 standard errors.
     """
-    if isinstance(trace, ModulationTrace):
-        angles_deg, counts = trace.angles_deg, trace.counts
-    else:
-        angles_deg = trace
-        if counts is None:
-            raise InvalidArgumentError("pass a ModulationTrace or (angles, counts)")
-    xs, m, se = _angle_groups(angles_deg, counts)
+    xs, m, se = _angle_groups(trace.angles_deg, trace.counts)
     w = 1.0 / se**2
     half = np.deg2rad(xs) / 2.0
 
@@ -164,8 +153,8 @@ def fit_na_nb(trace, counts=None, phi0_bounds=(-0.5, 0.5), xatol=1e-10) -> FitRe
         r = m - design @ coef
         return float(r @ (w * r)), coef, lhs
 
-    opt = minimize_scalar(lambda p: solve(p)[0], bounds=phi0_bounds, method="bounded",
-                          options={"xatol": xatol})
+    opt = minimize_scalar(lambda p: solve(p)[0], bounds=PHI0_BOUNDS, method="bounded",
+                          options={"xatol": PHI0_XATOL})
     if not opt.success:
         raise FitFailureError(f"phi_0 search failed: {opt.message}")
     phi0 = float(opt.x)
@@ -184,7 +173,7 @@ def fit_na_nb(trace, counts=None, phi0_bounds=(-0.5, 0.5), xatol=1e-10) -> FitRe
     curv = (solve(phi0 + h)[0] - 2 * residual + solve(phi0 - h)[0]) / h**2
     phi0_se = float(np.sqrt(2.0 / curv)) if curv > 0 else float("inf")
 
-    boundary = min(phi0 - phi0_bounds[0], phi0_bounds[1] - phi0) < 10 * xatol
+    boundary = min(phi0 - PHI0_BOUNDS[0], PHI0_BOUNDS[1] - phi0) < 10 * PHI0_XATOL
     return FitResult(
         params={"n_a": float(a + b), "n_b": float(a - b), "phi_0": phi0},
         stderr={
@@ -290,10 +279,19 @@ def _gauss_newton_stderr(jac, w, scale: float = 1.0) -> np.ndarray:
 
 
 def _weights(series: CorrelationSeries) -> np.ndarray:
+    """1/stderr^2 per lag, so 0 for an infinite stderr; a series with a
+    zero stderr (a model series) is fitted unweighted."""
     se = series.stderr
-    if np.all(se > 0) and np.all(np.isfinite(se)):
+    if not np.isfinite(se).any():
+        raise InvalidArgumentError("no lag of the series has a finite stderr")
+    if np.all(se > 0):
         return 1.0 / se**2
     return np.ones_like(series.values)
+
+
+#: search interval of the strength alpha, rad, and its tolerance
+ALPHA_BOUNDS = (1e-3, np.pi / 2 - 1e-3)
+ALPHA_XATOL = 1e-12
 
 
 def fit_alpha(
@@ -301,8 +299,6 @@ def fit_alpha(
     phi: float,
     weighting: str = "full",
     boxcar_fraction: float = 1.0 / 3.0,
-    bounds: tuple = (1e-3, np.pi / 2 - 1e-3),
-    xatol: float = 1e-12,
 ) -> FitResult:
     """Measurement strength from a readout correlation series.
 
@@ -311,17 +307,20 @@ def fit_alpha(
     does a two-pass fit: after a full-window pass, lags beyond
     boxcar_fraction of the fitted 1/e decay length 4/alpha^2 are dropped
     and the fit repeated — tail lags are pure noise once the signal has
-    decayed, and cutting them reduces the bias they induce.
+    decayed, and cutting them reduces the bias they induce.  A lag with an
+    infinite stderr carries no information and is left out.
     """
     if weighting not in ("full", "boxcar"):
         raise InvalidArgumentError(f"weighting must be 'full' or 'boxcar', got {weighting!r}")
-    lags = series.lags
+    if weighting == "boxcar" and not 0 < boxcar_fraction <= 1:
+        raise InvalidArgumentError(f"boxcar_fraction must lie in (0, 1], got {boxcar_fraction}")
+    if np.any(series.lags < 1):
+        raise InvalidArgumentError("alpha fit expects lags >= 1")
+    w_full = _weights(series)
+    keep = w_full > 0
+    lags, values, w_full = series.lags[keep], series.values[keep], w_full[keep]
     if lags.size < 2:
         raise InvalidArgumentError("need at least 2 lags to fit alpha")
-    if np.any(lags < 1):
-        raise InvalidArgumentError("alpha fit expects lags >= 1")
-    values = series.values
-    w_full = _weights(series)
 
     def run_pass(sel):
         n, v, w = lags[sel], values[sel], w_full[sel]
@@ -329,7 +328,8 @@ def fit_alpha(
         def sse(a):
             return float(np.sum(w * (v - damped_cosine(a, phi, n, np.sin(a) ** 2)) ** 2))
 
-        opt = minimize_scalar(sse, bounds=bounds, method="bounded", options={"xatol": xatol})
+        opt = minimize_scalar(sse, bounds=ALPHA_BOUNDS, method="bounded",
+                              options={"xatol": ALPHA_XATOL})
         if not opt.success or not np.isfinite(opt.fun):
             raise FitFailureError(f"alpha search failed: {opt.message}")
         return float(opt.x), float(opt.fun), n, v, w
@@ -354,7 +354,7 @@ def fit_alpha(
         fisher /= residual / dof if residual > 0 else 1.0
     a_se = 1.0 / np.sqrt(fisher) if fisher > 0 else float("inf")
 
-    boundary = min(a_hat - bounds[0], bounds[1] - a_hat) < 1e-6
+    boundary = min(a_hat - ALPHA_BOUNDS[0], ALPHA_BOUNDS[1] - a_hat) < 1e-6
     return FitResult(
         params={"alpha": a_hat},
         stderr={"alpha": a_se},
@@ -411,11 +411,7 @@ def fit_decay(
     )
 
 
-def fit_alpha_modulated(
-    trace: PhotonTrace,
-    phi_s: float = 1.0,
-    x0: tuple | None = None,
-) -> FitResult:
+def fit_alpha_modulated(trace: PhotonTrace, phi_s: float = 1.0) -> FitResult:
     """Joint (n_a, n_b, alpha) fit on a phase-modulated classical record.
 
     The modulation pattern is deterministic and shared by every run, so
@@ -447,10 +443,9 @@ def fit_alpha_modulated(
         model = 0.5 * (n_a + n_b) + 0.5 * (n_a - n_b) * m
         return float(np.sum(w * (mean_path - model) ** 2))
 
-    if x0 is None:
-        spread = max(counts.std(), 1.0)
-        x0 = (mean_path.mean() + spread, max(mean_path.mean() - spread, 0.0), 0.3)
-    opt = minimize(sse, x0=list(x0), method="Nelder-Mead",
+    spread = max(counts.std(), 1.0)
+    x0 = [mean_path.mean() + spread, max(mean_path.mean() - spread, 0.0), 0.3]
+    opt = minimize(sse, x0=x0, method="Nelder-Mead",
                    options={"xatol": 1e-8, "fatol": 1e-10, "maxfev": 40000})
     if not opt.success:
         raise FitFailureError(f"modulated calibration fit did not converge: {opt.message}")

@@ -229,9 +229,13 @@ def cmd_correlate(args, settings: dict) -> dict:
     out = args.out
     trace = ro.PhotonTrace.from_csv(args.trace or os.path.join(out, "trace.csv"))
     if args.fit:
-        fitted = cal.FitResult.from_json(args.fit)
-        model = ro.ReadoutModel(n_a=fitted["n_a"], n_b=fitted["n_b"],
-                                phi_0=fitted.params.get("phi_0", 0.0))
+        params = cal.FitResult.from_json(args.fit).params
+        levels = dict({"phi_0": 0.0}, **params) if isinstance(params, dict) else {}
+        bad = [k for k in ("n_a", "n_b", "phi_0") if type(levels.get(k)) not in (int, float)]
+        if bad:
+            raise InvalidArgumentError(
+                f"{args.fit} has no calibrated levels: params {bad} missing or not numbers")
+        model = ro.ReadoutModel(levels["n_a"], levels["n_b"], levels["phi_0"])
     else:
         model = ro.ReadoutModel(**settings["readout"])
     series = cal.reconstruct_Sz_corr(trace, model, max_lag=settings["max_lag"])
@@ -280,7 +284,7 @@ def cmd_report(args, settings: dict) -> dict:
             boxcar = settings["boxcar"]
             alpha_fit = cal.fit_alpha(series, settings["protocol"]["phi"],
                                       weighting="full" if boxcar is None else "boxcar",
-                                      boxcar_fraction=boxcar or 1.0 / 3.0)
+                                      boxcar_fraction=boxcar)
             fits["alpha"] = alpha_fit.as_dict()
             a_hat = alpha_fit["alpha"]
             normalized = cal.reconstruct_Ix_corr(series, a_hat,

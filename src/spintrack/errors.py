@@ -5,6 +5,10 @@ configuration / argument problems exit with 2, fit failures with 3 and
 degenerate data (no usable contrast) with 4.
 """
 
+__all__ = ["SpintrackError", "InvalidArgumentError", "UnsupportedStateError",
+           "AmbiguousRegimeError", "DegenerateContrastError", "FitFailureError",
+           "AmplificationError"]
+
 
 class SpintrackError(Exception):
     """Base class for all errors raised by this package."""

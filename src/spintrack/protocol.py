@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import AmbiguousRegimeError, InvalidArgumentError
 from .pauli import S_E, S_X, S_Y, S_Z, partial_trace, tensor
+from .propagator import bch_evolve
 
 __all__ = [
     "PhysicalParams",
@@ -49,6 +50,7 @@ __all__ = [
     "CycleResult",
     "INTERACTION_H",
     "FREE_PRECESSION_H",
+    "GAMMA_C13",
     "resonance_tau",
     "alpha_from_pulses",
     "precession_frequencies",
@@ -236,7 +238,6 @@ class CycleResult:
     target_rho: np.ndarray     # 2x2 post-cycle target state
     sensor_rho: np.ndarray     # 2x2 sensor state right before readout
     zeta: float                # sensor z polarisation tr[sigma_z sensor_rho]
-    composite: np.ndarray      # 4x4 state before readout (for diagnostics)
 
     @property
     def readout_probabilities(self) -> tuple[float, float]:
@@ -253,8 +254,6 @@ def measurement_cycle(target_rho: np.ndarray, alpha: float, phi: float) -> Cycle
     sensor z axis.  The returned target state is the unconditional
     post-readout state (readout and repolarisation discard the sensor).
     """
-    from .propagator import bch_evolve  # local import to avoid a cycle at import time
-
     comp = tensor(S_E + S_Z, np.asarray(target_rho, dtype=complex))
     comp = bch_evolve(_ROT_Y, comp, np.pi / 2)          # sensor S_e+S_z -> S_e+S_x
     comp = bch_evolve(FREE_PRECESSION_H, comp, phi)
@@ -263,7 +262,7 @@ def measurement_cycle(target_rho: np.ndarray, alpha: float, phi: float) -> Cycle
     sensor = partial_trace(comp, "sensor")
     target = partial_trace(comp, "target")
     zeta = float(np.trace(sensor @ np.array([[1, 0], [0, -1]], dtype=complex)).real)
-    return CycleResult(target_rho=target, sensor_rho=sensor, zeta=zeta, composite=comp)
+    return CycleResult(target_rho=target, sensor_rho=sensor, zeta=zeta)
 
 
 def recurrence_step(x, y, alpha: float, phi: float):

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -56,10 +56,12 @@ __all__ = [
 #: sensor rotation angles of the calibration sweep, degrees
 DEFAULT_ANGLES_DEG = tuple(range(0, 361, 30))
 DEFAULT_SAMPLES_PER_ANGLE = 50
-DEFAULT_ANCHOR_ANGLE = 90
-DEFAULT_ANCHOR_SAMPLES = 500
+#: the sweep angle sampled ANCHOR_SAMPLES times instead of samples_per_angle
+ANCHOR_ANGLE = 90
+ANCHOR_SAMPLES = 500
 _CSV_BLOCK_ROWS = 4096
 _CSV_READ_BYTES = 1 << 20
+_TRACE_KINDS = ("quantum", "classical", "classical-modulated")
 
 
 @dataclass
@@ -73,7 +75,7 @@ class ReadoutModel:
 
     def __post_init__(self):
         if not np.isfinite([self.n_a, self.n_b, self.phi_0]).all():
-            raise InvalidArgumentError(f"n_a, n_b, phi_0 must be finite: {self.to_dict()}")
+            raise InvalidArgumentError(f"n_a, n_b, phi_0 must be finite: {asdict(self)}")
         if self.n_b < 0 or self.n_a < self.n_b:
             # n_a == n_b is allowed so the degenerate-contrast path can be
             # exercised end to end; reconstruction rejects it downstream.
@@ -94,10 +96,6 @@ class ReadoutModel:
         half = np.deg2rad(np.asarray(angle_deg, dtype=float)) / 2.0
         return self.n_av + 0.5 * self.contrast * np.sin(half + self.phi_0) ** 2
 
-    def to_dict(self) -> dict:
-        return {"n_a": self.n_a, "n_b": self.n_b, "phi_0": self.phi_0,
-                "repetitions": self.repetitions}
-
 
 @dataclass
 class ChargeModel:
@@ -111,9 +109,6 @@ class ChargeModel:
             raise InvalidArgumentError(f"p_minus must lie in [0, 1], got {self.p_minus}")
         if self.nv0_mean is not None and not 0 <= self.nv0_mean < np.inf:
             raise InvalidArgumentError(f"nv0_mean must be finite and >= 0, got {self.nv0_mean}")
-
-    def to_dict(self) -> dict:
-        return {"p_minus": self.p_minus, "nv0_mean": self.nv0_mean}
 
 
 @dataclass
@@ -176,9 +171,14 @@ class PhotonTrace:
                 raise InvalidArgumentError(f"{path}: missing JSON header line")
             try:
                 header = json.loads(first[1:])
-                runs, length, kind = int(header["runs"]), int(header["length"]), header["kind"]
-            except (ValueError, KeyError, TypeError) as exc:
+            except ValueError as exc:
                 raise InvalidArgumentError(f"{path}: bad JSON header line: {exc}") from None
+            if not _is_trace_header(header):
+                raise InvalidArgumentError(
+                    f"{path}: the header must hold exactly runs and length (ints >= 1), "
+                    f"first_lag (0 or 1), kind (one of {', '.join(_TRACE_KINDS)}) and meta "
+                    "(an object)")
+            runs, length = header["runs"], header["length"]
             if first != b"# " + json.dumps(header, sort_keys=True).encode() + b"\n":
                 raise InvalidArgumentError(f"{path}: header must be '# ' + sorted-key JSON + LF")
             if fh.readline() != b"index,count\r\n":
@@ -217,8 +217,17 @@ class PhotonTrace:
         if size != canonical or crlf != len(rows) or (rows.size and last != b"\n"):
             raise InvalidArgumentError(
                 f"{path}: every row must read 'i,c\\r\\n' in plain decimal digits")
-        return cls(rows[:, 1].copy().reshape(runs, length), kind=kind,
-                   first_lag=header.get("first_lag", 0), meta=header.get("meta", {}))
+        return cls(rows[:, 1].copy().reshape(runs, length), kind=header["kind"],
+                   first_lag=header["first_lag"], meta=header["meta"])
+
+
+def _is_trace_header(header) -> bool:
+    """True for exactly the header `PhotonTrace.to_csv` writes."""
+    return (isinstance(header, dict)
+            and sorted(header) == ["first_lag", "kind", "length", "meta", "runs"]
+            and all(type(header[k]) is int for k in ("runs", "length", "first_lag"))
+            and min(header["runs"], header["length"]) >= 1 and header["first_lag"] in (0, 1)
+            and header["kind"] in _TRACE_KINDS and isinstance(header["meta"], dict))
 
 
 def _digits(values: np.ndarray) -> int:
@@ -252,13 +261,11 @@ def modulation_trace(
     rng: np.random.Generator,
     angles_deg=DEFAULT_ANGLES_DEG,
     samples_per_angle: int = DEFAULT_SAMPLES_PER_ANGLE,
-    anchor_angle: float = DEFAULT_ANCHOR_ANGLE,
-    anchor_samples: int = DEFAULT_ANCHOR_SAMPLES,
 ) -> ModulationTrace:
     """Simulate the calibration sweep over sensor rotation angles.
 
-    Each angle is sampled `samples_per_angle` times (`anchor_samples` at
-    the anchor angle); each measurement sums `model.repetitions`
+    Each angle is sampled `samples_per_angle` times (ANCHOR_SAMPLES times
+    at ANCHOR_ANGLE); each measurement sums `model.repetitions`
     independently re-prepared readouts, see the module docstring.  The
     per-readout bright probability at angle phi is
     (1 + sin^2(phi/2 + phi_0)) / 2.
@@ -266,7 +273,7 @@ def modulation_trace(
     all_angles, all_counts = [], []
     reps = model.repetitions
     for ang in angles_deg:
-        n = anchor_samples if ang == anchor_angle else samples_per_angle
+        n = ANCHOR_SAMPLES if ang == ANCHOR_ANGLE else samples_per_angle
         p_bright = 0.5 * (1.0 + np.sin(np.deg2rad(ang) / 2.0 + model.phi_0) ** 2)
         bright = rng.random((n, reps)) < p_bright
         lam = np.where(bright, model.n_a / reps, model.n_b / reps)
@@ -276,8 +283,8 @@ def modulation_trace(
     return ModulationTrace(
         angles_deg=np.concatenate(all_angles),
         counts=np.concatenate(all_counts).astype(np.int64),
-        meta={"model": model.to_dict(), "samples_per_angle": samples_per_angle,
-              "anchor_angle": anchor_angle, "anchor_samples": anchor_samples},
+        meta={"model": asdict(model), "samples_per_angle": samples_per_angle,
+              "anchor_angle": ANCHOR_ANGLE, "anchor_samples": ANCHOR_SAMPLES},
     )
 
 
@@ -299,10 +306,9 @@ def run_quantum_experiment(
                                  bright=model.n_a, dark=model.n_b, nv0_mean=nv0)
     meta = {
         "seed": seed,
-        "protocol": {"alpha": config.alpha, "phi": config.phi,
-                     "cycles": config.cycles, "prepolarized": config.prepolarized},
-        "readout": model.to_dict(),
-        "charge": None if charge is None else charge.to_dict(),
+        "protocol": asdict(config),
+        "readout": asdict(model),
+        "charge": None if charge is None else asdict(charge),
     }
     return PhotonTrace(batch.counts, kind="quantum", first_lag=batch.first_lag, meta=meta)
 
@@ -332,7 +338,7 @@ def run_classical_experiment(
         "classical": {"alpha": alpha, "theta_step": theta_step,
                       "measurements_per_run": measurements_per_run,
                       "modulated": modulated, "phi_s": phi_s},
-        "readout": model.to_dict(),
+        "readout": asdict(model),
     }
     kind = "classical-modulated" if modulated else "classical"
     return PhotonTrace(batch.counts, kind=kind, first_lag=0, meta=meta)

@@ -42,7 +42,7 @@ def test_fit_na_nb_noiseless_recovery():
     angles = np.repeat(np.arange(0.0, 361.0, 30.0), 2)
     truth = ReadoutModel(n_a=1200.0, n_b=600.0, phi_0=0.02)
     counts = truth.mean_count(angles)
-    fit = fit_na_nb(angles, counts)
+    fit = fit_na_nb(ModulationTrace(angles, counts))
     assert fit["n_a"] == pytest.approx(1200.0, abs=1e-5)
     assert fit["n_b"] == pytest.approx(600.0, abs=1e-5)
     assert fit["phi_0"] == pytest.approx(0.02, abs=1e-6)
@@ -68,13 +68,13 @@ def test_fit_na_nb_degenerate_contrast():
 
 def test_fit_na_nb_input_validation():
     with pytest.raises(InvalidArgumentError):
-        fit_na_nb(np.array([0.0, 30.0]))  # counts missing
+        fit_na_nb(ModulationTrace(np.array([0.0, 30.0]), np.ones(3)))  # unequal lengths
     angles = np.repeat([0.0, 30.0, 60.0], 5)
     with pytest.raises(InvalidArgumentError):
-        fit_na_nb(angles, np.ones(15))  # only 3 distinct angles
+        fit_na_nb(ModulationTrace(angles, np.ones(15)))  # only 3 distinct angles
     angles = np.array([0.0, 30.0, 60.0, 90.0, 120.0])
     with pytest.raises(InvalidArgumentError):
-        fit_na_nb(angles, np.ones(5))  # single sample per angle
+        fit_na_nb(ModulationTrace(angles, np.ones(5)))  # single sample per angle
 
 
 def test_fit_result_json_roundtrip(tmp_path):
@@ -220,6 +220,27 @@ def test_fit_alpha_validation():
     short = CorrelationSeries(np.array([1]), np.array([0.2]), np.array([0.0]))
     with pytest.raises(InvalidArgumentError):
         fit_alpha(short, 0.6)
+    for fraction in (0.0, -1.0, 2.0):  # the boxcar window must lie in (0, 1]
+        with pytest.raises(InvalidArgumentError, match="boxcar_fraction"):
+            fit_alpha(series, 0.6, weighting="boxcar", boxcar_fraction=fraction)
+
+
+def test_fit_alpha_leaves_out_an_inf_stderr_lag():
+    """A lag with a single product has an inf stderr; it must get weight 0
+    instead of turning the whole fit unweighted."""
+    alpha, phi = 0.5, 1.0
+    rng = np.random.default_rng(8)
+    base = corr_Sz(alpha, phi, 20)
+    stderr = rng.uniform(0.005, 0.03, 20)
+    values = base.values + stderr * rng.standard_normal(20)
+    stderr[-1] = np.inf
+    fit = fit_alpha(CorrelationSeries(base.lags, values, stderr), phi)
+    cut = fit_alpha(CorrelationSeries(base.lags[:-1], values[:-1], stderr[:-1]), phi)
+    assert fit["alpha"] == pytest.approx(cut["alpha"], abs=1e-12)
+    assert fit.stderr["alpha"] == pytest.approx(cut.stderr["alpha"], rel=1e-12)
+    assert fit.n_points == 19
+    with pytest.raises(InvalidArgumentError, match="finite stderr"):
+        fit_alpha(CorrelationSeries(base.lags, values, np.full(20, np.inf)), phi)
 
 
 def test_fit_alpha_closed_loop_on_outcomes():

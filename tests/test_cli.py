@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
+from spintrack.calibrate import fit_alpha
 from spintrack.cli import main
+from spintrack.correlation import corr_Sz
 
 ALPHA = 0.18 * np.pi
 PHI = np.pi / 3
@@ -195,6 +197,17 @@ def _header_spacing(lines):
     lines[0] = lines[0].replace(b'": ', b'":  ')
 
 
+def _header(**changes):
+    """Rewrite the header line with `changes`; None drops a key."""
+    def corrupt(lines):
+        header = json.loads(lines[0][2:])
+        header.update(changes)
+        header = {k: v for k, v in header.items() if v is not None}
+        lines[0] = b"# " + json.dumps(header, sort_keys=True).encode() + b"\n"
+    corrupt.__name__ = "_header_" + "_".join(f"{k}_{v!r}" for k, v in changes.items())
+    return corrupt
+
+
 def _negative_count(lines):
     lines[2] = b"0,-3\r\n"
 
@@ -233,7 +246,11 @@ def _blank_line_for_last_line_end(lines):
                                      _corrupt_last_row, _drop_every_row, _negative_count,
                                      _space_before_count, _plus_sign, _leading_zero,
                                      _row_ends_in_lf, _columns_end_in_lf, _blank_line,
-                                     _blank_line_for_last_line_end, _header_spacing])
+                                     _blank_line_for_last_line_end, _header_spacing,
+                                     _header(first_lag=None, meta=None), _header(kind="bogus"),
+                                     _header(first_lag=7), _header(first_lag=True),
+                                     _header(runs=20.0), _header(runs="20"),
+                                     _header(meta=[1]), _header(extra=1)])
 def test_malformed_trace_exits_2(tmp_path, capsys, corrupt):
     cfg = quantum_config(tmp_path, runs=20)
     out = tmp_path / "bad"
@@ -247,6 +264,24 @@ def test_malformed_trace_exits_2(tmp_path, capsys, corrupt):
     err = capsys.readouterr().err
     assert err.startswith("error[InvalidArgumentError]") and err.count("\n") == 1
     assert str(trace) in err
+
+
+def test_correlate_fit_needs_the_levels(tmp_path, capsys):
+    """A fit.json of the right layout without n_a/n_b, as `fit_alpha` writes it."""
+    cfg = quantum_config(tmp_path, runs=20)
+    out = tmp_path / "lv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    fit = tmp_path / "alpha.json"
+    alpha_fit = fit_alpha(corr_Sz(0.5, 1.0, 10), 1.0)
+    for params, named in ((alpha_fit.params, "'n_a', 'n_b'"), ({"n_a": "abc", "n_b": 6}, "'n_a'"),
+                          ({"n_a": 1200.0, "n_b": 600.0, "phi_0": None}, "'phi_0'")):
+        alpha_fit.params = params
+        alpha_fit.to_json(fit)
+        capsys.readouterr()
+        assert main(["correlate", "--config", cfg, "--out", str(out), "--fit", str(fit)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[InvalidArgumentError]") and err.count("\n") == 1
+        assert str(fit) in err and named in err
 
 
 def test_stage_chain_matches_report(tmp_path):

@@ -130,8 +130,8 @@ def _readme(path, value, *flags):
     return _set(README, path, value), flags
 
 
-#: the probes that ended in a traceback, or in exit 0 on a misread value,
-#: before the config had one reader: (config, flags, what the error names)
+#: the probes that ended in a traceback, or in exit 0 on a misread value:
+#: (config, flags, what the error names)
 PROBES = {
     "prepolarised_spelling": (*_readme(("protocol", "prepolarised"), True),
                               "'protocol.prepolarised'"),
@@ -146,6 +146,12 @@ PROBES = {
     "top_level_list": ([1, 2], (), "JSON object"),
     "flag_boxcar_nan": (README, ("--boxcar", "nan"), "'boxcar'"),
     "flag_seed_minus_1": (README, ("--seed", "-1"), "'seed'"),
+    "boxcar_0": (*_readme(("boxcar",), 0), "boxcar_fraction"),
+    "boxcar_minus_1": (*_readme(("boxcar",), -1), "boxcar_fraction"),
+    "boxcar_2": (*_readme(("boxcar",), 2), "boxcar_fraction"),
+    "flag_boxcar_0": (README, ("--boxcar", "0"), "boxcar_fraction"),
+    "flag_boxcar_minus_1": (README, ("--boxcar", "-1"), "boxcar_fraction"),
+    "flag_boxcar_2": (README, ("--boxcar", "2"), "boxcar_fraction"),
 }
 
 
