@@ -197,25 +197,23 @@ def reconstruct_Sz_corr(
     trace: PhotonTrace,
     model: ReadoutModel,
     max_lag: int | None = None,
-    estimator: str = "auto",
 ) -> CorrelationSeries:
     """Centered, contrast-normalised readout correlation from photons:
 
         C_Sz(N) = 4 (C_n(N) - n_av^2) / (n_a - n_b)^2
 
-    estimator 'ensemble' takes lag-from-start products across runs (the
-    right estimator for polarised quantum runs, whose reference is the
-    polarising measurement in column 0); 'time-average' pools the lag-N
-    products inside each run (for stationary records, i.e. the classical
-    experiments).  'auto' picks by the trace kind.  Standard errors are
-    those of the product means scaled by 4/(n_a - n_b)^2; calibration
-    uncertainty is not propagated.
+    The estimator follows the trace kind.  A quantum trace takes the
+    'ensemble' lag-from-start products across runs, whose reference is
+    the polarising measurement in column 0, so it must be self-polarised
+    (`first_lag` 0).  A classical trace is stationary and pools the lag-N
+    products inside each run ('time-average').  `meta["estimator"]`
+    names the one used.  Standard errors are those of the product means
+    scaled by 4/(n_a - n_b)^2; calibration uncertainty is not propagated.
     """
     contrast = model.contrast
     if contrast <= 0:
         raise DegenerateContrastError("n_a must exceed n_b to normalise the correlation")
-    if estimator == "auto":
-        estimator = "ensemble" if trace.kind == "quantum" else "time-average"
+    estimator = "ensemble" if trace.kind == "quantum" else "time-average"
     if estimator == "ensemble" and trace.first_lag != 0:
         raise InvalidArgumentError(
             "ensemble estimator needs the reference measurement in column 0 "
@@ -236,18 +234,21 @@ def reconstruct_Sz_corr(
     )
 
 
+#: the largest per-lag gain `reconstruct_Ix_corr` applies before it refuses
+MAX_GAIN = 1e3
+
+
 def reconstruct_Ix_corr(
     series: CorrelationSeries,
     alpha: float,
     undo_decay: bool = False,
-    max_gain: float = 1e3,
 ) -> CorrelationSeries:
     """Target-spin correlation from the readout one: divide by sin^2(alpha),
     optionally also undo the per-cycle decay e^{-(N-1) alpha^2/4}.
 
     Values and standard errors are scaled identically (the lag-N gain is
     e^{(N-1) alpha^2/4} / sin^2(alpha)); if any lag's gain exceeds
-    `max_gain` the reconstruction would mostly amplify noise and an
+    MAX_GAIN (1e3) the reconstruction would mostly amplify noise and an
     AmplificationError is raised.
     """
     s2 = np.sin(alpha) ** 2
@@ -257,9 +258,9 @@ def reconstruct_Ix_corr(
     if undo_decay:
         gain *= np.exp((series.lags - 1) * alpha**2 / 4.0)
     worst = float(gain.max())
-    if worst > max_gain:
+    if worst > MAX_GAIN:
         raise AmplificationError(
-            f"lag {series.lags[int(gain.argmax())]} gain {worst:.3g} exceeds max_gain {max_gain:.3g}")
+            f"lag {series.lags[int(gain.argmax())]} gain {worst:.3g} exceeds MAX_GAIN {MAX_GAIN:.3g}")
     meta = dict(series.meta, alpha=alpha, undo_decay=undo_decay)
     return CorrelationSeries(series.lags, series.values * gain, series.stderr * gain,
                              kind="Ix-reconstructed", meta=meta)
@@ -278,17 +279,6 @@ def _gauss_newton_stderr(jac, w, scale: float = 1.0) -> np.ndarray:
     return np.sqrt(np.maximum(np.diag(cov), 0.0))
 
 
-def _weights(series: CorrelationSeries) -> np.ndarray:
-    """1/stderr^2 per lag, so 0 for an infinite stderr; a series with a
-    zero stderr (a model series) is fitted unweighted."""
-    se = series.stderr
-    if not np.isfinite(se).any():
-        raise InvalidArgumentError("no lag of the series has a finite stderr")
-    if np.all(se > 0):
-        return 1.0 / se**2
-    return np.ones_like(series.values)
-
-
 #: search interval of the strength alpha, rad, and its tolerance
 ALPHA_BOUNDS = (1e-3, np.pi / 2 - 1e-3)
 ALPHA_XATOL = 1e-12
@@ -303,7 +293,9 @@ def fit_alpha(
     """Measurement strength from a readout correlation series.
 
     Minimises sum_N w_N (C(N) - damped_cosine(alpha, phi, N, sin^2 alpha))^2 with
-    w = 1/stderr^2 when the series carries errors.  weighting='boxcar'
+    w = 1/stderr^2 when every stderr is positive; a series with a zero
+    stderr (a model series) is fitted unweighted, and its alpha stderr is
+    scaled by the residual variance.  weighting='boxcar'
     does a two-pass fit: after a full-window pass, lags beyond
     boxcar_fraction of the fitted 1/e decay length 4/alpha^2 are dropped
     and the fit repeated — tail lags are pure noise once the signal has
@@ -314,9 +306,11 @@ def fit_alpha(
         raise InvalidArgumentError(f"weighting must be 'full' or 'boxcar', got {weighting!r}")
     if weighting == "boxcar" and not 0 < boxcar_fraction <= 1:
         raise InvalidArgumentError(f"boxcar_fraction must lie in (0, 1], got {boxcar_fraction}")
-    if np.any(series.lags < 1):
-        raise InvalidArgumentError("alpha fit expects lags >= 1")
-    w_full = _weights(series)
+    se = series.stderr
+    if not np.isfinite(se).any():
+        raise InvalidArgumentError("no lag of the series has a finite stderr")
+    weighted = bool(np.all(se > 0))
+    w_full = 1.0 / se**2 if weighted else np.ones_like(series.values)
     keep = w_full > 0
     lags, values, w_full = series.lags[keep], series.values[keep], w_full[keep]
     if lags.size < 2:
@@ -339,9 +333,7 @@ def fit_alpha(
     window = None
     if weighting == "boxcar":
         window = boxcar_fraction * 4.0 / a_hat**2
-        sel = lags <= max(window, lags[0] + 1)  # keep at least two early lags
-        if sel.sum() < 2:
-            sel = np.argsort(lags)[:2]
+        sel = lags <= max(window, lags[1])  # the lags are sorted: keep the first two
         a_hat, residual, n, v, w = run_pass(sel)
 
     # Gauss-Newton stderr from the analytic model derivative, a damped
@@ -349,7 +341,7 @@ def fit_alpha(
     d_amp = np.sin(2 * a_hat) - np.sin(a_hat) ** 2 * (n - 1) * a_hat / 2.0
     dm = damped_cosine(a_hat, phi, n, d_amp)
     fisher = float(np.sum(w * dm**2))
-    if np.all(w == 1.0):
+    if not weighted:
         dof = max(n.size - 1, 1)
         fisher /= residual / dof if residual > 0 else 1.0
     a_se = 1.0 / np.sqrt(fisher) if fisher > 0 else float("inf")
@@ -370,7 +362,6 @@ def fit_decay(
     lags,
     values,
     phi: float,
-    stderr=None,
     amp0: float | None = None,
     gamma0: float = 0.01,
 ) -> FitResult:
@@ -378,20 +369,19 @@ def fit_decay(
 
     Works on any mean-signal or correlation series (arrays, not
     CorrelationSeries, so run-averaged zeta paths can be fitted too).
-    Unweighted unless `stderr` is given.
+    Unweighted; the stderr is scaled by the residual variance.
     """
     n = np.asarray(lags, dtype=float)
     v = np.asarray(values, dtype=float)
     if n.shape != v.shape or n.size < 3:
         raise InvalidArgumentError("need matching lags/values with at least 3 points")
-    w = np.ones_like(v) if stderr is None else 1.0 / np.asarray(stderr, dtype=float) ** 2
     if amp0 is None:
         amp0 = float(np.abs(v).max())
 
     def model(amp, gam):
         return amp * np.cos(phi * n) * np.exp(-gam * (n - 1))
 
-    opt = minimize(lambda p: float(np.sum(w * (v - model(*p)) ** 2)), x0=[amp0, gamma0],
+    opt = minimize(lambda p: float(np.sum((v - model(*p)) ** 2)), x0=[amp0, gamma0],
                    method="Nelder-Mead",
                    options={"xatol": 1e-13, "fatol": 1e-15, "maxfev": 20000})
     if not opt.success:
@@ -399,8 +389,9 @@ def fit_decay(
     amp, gam = map(float, opt.x)
 
     env = model(1.0, gam)
-    scale = opt.fun / max(n.size - 2, 1) if stderr is None and opt.fun > 0 else 1.0
-    errs = _gauss_newton_stderr(np.column_stack([env, -amp * (n - 1) * env]), w, scale)
+    scale = opt.fun / max(n.size - 2, 1) if opt.fun > 0 else 1.0
+    jac = np.column_stack([env, -amp * (n - 1) * env])
+    errs = _gauss_newton_stderr(jac, np.ones_like(v), scale)
     return FitResult(
         params={"amplitude": amp, "gamma": gam},
         stderr={"amplitude": float(errs[0]), "gamma": float(errs[1])},

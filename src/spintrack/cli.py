@@ -16,7 +16,9 @@ and its default or as required; `read_config` merges the override flags,
 checks every key against it, rejects a key it does not list, and `main`
 passes the checked settings to every subcommand.  The block keys are the
 fields of `ProtocolConfig`, `ReadoutModel`, `ChargeModel` and the
-arguments of `run_classical_experiment`, which keep their range checks.
+arguments of `run_classical_experiment`, which keep their range checks;
+`ProtocolConfig.prepolarized` is not a key, because a prepolarised
+record has no reference measurement for the ensemble estimator.
 
 Everything is deterministic given the seed: the trace engine splits the
 seed by run chunk, the calibration sweep uses the reserved auxiliary
@@ -65,7 +67,7 @@ REQUIRED = "required"
 #: be given; the blocks are tables of the same shape
 _BLOCKS = {
     "protocol": {"alpha": (float, REQUIRED), "phi": (float, REQUIRED),
-                 "cycles": (int, REQUIRED), "prepolarized": (bool, False)},
+                 "cycles": (int, REQUIRED)},
     "classical": {"alpha": (float, REQUIRED), "theta_step": (float, REQUIRED),
                   "measurements_per_run": (int, REQUIRED), "phi_s": (float, 1.0)},
     "readout": {"n_a": (float, REQUIRED), "n_b": (float, REQUIRED),
@@ -256,9 +258,7 @@ def cmd_report(args, settings: dict) -> dict:
     trace = _make_trace(settings, out)
     cal_fit = _calibrate(settings, out)
     artifacts = ["trace.csv", "modulation.csv"]
-    model = ro.ReadoutModel(n_a=cal_fit["n_a"], n_b=cal_fit["n_b"],
-                            phi_0=cal_fit["phi_0"],
-                            repetitions=settings["readout"]["repetitions"])
+    model = ro.ReadoutModel(n_a=cal_fit["n_a"], n_b=cal_fit["n_b"])
     fits = {"calibration": cal_fit.as_dict()}
     summary = {
         "kind": kind,

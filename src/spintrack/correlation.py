@@ -66,7 +66,8 @@ class CorrelationSeries:
     """Correlation values on a set of integer lags, with standard errors.
 
     kind labels the estimator/model that produced the values
-    ('Sz', 'Ix', 'empirical', ...).  CSV layout: lag,value,stderr,kind.
+    ('Sz', 'Ix', 'empirical', ...).  The lags are strictly increasing
+    integers >= 1.  CSV layout: lag,value,stderr,kind.
     """
 
     lags: np.ndarray
@@ -76,19 +77,15 @@ class CorrelationSeries:
     meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.lags = np.asarray(self.lags, dtype=int)
+        lags = np.asarray(self.lags)
+        self.lags = lags.astype(int)
         self.values = np.asarray(self.values, dtype=float)
         self.stderr = np.asarray(self.stderr, dtype=float)
         if not (self.lags.shape == self.values.shape == self.stderr.shape):
             raise InvalidArgumentError("lags, values and stderr must have equal shapes")
-
-    def value_at(self, lag: int) -> tuple[float, float]:
-        """(value, stderr) at an exact lag; KeyError if absent."""
-        idx = np.nonzero(self.lags == lag)[0]
-        if idx.size == 0:
-            raise KeyError(f"lag {lag} not present")
-        i = int(idx[0])
-        return float(self.values[i]), float(self.stderr[i])
+        if (self.lags.ndim != 1 or np.any(self.lags != lags) or np.any(self.lags < 1)
+                or np.any(np.diff(self.lags) <= 0)):
+            raise InvalidArgumentError("lags must be strictly increasing integers >= 1")
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -112,9 +109,9 @@ class CorrelationSeries:
                     lags.append(int(lag))
                     vals.append(float(value))
                     errs.append(float(err))
+                return cls(np.array(lags), np.array(vals), np.array(errs), kind=kind)
             except (ValueError, csv.Error) as exc:
                 raise InvalidArgumentError(f"{path} line {rows.line_num}: {exc}") from None
-        return cls(np.array(lags), np.array(vals), np.array(errs), kind=kind)
 
 
 def joint_distribution(x_n: float) -> np.ndarray:

@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 VIOLATION_SIGMAS = 3.0
+#: slack of the oracles' probability identities, for float rounding only
+ROUNDING_TOL = 1e-12
 
 
 @dataclass
@@ -60,15 +62,6 @@ class LgSeries:
     def max_lg(self) -> float:
         return float(self.lg.max())
 
-    @property
-    def violations(self) -> np.ndarray:
-        """Indices (into taus) where the bound is broken at 3 sigma."""
-        return np.nonzero(self.violated)[0]
-
-    @property
-    def any_violation(self) -> bool:
-        return bool(self.violated.any())
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -85,20 +78,14 @@ def lg_function(series: CorrelationSeries) -> LgSeries:
     lg - 3 stderr > 1, so an analytic series (zero errors) is flagged
     exactly where it exceeds the bound.
     """
-    have = {int(lag): i for i, lag in enumerate(series.lags)}
-    taus, lg, se = [], [], []
-    for tau, i in sorted(have.items()):
-        j = have.get(2 * tau)
-        if j is None or tau < 1:
-            continue
-        taus.append(tau)
-        lg.append(2.0 * series.values[i] - series.values[j])
-        se.append(np.sqrt(4.0 * series.stderr[i] ** 2 + series.stderr[j] ** 2))
-    if not taus:
+    lags = series.lags
+    doubled = np.isin(2 * lags, lags)
+    if not doubled.any():
         raise InvalidArgumentError("no lag tau with 2*tau also present in the series")
-    taus = np.array(taus)
-    lg = np.array(lg)
-    se = np.array(se)
+    taus = lags[doubled]
+    j = np.searchsorted(lags, 2 * taus)  # the lags are sorted
+    lg = 2.0 * series.values[doubled] - series.values[j]
+    se = np.sqrt(4.0 * series.stderr[doubled] ** 2 + series.stderr[j] ** 2)
     violated = lg - VIOLATION_SIGMAS * se > 1.0
     return LgSeries(taus, lg, se, violated, meta={"source_kind": series.kind})
 
@@ -134,7 +121,7 @@ def _check_joint(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape[-3:] != (2, 2, 2):
         raise InvalidArgumentError(f"joint must have shape (..., 2, 2, 2), got {p.shape}")
-    if np.any(p < -1e-12):
+    if np.any(p < -ROUNDING_TOL):
         raise InvalidArgumentError("joint has negative entries")
     total = p.sum(axis=_ATOMS)
     off = np.abs(total - 1.0) > 1e-9
@@ -156,19 +143,19 @@ def wigner_despagnat_check(p) -> tuple:
         P(xi=+1, phi=+1) + P(phi=-1, theta=+1) >= P(xi=+1, theta=+1).
 
     lhs - rhs equals the probability of the two atoms (+,+,-) and
-    (-,-,+), so `holds` is true for every valid joint; the 1e-12 slack
-    only absorbs float rounding of the sums.  `p` is one (2,2,2) joint
-    (floats and a bool come back) or a batch (..., 2, 2, 2) (arrays of
-    the batch shape come back).
+    (-,-,+), so `holds` is true for every valid joint; the ROUNDING_TOL
+    slack only absorbs float rounding of the sums.  `p` is one (2,2,2)
+    joint (floats and a bool come back) or a batch (..., 2, 2, 2) (arrays
+    of the batch shape come back).
     """
     p = _check_joint(p)
     lhs = p[..., 0, 0, :].sum(axis=-1) + p[..., :, 1, 0].sum(axis=-1)
     rhs = p[..., 0, :, 0].sum(axis=-1)
     return (_scalar_or_array(lhs), _scalar_or_array(rhs),
-            _scalar_or_array(lhs + 1e-12 >= rhs))
+            _scalar_or_array(lhs + ROUNDING_TOL >= rhs))
 
 
-def strong_additivity_check(p, set_a=None, set_b=None, tol: float = 1e-12):
+def strong_additivity_check(p, set_a=None, set_b=None):
     """Verify P(A) + P(B) = P(A and B) + P(A or B) on an atom measure.
 
     `p` is a (2,2,2) probability table, or a batch (..., 2, 2, 2) of them;
@@ -177,8 +164,8 @@ def strong_additivity_check(p, set_a=None, set_b=None, tol: float = 1e-12):
     identity degenerates to plain additivity).  This is the measure-
     theoretic fact behind `wigner_despagnat_check`: apply it to the
     canonical sets and drop the non-shared atoms to get the inequality.
-    Returns a bool for one joint, a bool array of the batch shape for a
-    batch.
+    The identity must hold to ROUNDING_TOL.  Returns a bool for one
+    joint, a bool array of the batch shape for a batch.
     """
     p = _check_joint(p)
     a = DESPAGNAT_A if set_a is None else np.asarray(set_a, dtype=bool)
@@ -191,4 +178,4 @@ def strong_additivity_check(p, set_a=None, set_b=None, tol: float = 1e-12):
 
     lhs = measure(a) + measure(b)
     rhs = measure(a & b) + measure(a | b)
-    return _scalar_or_array(np.abs(lhs - rhs) <= tol)
+    return _scalar_or_array(np.abs(lhs - rhs) <= ROUNDING_TOL)

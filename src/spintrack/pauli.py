@@ -160,8 +160,8 @@ def gram_matrix(rho: np.ndarray) -> np.ndarray:
     return g
 
 
-def gram_rank(rho: np.ndarray, cutoff: float = GRAM_RANK_CUTOFF) -> int:
-    """Rank of the rotation-response Gram matrix (SVD cutoff 1e-10).
+def gram_rank(rho: np.ndarray) -> int:
+    """Rank of the rotation-response Gram matrix (SVD cutoff GRAM_RANK_CUTOFF).
 
     Counts the independent directions in which local rotations move the
     state: 0 for the maximally mixed state, up to 6 for states carrying
@@ -169,4 +169,4 @@ def gram_rank(rho: np.ndarray, cutoff: float = GRAM_RANK_CUTOFF) -> int:
     SU(2) (x) SU(2), which conjugate G by an orthogonal matrix.
     """
     svals = np.linalg.svd(gram_matrix(rho), compute_uv=False)
-    return int(np.sum(svals > cutoff))
+    return int(np.sum(svals > GRAM_RANK_CUTOFF))

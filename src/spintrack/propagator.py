@@ -64,14 +64,14 @@ def _maxabs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def check_bch_conditions(h: np.ndarray, rho: np.ndarray, tol: float = DEFAULT_TOL) -> BchDecomposition:
+def check_bch_conditions(h: np.ndarray, rho: np.ndarray) -> BchDecomposition:
     """Decompose (H, rho) into the closed commutator structure, if it exists.
 
     The curvature k is obtained by least squares from the proportionality
     [H, [H, B]] = k B (projection of the triple commutator of H with rho
     onto B), then Delta = rho - [H, B]/k.  The decomposition is marked
     invalid when no positive k exists or either residual
-    ||[H,[H,B]] - k B|| or ||[H, Delta]|| exceeds `tol`.
+    ||[H,[H,B]] - k B|| or ||[H, Delta]|| exceeds DEFAULT_TOL.
 
     A commuting pair ([H, rho] = 0) is trivially valid with k = 1 and
     Delta = rho: the propagated state never moves.
@@ -82,28 +82,28 @@ def check_bch_conditions(h: np.ndarray, rho: np.ndarray, tol: float = DEFAULT_TO
         raise InvalidArgumentError(f"H and rho must be equal square matrices, got {h.shape} and {rho.shape}")
 
     b = commutator(h, rho)
-    if _maxabs(b) < tol:
+    if _maxabs(b) < DEFAULT_TOL:
         return BchDecomposition(b, 1.0, rho.copy(), True, 0.0)
 
     d = commutator(h, b)          # k rho - k Delta when the structure closes
     e = commutator(h, d)          # then equals k B
     bb = np.vdot(b, b).real
     k = float(np.vdot(b, e).real / bb)
-    if k <= tol:
+    if k <= DEFAULT_TOL:
         return BchDecomposition(b, k, rho.copy(), False, _maxabs(e))
 
     delta = rho - d / k
     residual = max(_maxabs(e - k * b), _maxabs(commutator(h, delta)))
-    return BchDecomposition(b, k, delta, residual < tol, residual)
+    return BchDecomposition(b, k, delta, residual < DEFAULT_TOL, residual)
 
 
-def bch_evolve(h: np.ndarray, rho: np.ndarray, phi: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+def bch_evolve(h: np.ndarray, rho: np.ndarray, phi: float) -> np.ndarray:
     """Propagate rho -> exp(-i phi H) rho exp(+i phi H) via the closed form.
 
     Raises UnsupportedStateError when the commutator structure of (H, rho)
     does not close, in which case `exact_evolve` is the fallback.
     """
-    dec = check_bch_conditions(h, rho, tol)
+    dec = check_bch_conditions(h, rho)
     if not dec.valid:
         raise UnsupportedStateError(
             f"no closed commutator structure for this (H, rho) pair (residual {dec.residual:.3e})"

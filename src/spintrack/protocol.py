@@ -60,7 +60,6 @@ __all__ = [
     "recurrence_step",
     "recurrence_matrix",
     "damped_cosine",
-    "approx_amplitudes",
 ]
 
 _EYE2 = np.eye(2, dtype=complex)
@@ -239,11 +238,6 @@ class CycleResult:
     sensor_rho: np.ndarray     # 2x2 sensor state right before readout
     zeta: float                # sensor z polarisation tr[sigma_z sensor_rho]
 
-    @property
-    def readout_probabilities(self) -> tuple[float, float]:
-        """(P(+1), P(-1)) of the projective sensor readout."""
-        return (1.0 + self.zeta) / 2.0, (1.0 - self.zeta) / 2.0
-
 
 def measurement_cycle(target_rho: np.ndarray, alpha: float, phi: float) -> CycleResult:
     """One cycle on the full 4x4 composite, averaged over readout outcomes.
@@ -297,10 +291,3 @@ def damped_cosine(alpha: float, phi: float, lags, amplitude) -> np.ndarray:
     """
     n = np.asarray(lags)
     return amplitude * np.cos(phi * n) * np.exp(-(n - 1) * alpha**2 / 4.0)
-
-
-def approx_amplitudes(alpha: float, phi: float, n_cycles: int, amplitude: float = 1.0) -> np.ndarray:
-    """`damped_cosine` on the cycles N = 1..n_cycles."""
-    if n_cycles < 1:
-        raise InvalidArgumentError("n_cycles must be >= 1")
-    return damped_cosine(alpha, phi, np.arange(1, n_cycles + 1), amplitude)

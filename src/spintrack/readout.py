@@ -50,13 +50,14 @@ __all__ = [
     "modulation_trace",
     "run_quantum_experiment",
     "run_classical_experiment",
-    "DEFAULT_ANGLES_DEG",
+    "SWEEP_ANGLES_DEG",
 ]
 
-#: sensor rotation angles of the calibration sweep, degrees
-DEFAULT_ANGLES_DEG = tuple(range(0, 361, 30))
-DEFAULT_SAMPLES_PER_ANGLE = 50
-#: the sweep angle sampled ANCHOR_SAMPLES times instead of samples_per_angle
+#: sensor rotation angles of the calibration sweep, degrees, and the
+#: samples taken at each
+SWEEP_ANGLES_DEG = tuple(range(0, 361, 30))
+SAMPLES_PER_ANGLE = 50
+#: the sweep angle sampled ANCHOR_SAMPLES times instead of SAMPLES_PER_ANGLE
 ANCHOR_ANGLE = 90
 ANCHOR_SAMPLES = 500
 _CSV_BLOCK_ROWS = 4096
@@ -139,13 +140,6 @@ class PhotonTrace:
     @property
     def length(self) -> int:
         return self.counts.shape[1]
-
-    @property
-    def n_measurements(self) -> int:
-        return int(self.counts.size)
-
-    def flat(self) -> np.ndarray:
-        return self.counts.ravel()
 
     def to_csv(self, path) -> None:
         header = {"kind": self.kind, "runs": self.runs, "length": self.length,
@@ -256,24 +250,19 @@ class ModulationTrace:
                 w.writerow([repr(float(a)), int(cval)])
 
 
-def modulation_trace(
-    model: ReadoutModel,
-    rng: np.random.Generator,
-    angles_deg=DEFAULT_ANGLES_DEG,
-    samples_per_angle: int = DEFAULT_SAMPLES_PER_ANGLE,
-) -> ModulationTrace:
-    """Simulate the calibration sweep over sensor rotation angles.
+def modulation_trace(model: ReadoutModel, rng: np.random.Generator) -> ModulationTrace:
+    """Simulate the calibration sweep over the rotation angles SWEEP_ANGLES_DEG.
 
-    Each angle is sampled `samples_per_angle` times (ANCHOR_SAMPLES times
-    at ANCHOR_ANGLE); each measurement sums `model.repetitions`
-    independently re-prepared readouts, see the module docstring.  The
-    per-readout bright probability at angle phi is
-    (1 + sin^2(phi/2 + phi_0)) / 2.
+    The angles are sampled in that order, each SAMPLES_PER_ANGLE times
+    (ANCHOR_SAMPLES times at ANCHOR_ANGLE); each measurement sums
+    `model.repetitions` independently re-prepared readouts, see the
+    module docstring.  The per-readout bright probability at angle phi
+    is (1 + sin^2(phi/2 + phi_0)) / 2.
     """
     all_angles, all_counts = [], []
     reps = model.repetitions
-    for ang in angles_deg:
-        n = ANCHOR_SAMPLES if ang == ANCHOR_ANGLE else samples_per_angle
+    for ang in SWEEP_ANGLES_DEG:
+        n = ANCHOR_SAMPLES if ang == ANCHOR_ANGLE else SAMPLES_PER_ANGLE
         p_bright = 0.5 * (1.0 + np.sin(np.deg2rad(ang) / 2.0 + model.phi_0) ** 2)
         bright = rng.random((n, reps)) < p_bright
         lam = np.where(bright, model.n_a / reps, model.n_b / reps)
@@ -283,7 +272,7 @@ def modulation_trace(
     return ModulationTrace(
         angles_deg=np.concatenate(all_angles),
         counts=np.concatenate(all_counts).astype(np.int64),
-        meta={"model": asdict(model), "samples_per_angle": samples_per_angle,
+        meta={"model": asdict(model), "samples_per_angle": SAMPLES_PER_ANGLE,
               "anchor_angle": ANCHOR_ANGLE, "anchor_samples": ANCHOR_SAMPLES},
     )
 

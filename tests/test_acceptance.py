@@ -39,7 +39,7 @@ from spintrack.pauli import (
 from spintrack.propagator import bch_evolve, exact_evolve
 from spintrack.protocol import (
     ProtocolConfig,
-    approx_amplitudes,
+    damped_cosine,
     measurement_cycle,
     recurrence_step,
 )
@@ -119,7 +119,7 @@ def test_03_damped_cosine_approximation_quality(announce):
     # the only one a faithful recurrence can meet.
     alpha = 0.1 * np.pi
     amp = np.sin(alpha)
-    approx = approx_amplitudes(alpha, PHI_27, 50, amplitude=amp)
+    approx = damped_cosine(alpha, PHI_27, np.arange(1, 51), amp)
     exact = amp * _exact_unit_x(alpha, PHI_27, 50)
     gap = np.abs(np.asarray(approx) - exact).max()
     ok = gap <= 0.02
@@ -275,7 +275,7 @@ def test_09_three_variable_joint_inequality_oracle(announce):
         masks_a.append(rng.integers(0, 2, size=8).astype(bool).reshape(2, 2, 2))
         masks_b.append(rng.integers(0, 2, size=8).astype(bool).reshape(2, 2, 2))
     additivity_ok = bool(np.all(strong_additivity_check(
-        np.stack(joints), set_a=np.stack(masks_a), set_b=np.stack(masks_b), tol=1e-12)))
+        np.stack(joints), set_a=np.stack(masks_a), set_b=np.stack(masks_b))))
     ok = violations == 0 and additivity_ok
     announce(9, "1e6 random joints: inequality + strong additivity", ok,
              f"{violations} violations, additivity ok={additivity_ok}, {dt:.1f}s")

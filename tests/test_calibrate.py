@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spintrack.calibrate import (
+    MAX_GAIN,
     FitResult,
     fit_alpha,
     fit_alpha_modulated,
@@ -134,8 +135,6 @@ def test_reconstruct_estimator_validation():
     with pytest.raises(InvalidArgumentError):
         reconstruct_Sz_corr(PhotonTrace(counts, kind="quantum", first_lag=1), MODEL)
     with pytest.raises(InvalidArgumentError):
-        reconstruct_Sz_corr(PhotonTrace(counts, kind="quantum"), MODEL, estimator="median")
-    with pytest.raises(InvalidArgumentError):
         reconstruct_Sz_corr(PhotonTrace(counts, kind="quantum"), MODEL, max_lag=9)
     with pytest.raises(DegenerateContrastError):
         reconstruct_Sz_corr(
@@ -170,8 +169,12 @@ def test_reconstruct_Ix_amplification_guards():
     long = corr_Sz(0.3, 0.5, 400)
     with pytest.raises(AmplificationError):
         reconstruct_Ix_corr(long, 0.3, undo_decay=True)  # tail gain explodes
-    # raising the ceiling makes the same call legal
-    reconstruct_Ix_corr(long, 0.3, undo_decay=True, max_gain=1e6)
+    # the ceiling is MAX_GAIN: the longest series whose tail gain stays below it passes
+    gains = np.exp((long.lags - 1) * 0.3**2 / 4.0) / np.sin(0.3) ** 2
+    last_ok = int(long.lags[gains <= MAX_GAIN].max())
+    reconstruct_Ix_corr(corr_Sz(0.3, 0.5, last_ok), 0.3, undo_decay=True)
+    with pytest.raises(AmplificationError):
+        reconstruct_Ix_corr(corr_Sz(0.3, 0.5, last_ok + 1), 0.3, undo_decay=True)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +244,18 @@ def test_fit_alpha_leaves_out_an_inf_stderr_lag():
     assert fit.n_points == 19
     with pytest.raises(InvalidArgumentError, match="finite stderr"):
         fit_alpha(CorrelationSeries(base.lags, values, np.full(20, np.inf)), phi)
+
+
+def test_fit_alpha_weighting_follows_the_stderr_not_its_value():
+    """Unit stderrs are errors like any other: the fit must not take them
+    for a model series and rescale its stderr by the residual."""
+    alpha, phi = 0.5655, 1.0472
+    rng = np.random.default_rng(24)
+    base = corr_Sz(alpha, phi, 24)
+    values = base.values + 0.01 * rng.standard_normal(24)
+    unit = fit_alpha(CorrelationSeries(base.lags, values, np.ones(24)), phi)
+    near = fit_alpha(CorrelationSeries(base.lags, values, np.full(24, 1.0 + 1e-12)), phi)
+    assert unit.stderr["alpha"] == pytest.approx(near.stderr["alpha"], rel=1e-6)
 
 
 def test_fit_alpha_closed_loop_on_outcomes():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -6,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import spintrack
 from spintrack.calibrate import fit_alpha
 from spintrack.cli import main
 from spintrack.correlation import corr_Sz
@@ -374,11 +376,15 @@ def test_argparse_usage_error_exits_2():
 def test_console_script_entry_point(tmp_path):
     cfg = quantum_config(tmp_path, runs=50)
     out = tmp_path / "script"
+    # the child imports the package this suite imports, installed or not
+    src = os.path.dirname(os.path.dirname(spintrack.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "spintrack.cli", "simulate", "--config", cfg,
          "--out", str(out)],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "trace.csv").exists()
@@ -401,8 +407,12 @@ def _series_lines(tmp_path):
     lambda lines: lines.__setitem__(6, "7,0.1,nope,Ix\r\n"),
     lambda lines: lines.insert(3, "\r\n"),
     lambda lines: lines.clear(),
+    lambda lines: lines.__setitem__(3, "2" + lines[3][1:]),
+    lambda lines: lines.__setitem__(slice(1, None), lines[:0:-1]),
+    lambda lines: lines.insert(1, "0,0.9,0.01,Ix\r\n"),
 ], ids=["value_abc", "header_val", "row_without_kind", "float_lag", "fifth_field",
-        "stderr_nope", "blank_line", "empty_file"])
+        "stderr_nope", "blank_line", "empty_file", "duplicated_lag", "decreasing_lags",
+        "lag_0"])
 def test_malformed_correlation_exits_2(tmp_path, capsys, corrupt):
     path, lines = _series_lines(tmp_path)
     cfg = quantum_config(tmp_path)

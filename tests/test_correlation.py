@@ -133,12 +133,15 @@ def test_estimators_agree_on_stationary_noise(rng):
 
 def test_series_value_at_and_validation():
     series = CorrelationSeries(np.array([1, 2, 3]), np.array([0.5, 0.2, 0.1]), np.zeros(3))
-    v, e = series.value_at(2)
-    assert v == 0.2 and e == 0.0
-    with pytest.raises(KeyError):
-        series.value_at(7)
+    # the lags are sorted, so lag N sits at position searchsorted(lags, N)
+    i = np.searchsorted(series.lags, 2)
+    assert (series.values[i], series.stderr[i]) == (0.2, 0.0)
     with pytest.raises(InvalidArgumentError):
         CorrelationSeries(np.array([1, 2]), np.array([0.5]), np.zeros(2))
+    # the series owns its lag order: strictly increasing integers >= 1
+    for lags in ([1, 2, 2], [3, 2, 1], [0, 1, 2], [-1, 1, 2], [1.0, 1.5, 2.0], [[1, 2, 3]]):
+        with pytest.raises(InvalidArgumentError, match="strictly increasing"):
+            CorrelationSeries(np.array(lags), np.zeros(np.shape(lags)), np.zeros(np.shape(lags)))
 
 
 def test_series_csv_roundtrip(tmp_path):

@@ -49,6 +49,18 @@ def test_lg_function_values_and_errors():
     for i, tau in enumerate(out.taus):
         assert out.lg[i] == pytest.approx(2 * 0.9**tau - 0.9 ** (2 * tau), abs=1e-12)
         assert out.stderr[i] == pytest.approx(np.sqrt(4 * 0.01**2 + 0.01**2), abs=1e-12)
+    # lags with gaps: the same numbers as a lag-by-lag loop, bit for bit
+    rng = np.random.default_rng(41)
+    lags = np.array([1, 2, 3, 5, 6, 7, 10, 12, 14, 20, 24, 31])
+    values, se = rng.normal(size=12), rng.uniform(0.01, 0.1, 12)
+    at = {int(lag): i for i, lag in enumerate(lags)}
+    want = [(t, 2.0 * values[i] - values[at[2 * t]],
+             np.sqrt(4.0 * se[i] ** 2 + se[at[2 * t]] ** 2))
+            for t, i in at.items() if 2 * t in at]
+    out = lg_function(CorrelationSeries(lags, values, se))
+    assert [t for t, _, _ in want] == out.taus.tolist() == [1, 3, 5, 6, 7, 10, 12]
+    assert np.array_equal([v for _, v, _ in want], out.lg)
+    assert np.array_equal([e for _, _, e in want], out.stderr)
 
 
 def test_lg_function_violation_flag_is_three_sigma():
@@ -56,10 +68,9 @@ def test_lg_function_violation_flag_is_three_sigma():
     values = np.array([0.9, 0.4, 0.0, 0.0])  # lg(1) = 1.4, lg(2) = 0.8
     tight = lg_function(CorrelationSeries(lags, values, np.full(4, 0.01)))
     assert tight.violated[0] and not tight.violated[1]
-    assert tight.any_violation
-    assert tight.violations.tolist() == [0]
+    assert tight.violated.tolist() == [True, False]
     loose = lg_function(CorrelationSeries(lags, values, np.full(4, 0.5)))
-    assert not loose.any_violation
+    assert not loose.violated.any()
 
 
 def test_lg_function_needs_a_doubled_lag():

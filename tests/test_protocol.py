@@ -9,7 +9,6 @@ from spintrack.protocol import (
     ProtocolConfig,
     _conditioned_bloch_update,
     alpha_from_pulses,
-    approx_amplitudes,
     damped_cosine,
     dephasing_rates,
     generate_initial_state,
@@ -32,9 +31,9 @@ def test_first_cycle_sensor_polarisation():
     assert res.zeta == pytest.approx(np.sin(ALPHA) * np.cos(PHI), abs=1e-12)
     # frozen value for these exact parameters
     assert res.zeta == pytest.approx(0.477425170161229, abs=1e-12)
-    p_plus, p_minus = res.readout_probabilities
-    assert p_plus + p_minus == pytest.approx(1.0)
-    assert p_plus - p_minus == pytest.approx(res.zeta)
+    # the readout probabilities (1 +- zeta)/2 are the sensor state's diagonal
+    assert res.sensor_rho[0, 0].real == pytest.approx((1.0 + res.zeta) / 2.0, abs=1e-12)
+    assert res.sensor_rho[1, 1].real == pytest.approx((1.0 - res.zeta) / 2.0, abs=1e-12)
 
 
 def test_mixed_target_gives_no_signal():
@@ -111,18 +110,6 @@ def test_protocol_config_validation():
         ProtocolConfig(alpha=0.3, phi=np.inf, cycles=1)
 
 
-def test_approx_amplitudes_is_damped_cosine():
-    alpha = 0.05 * np.pi
-    want = damped_cosine(alpha, PHI, np.arange(1, 61), np.sin(alpha))
-    assert np.array_equal(approx_amplitudes(alpha, PHI, 60, amplitude=np.sin(alpha)), want)
-    # a per-lag amplitude multiplies lag by lag
-    amps = np.linspace(0.5, 1.0, 60)
-    assert np.allclose(damped_cosine(alpha, PHI, np.arange(1, 61), amps),
-                       amps * approx_amplitudes(alpha, PHI, 60), rtol=1e-14, atol=0)
-    with pytest.raises(InvalidArgumentError):
-        approx_amplitudes(0.1, PHI, 0)
-
-
 def test_approx_tracks_recurrence_at_weak_coupling():
     alpha = 0.05 * np.pi
     x, y = np.sin(alpha), 0.0
@@ -130,7 +117,7 @@ def test_approx_tracks_recurrence_at_weak_coupling():
     for _ in range(50):
         x, y = recurrence_step(x, y, alpha, PHI)
         exact.append(x)
-    approx = approx_amplitudes(alpha, PHI, 50, amplitude=np.sin(alpha))
+    approx = damped_cosine(alpha, PHI, np.arange(1, 51), np.sin(alpha))
     assert np.max(np.abs(approx - exact)) < 0.015
 
 
