@@ -32,7 +32,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .protocol import damped_cosine
-from .readout import ModulationTrace, PhotonTrace, ReadoutModel
+from .readout import ModulationTrace, PhotonTrace, ReadoutModel, sweep_fraction
 
 __all__ = [
     "FitResult",
@@ -135,7 +135,7 @@ def fit_na_nb(trace: ModulationTrace) -> FitResult:
 
     The per-angle means of `trace` follow
 
-        n(k) = a + b sin^2(phi_k/2 + phi_0),  a = (n_a+n_b)/2, b = (n_a-n_b)/2
+        n(k) = a + b sweep_fraction(phi_k, phi_0),  a = (n_a+n_b)/2, b = (n_a-n_b)/2
 
     which is linear in (a, b) at fixed phi_0; the fit profiles the
     weighted linear solution over phi_0 with a bounded scalar search.
@@ -144,10 +144,9 @@ def fit_na_nb(trace: ModulationTrace) -> FitResult:
     """
     xs, m, se = _angle_groups(trace.angles_deg, trace.counts)
     w = 1.0 / se**2
-    half = np.deg2rad(xs) / 2.0
 
     def solve(phi0):
-        design = np.column_stack([np.ones_like(half), np.sin(half + phi0) ** 2])
+        design = np.column_stack([np.ones_like(xs), sweep_fraction(xs, phi0)])
         lhs = design.T @ (w[:, None] * design)
         coef = np.linalg.solve(lhs, design.T @ (w * m))
         r = m - design @ coef

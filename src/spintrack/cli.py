@@ -27,8 +27,10 @@ keys, so repeated invocations produce byte-identical artifacts.  The
 --workers flag and the workers key are accepted and ignored: sampling
 runs in one process.
 
-Exit codes: 0 success, 2 configuration/argument error, 3 fit failure
-(including noise amplification), 4 degenerate contrast.
+Exit codes: 0 success, otherwise the `exit_code` of the raised
+`spintrack.errors` class (2 configuration/argument error, 3 fit failure
+including noise amplification, 4 degenerate contrast); unreadable JSON,
+text or files exit 2 too.
 
 The modulated classical kind is a calibration variant — `report` stops
 after the joint (n_a, n_b, alpha) fit for it, because the Leggett-Garg
@@ -47,14 +49,7 @@ import numpy as np
 from . import calibrate as cal
 from . import readout as ro
 from .correlation import CorrelationSeries
-from .errors import (
-    AmbiguousRegimeError,
-    AmplificationError,
-    DegenerateContrastError,
-    FitFailureError,
-    InvalidArgumentError,
-    UnsupportedStateError,
-)
+from .errors import AmplificationError, InvalidArgumentError, SpintrackError
 from .lg import lg_function
 from .protocol import ProtocolConfig
 
@@ -364,16 +359,9 @@ def main(argv=None) -> int:
         settings = read_config(args)
         os.makedirs(args.out, exist_ok=True)
         cal.write_json(os.path.join(args.out, "summary.json"), args.func(args, settings))
-    except (InvalidArgumentError, UnsupportedStateError, AmbiguousRegimeError,
-            json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+    except (SpintrackError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 2
-    except (FitFailureError, AmplificationError) as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 3
-    except DegenerateContrastError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 4
+        return getattr(exc, "exit_code", 2)
     return 0
 
 

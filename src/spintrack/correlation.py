@@ -24,8 +24,10 @@ eigenvalues would carry an extra factor 1/4):
     readout correlator       C_Sz(N)  = sin(alpha) x_N
                                      ~= sin^2(alpha) cos(phi N) e^{-(N-1) alpha^2/4}
 
-`corr_Ix`, `corr_Ix_normalized`, `corr_Sz` and `entropy_Sz_Ix` return
-the approximate forms, all evaluated by `protocol.damped_cosine`.
+`corr_Sz` (the readout model that `calibrate.fit_alpha` fits) and
+`entropy_Sz_Ix` return the approximate forms, both evaluated by
+`protocol.damped_cosine`; the model C_Ix is that function with amplitude
+sin(alpha), or 1 for its unit-amplitude normalisation.
 
 Empirical estimators all reduce a record with `lag_products`, as does
 `calibrate.reconstruct_Sz_corr` on photon counts.  'time-average' is the
@@ -50,8 +52,6 @@ from .protocol import damped_cosine
 __all__ = [
     "CorrelationSeries",
     "joint_distribution",
-    "corr_Ix",
-    "corr_Ix_normalized",
     "corr_Sz",
     "lag_products",
     "empirical_corr",
@@ -97,18 +97,25 @@ class CorrelationSeries:
     @classmethod
     def from_csv(cls, path) -> "CorrelationSeries":
         """Read what `to_csv` writes: the header lag,value,stderr,kind, then
-        rows of an int lag, two floats and a kind; anything else raises
-        InvalidArgumentError naming the file."""
+        rows of an int lag, a finite value, a stderr >= 0 (inf for a lag
+        with a single product) and the first row's kind; anything else
+        raises InvalidArgumentError naming the file."""
         lags, vals, errs, kind = [], [], [], "empirical"
         with open(path, newline="") as fh:
             rows = csv.reader(fh)
             try:
                 if next(rows, None) != ["lag", "value", "stderr", "kind"]:
                     raise ValueError("the header must be lag,value,stderr,kind")
-                for lag, value, err, kind in rows:  # a row of other than 4 fields raises
+                for lag, value, err, row_kind in rows:  # a row of other than 4 fields raises
                     lags.append(int(lag))
                     vals.append(float(value))
                     errs.append(float(err))
+                    if not (np.isfinite(vals[-1]) and errs[-1] >= 0):  # a nan stderr fails too
+                        raise ValueError(f"need a finite value and a stderr >= 0, got {value}, {err}")
+                    if len(lags) == 1:
+                        kind = row_kind
+                    if row_kind != kind:
+                        raise ValueError(f"kind {row_kind!r} differs from the first row's {kind!r}")
                 return cls(np.array(lags), np.array(vals), np.array(errs), kind=kind)
             except (ValueError, csv.Error) as exc:
                 raise InvalidArgumentError(f"{path} line {rows.line_num}: {exc}") from None
@@ -131,31 +138,6 @@ def _lag_array(max_lag: int) -> np.ndarray:
     if max_lag < 1:
         raise InvalidArgumentError("max_lag must be >= 1")
     return np.arange(1, max_lag + 1)
-
-
-def corr_Ix(alpha: float, phi: float, max_lag: int) -> CorrelationSeries:
-    """Model target-spin correlator C_Ix(N) = x_N for N = 1..max_lag.
-
-    Uses the weak-measurement approximation
-    x_N ~= sin(alpha) cos(phi N) e^{-(N-1) alpha^2/4}, which is off by
-    O(alpha^2); the exact x_N comes from iterating
-    `protocol.recurrence_step`.
-    """
-    n = _lag_array(max_lag)
-    vals = damped_cosine(alpha, phi, n, np.sin(alpha))
-    return CorrelationSeries(n, vals, np.zeros_like(vals), kind="Ix-model")
-
-
-def corr_Ix_normalized(alpha: float, phi: float, max_lag: int, undo_decay: bool = False) -> CorrelationSeries:
-    """C_Ix scaled to unit initial amplitude, optionally with decay removed.
-
-    Without decay removal: cos(phi N) e^{-(N-1) alpha^2/4}; with it the
-    pure precession cos(phi N), the form whose two-time combinations reach
-    the Leggett-Garg maximum 3/2.
-    """
-    n = _lag_array(max_lag)
-    vals = np.cos(phi * n) if undo_decay else damped_cosine(alpha, phi, n, 1.0)
-    return CorrelationSeries(n, vals, np.zeros_like(vals), kind="Ix-normalized")
 
 
 def corr_Sz(alpha: float, phi: float, max_lag: int) -> CorrelationSeries:

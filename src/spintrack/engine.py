@@ -63,14 +63,6 @@ class RunBatch:
     signs: np.ndarray
     first_lag: int
 
-    @property
-    def runs(self) -> int:
-        return self.outcomes.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.outcomes.shape[1]
-
 
 def _draw_outcomes(rng, zetas) -> np.ndarray:
     """+-1 readout outcomes, +1 with probability (1 + zeta) / 2."""

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes (see `spintrack.cli`):
-configuration / argument problems exit with 2, fit failures with 3 and
-degenerate data (no usable contrast) with 4.
+Each class carries the process exit code `spintrack.cli` returns for it
+as `exit_code`: 2 for a configuration or argument problem, 3 for a fit
+failure (including noise amplification) and 4 for degenerate data (no
+usable contrast).
 """
 
 __all__ = ["SpintrackError", "InvalidArgumentError", "UnsupportedStateError",
@@ -12,6 +13,8 @@ __all__ = ["SpintrackError", "InvalidArgumentError", "UnsupportedStateError",
 
 class SpintrackError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class InvalidArgumentError(SpintrackError, ValueError):
@@ -29,10 +32,16 @@ class AmbiguousRegimeError(SpintrackError):
 class DegenerateContrastError(SpintrackError):
     """Bright and dark photon levels are too close to normalise correlations."""
 
+    exit_code = 4
+
 
 class FitFailureError(SpintrackError):
     """A least-squares fit did not converge or returned unusable parameters."""
 
+    exit_code = 3
+
 
 class AmplificationError(SpintrackError):
     """Undoing the measurement-induced decay would amplify noise beyond the allowed gain."""
+
+    exit_code = 3

@@ -5,8 +5,10 @@ The temporal test works on a lag-indexed correlation series C(N):
     LG(tau) = 2 C(tau) - C(2 tau)
 
 is bounded by 1 for any macrorealistic (classical, non-invasively
-measurable) process, while a coherently precessing spin reaches 1.5 at
-phase pi/3 per lag.  Violation is declared at 3 standard errors above 1.
+measurable) process, while a coherently precessing spin, C(N) =
+A cos(phi N), reaches 1.5 A at phase pi/3 per lag: any A < 2/3 stays
+below the bound, which is why the sin^2(alpha) normalisation step
+decides the verdict.  Violation is declared at 3 standard errors above 1.
 
 The oracles operate on joint distributions of three +-1 variables on one
 probability space (axis order (xi, phi, theta), index 0 <-> value +1):
@@ -18,7 +20,7 @@ which is why a violation in the temporal data rules such a joint out.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .errors import InvalidArgumentError
 __all__ = [
     "LgSeries",
     "lg_function",
-    "lg_theory",
     "wigner_despagnat_check",
     "strong_additivity_check",
     "DESPAGNAT_A",
@@ -42,21 +43,16 @@ ROUNDING_TOL = 1e-12
 
 @dataclass
 class LgSeries:
-    """LG(tau) over a set of integer lags, with the 3-sigma violation flags."""
+    """LG(tau) over a set of integer lags, as `lg_function` builds it."""
 
     taus: np.ndarray
     lg: np.ndarray
     stderr: np.ndarray
-    violated: np.ndarray
-    meta: dict = field(default_factory=dict, repr=False)
 
-    def __post_init__(self):
-        self.taus = np.asarray(self.taus, dtype=int)
-        self.lg = np.asarray(self.lg, dtype=float)
-        self.stderr = np.asarray(self.stderr, dtype=float)
-        self.violated = np.asarray(self.violated, dtype=bool)
-        if not (self.taus.shape == self.lg.shape == self.stderr.shape == self.violated.shape):
-            raise InvalidArgumentError("taus, lg, stderr and violated must have equal shapes")
+    @property
+    def violated(self) -> np.ndarray:
+        """The 3-sigma flags lg - 3 stderr > 1; exact where the stderr is 0."""
+        return self.lg - VIOLATION_SIGMAS * self.stderr > 1.0
 
     @property
     def max_lg(self) -> float:
@@ -74,9 +70,9 @@ def lg_function(series: CorrelationSeries) -> LgSeries:
     """Evaluate LG(tau) = 2 C(tau) - C(2 tau) wherever both lags exist.
 
     Lags whose doubled partner is missing are dropped (no extrapolation).
-    stderr adds in quadrature, sqrt(4 se_tau^2 + se_2tau^2); the flag is
-    lg - 3 stderr > 1, so an analytic series (zero errors) is flagged
-    exactly where it exceeds the bound.
+    stderr adds in quadrature, sqrt(4 se_tau^2 + se_2tau^2); the flag
+    `LgSeries.violated` is lg - 3 stderr > 1, so an analytic series (zero
+    errors) is flagged exactly where it exceeds the bound.
     """
     lags = series.lags
     doubled = np.isin(2 * lags, lags)
@@ -86,23 +82,7 @@ def lg_function(series: CorrelationSeries) -> LgSeries:
     j = np.searchsorted(lags, 2 * taus)  # the lags are sorted
     lg = 2.0 * series.values[doubled] - series.values[j]
     se = np.sqrt(4.0 * series.stderr[doubled] ** 2 + series.stderr[j] ** 2)
-    violated = lg - VIOLATION_SIGMAS * se > 1.0
-    return LgSeries(taus, lg, se, violated, meta={"source_kind": series.kind})
-
-
-def lg_theory(phi: float, taus, amplitude: float = 1.0) -> LgSeries:
-    """Analytic LG for an undamped cosine correlation A cos(phi N).
-
-    The unit-amplitude maximum over continuous phase is 1.5 at
-    phi*tau = pi/3; any A < 2/3 stays below the bound everywhere, which
-    is why the sin^2(alpha) normalisation step decides the verdict.
-    """
-    taus = np.asarray(taus, dtype=int)
-    if np.any(taus < 1):
-        raise InvalidArgumentError("taus must be >= 1")
-    lg = amplitude * (2.0 * np.cos(phi * taus) - np.cos(2.0 * phi * taus))
-    se = np.zeros_like(lg)
-    return LgSeries(taus, lg, se, lg > 1.0, meta={"phi": phi, "amplitude": amplitude})
+    return LgSeries(taus, lg, se)
 
 
 # ---------------------------------------------------------------------------

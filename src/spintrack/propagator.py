@@ -36,7 +36,6 @@ __all__ = [
     "check_bch_conditions",
     "bch_evolve",
     "exact_evolve",
-    "master_equation_step",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -127,22 +126,3 @@ def exact_evolve(h: np.ndarray, rho: np.ndarray, phi: float) -> np.ndarray:
     u = v @ np.diag(np.exp(-1j * phi * w)) @ v.conj().T
     return u @ rho @ u.conj().T
 
-
-def master_equation_step(h: np.ndarray, rho: np.ndarray, alpha: float) -> np.ndarray:
-    """One discrete update written in master-equation (commutator) form:
-
-        rho' = rho - 2i sin(alpha) [H, rho] - 4 (1 - cos(alpha)) [H, [H, rho]]
-
-    This is algebraically identical to bch_evolve(h, rho, 2*alpha) for a
-    Hamiltonian normalised so that the curvature is k = 1/4 (e.g. the bare
-    sensor-target coupling S_z (x) I_x), obtained by substituting
-    Delta = rho - [H, [H, rho]]/k into the closed form.  It is exposed
-    separately because the increment form is convenient for weak-coupling
-    expansions.
-    """
-    b = commutator(h, rho)
-    return (
-        np.asarray(rho, dtype=complex)
-        - 2j * np.sin(alpha) * b
-        - 4.0 * (1.0 - np.cos(alpha)) * commutator(h, b)
-    )

@@ -24,7 +24,9 @@ other in the test-suite, do not collapse them.
 
 On an initially mixed target the very first measurement polarises it to
 (+-sin(alpha), 0, 0) with equal probability for the two readout outcomes
-— the protocol generates its own initial state.
+— the protocol generates its own initial state.  That state is
+`_conditioned_bloch_update(0, 0, alpha, sign)`, and `spintrack.engine`
+draws it as each run's polarising measurement.
 
 `damped_cosine` is the weak-measurement approximation of the iterated
 recurrence, amplitude * cos(phi N) exp(-(N-1) alpha^2/4); it is the one
@@ -55,7 +57,6 @@ __all__ = [
     "alpha_from_pulses",
     "precession_frequencies",
     "dephasing_rates",
-    "generate_initial_state",
     "measurement_cycle",
     "recurrence_step",
     "recurrence_matrix",
@@ -204,30 +205,15 @@ class ProtocolConfig:
 def _conditioned_bloch_update(x: float, y: float, alpha: float, outcome: int) -> tuple[float, float]:
     """Target Bloch vector conditioned on a readout outcome (+1 or -1).
 
-    Used only to cross-check `generate_initial_state` against the explicit
-    Kraus route; the simulation pipeline deliberately propagates the
-    outcome-averaged map (see module docstring of `spintrack.engine`).
+    (x, y) is the precessed state the interaction acts on; the outcome
+    has probability (1 + outcome x sin(alpha)) / 2.  The test-suite checks
+    it against the Kraus route (sensor projectors on the composite of
+    `measurement_cycle`).  The simulation pipeline deliberately propagates
+    the outcome-averaged map (see module docstring of `spintrack.engine`).
     """
     s = np.sin(alpha)
     p = 1.0 + outcome * x * s
     return (x + outcome * s) / p, y * np.cos(alpha) / p
-
-
-def generate_initial_state(alpha: float, rng: np.random.Generator | None = None, sign: int | None = None):
-    """Polarise an initially mixed target with one measurement.
-
-    Returns (sign, bloch) where sign = +-1 is the readout outcome of the
-    polarising measurement (fair coin on the mixed state) and
-    bloch = (sign * sin(alpha), 0, 0) the conditioned target state.
-    Pass `sign` to make the choice deterministic.
-    """
-    if sign is None:
-        if rng is None:
-            raise InvalidArgumentError("provide either rng or an explicit sign")
-        sign = 1 if rng.random() < 0.5 else -1
-    if sign not in (-1, 1):
-        raise InvalidArgumentError(f"sign must be +1 or -1, got {sign}")
-    return sign, np.array([sign * np.sin(alpha), 0.0, 0.0])
 
 
 @dataclass

@@ -22,7 +22,9 @@ The mean count under sensor rotation by angle phi_k is
 
     n(k) = (n_a + n_b)/2 + (n_a - n_b)/2 * sin^2(phi_k/2 + phi_0)
 
-with a small instrumental offset phi_0.
+with a small instrumental offset phi_0; `sweep_fraction` is the one
+definition of the sin^2 term, which both `modulation_trace` and
+`calibrate.fit_na_nb` evaluate.
 
 Charge state: a fraction 1 - p_minus of the measurement pulses leaves the
 sensor in its neutral charge state, drawn independently per pulse.  Those
@@ -47,6 +49,7 @@ __all__ = [
     "ChargeModel",
     "PhotonTrace",
     "ModulationTrace",
+    "sweep_fraction",
     "modulation_trace",
     "run_quantum_experiment",
     "run_classical_experiment",
@@ -91,11 +94,6 @@ class ReadoutModel:
     @property
     def contrast(self) -> float:
         return self.n_a - self.n_b
-
-    def mean_count(self, angle_deg) -> np.ndarray:
-        """Mean count n(k) for sensor rotation angle(s) in degrees."""
-        half = np.deg2rad(np.asarray(angle_deg, dtype=float)) / 2.0
-        return self.n_av + 0.5 * self.contrast * np.sin(half + self.phi_0) ** 2
 
 
 @dataclass
@@ -250,6 +248,11 @@ class ModulationTrace:
                 w.writerow([repr(float(a)), int(cval)])
 
 
+def sweep_fraction(angle_deg, phi_0: float):
+    """sin^2(phi/2 + phi_0) at sensor rotation angle(s) phi in degrees."""
+    return np.sin(np.deg2rad(angle_deg) / 2.0 + phi_0) ** 2
+
+
 def modulation_trace(model: ReadoutModel, rng: np.random.Generator) -> ModulationTrace:
     """Simulate the calibration sweep over the rotation angles SWEEP_ANGLES_DEG.
 
@@ -257,13 +260,13 @@ def modulation_trace(model: ReadoutModel, rng: np.random.Generator) -> Modulatio
     (ANCHOR_SAMPLES times at ANCHOR_ANGLE); each measurement sums
     `model.repetitions` independently re-prepared readouts, see the
     module docstring.  The per-readout bright probability at angle phi
-    is (1 + sin^2(phi/2 + phi_0)) / 2.
+    is (1 + sweep_fraction(phi, phi_0)) / 2.
     """
     all_angles, all_counts = [], []
     reps = model.repetitions
     for ang in SWEEP_ANGLES_DEG:
         n = ANCHOR_SAMPLES if ang == ANCHOR_ANGLE else SAMPLES_PER_ANGLE
-        p_bright = 0.5 * (1.0 + np.sin(np.deg2rad(ang) / 2.0 + model.phi_0) ** 2)
+        p_bright = 0.5 * (1.0 + sweep_fraction(ang, model.phi_0))
         bright = rng.random((n, reps)) < p_bright
         lam = np.where(bright, model.n_a / reps, model.n_b / reps)
         counts = rng.poisson(lam).sum(axis=1)

@@ -25,6 +25,7 @@ from spintrack.readout import (
     ReadoutModel,
     modulation_trace,
     run_classical_experiment,
+    sweep_fraction,
 )
 
 MODEL = ReadoutModel(n_a=1200.0, n_b=600.0, phi_0=0.02, repetitions=200)
@@ -42,7 +43,7 @@ def _counts_from_outcomes(outcomes, model):
 def test_fit_na_nb_noiseless_recovery():
     angles = np.repeat(np.arange(0.0, 361.0, 30.0), 2)
     truth = ReadoutModel(n_a=1200.0, n_b=600.0, phi_0=0.02)
-    counts = truth.mean_count(angles)
+    counts = truth.n_av + 0.5 * truth.contrast * sweep_fraction(angles, truth.phi_0)
     fit = fit_na_nb(ModulationTrace(angles, counts))
     assert fit["n_a"] == pytest.approx(1200.0, abs=1e-5)
     assert fit["n_b"] == pytest.approx(600.0, abs=1e-5)

@@ -8,9 +8,18 @@ import numpy as np
 import pytest
 
 import spintrack
+from spintrack import cli
 from spintrack.calibrate import fit_alpha
 from spintrack.cli import main
 from spintrack.correlation import corr_Sz
+from spintrack.errors import (
+    AmbiguousRegimeError,
+    AmplificationError,
+    DegenerateContrastError,
+    FitFailureError,
+    InvalidArgumentError,
+    UnsupportedStateError,
+)
 
 ALPHA = 0.18 * np.pi
 PHI = np.pi / 3
@@ -313,6 +322,9 @@ def test_single_product_lag_has_inf_stderr(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["report", "--config", cfg, "--out", str(out)]) == 0
+        # `lgtest` reads an inf stderr back
+        assert main(["lgtest", "--config", cfg, "--out", str(tmp_path / "lg"),
+                     "--corr", str(out / "corr_ix.csv")]) == 0
     for name in ("corr_sz.csv", "corr_ix.csv"):
         last = (out / name).read_text().splitlines()[-1].split(",")
         assert last[0] == "19" and last[2] == "inf", name
@@ -367,6 +379,19 @@ def test_degenerate_contrast_exits_4(tmp_path, capsys):
     assert "DegenerateContrastError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("error, code", [
+    (InvalidArgumentError, 2), (UnsupportedStateError, 2), (AmbiguousRegimeError, 2),
+    (FitFailureError, 3), (AmplificationError, 3), (DegenerateContrastError, 4)])
+def test_each_error_class_owns_its_exit_code(tmp_path, capsys, monkeypatch, error, code):
+    def fail(args, settings):
+        raise error("probe")
+
+    monkeypatch.setattr(cli, "cmd_lgtest", fail)
+    cfg = quantum_config(tmp_path)
+    assert main(["lgtest", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == f"error[{error.__name__}]: probe\n"
+
+
 def test_argparse_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # --config is required
@@ -410,9 +435,14 @@ def _series_lines(tmp_path):
     lambda lines: lines.__setitem__(3, "2" + lines[3][1:]),
     lambda lines: lines.__setitem__(slice(1, None), lines[:0:-1]),
     lambda lines: lines.insert(1, "0,0.9,0.01,Ix\r\n"),
+    lambda lines: lines.__setitem__(2, "2,nan,0.01,Ix\r\n"),
+    lambda lines: lines.__setitem__(2, "2,-inf,0.01,Ix\r\n"),
+    lambda lines: lines.__setitem__(2, "2,0.3,nan,Ix\r\n"),
+    lambda lines: lines.__setitem__(2, "2,0.3,-0.01,Ix\r\n"),
+    lambda lines: lines.__setitem__(4, "4,0.1,0.01,Sz\r\n"),
 ], ids=["value_abc", "header_val", "row_without_kind", "float_lag", "fifth_field",
         "stderr_nope", "blank_line", "empty_file", "duplicated_lag", "decreasing_lags",
-        "lag_0"])
+        "lag_0", "nan_value", "inf_value", "nan_stderr", "negative_stderr", "kind_changes"])
 def test_malformed_correlation_exits_2(tmp_path, capsys, corrupt):
     path, lines = _series_lines(tmp_path)
     cfg = quantum_config(tmp_path)

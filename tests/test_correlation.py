@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from spintrack.correlation import (
     CorrelationSeries,
-    corr_Ix,
-    corr_Ix_normalized,
     corr_Sz,
     empirical_corr,
     ensemble_corr,
@@ -16,6 +14,7 @@ from spintrack.correlation import (
     relative_entropy,
 )
 from spintrack.errors import InvalidArgumentError
+from spintrack.protocol import damped_cosine
 
 
 def test_joint_distribution_marginals():
@@ -37,18 +36,17 @@ def test_joint_distribution_bounds():
 
 
 def test_model_series_identities():
+    """C_Sz is sin^2(alpha) times the unit-amplitude damped cosine, and
+    sin(alpha) times the model C_Ix; undoing the decay is checked in
+    test_calibrate.py::test_reconstruct_Ix_inverts_model."""
     alpha, phi, n = 0.45, 0.9, 25
     sz = corr_Sz(alpha, phi, n)
-    ix = corr_Ix(alpha, phi, n)
-    norm = corr_Ix_normalized(alpha, phi, n)
-    assert np.allclose(sz.values, np.sin(alpha) ** 2 * norm.values, atol=1e-15)
-    assert np.allclose(ix.values, np.sin(alpha) * norm.values, atol=1e-15)
     assert np.array_equal(sz.lags, np.arange(1, n + 1))
-
-    undone = corr_Ix_normalized(alpha, phi, n, undo_decay=True)
-    assert np.allclose(undone.values, np.cos(phi * undone.lags), atol=1e-15)
-    # decay removal only ever increases the magnitude
-    assert np.all(np.abs(undone.values) + 1e-15 >= np.abs(norm.values))
+    norm = damped_cosine(alpha, phi, sz.lags, 1.0)
+    ix = damped_cosine(alpha, phi, sz.lags, np.sin(alpha))
+    assert np.allclose(sz.values, np.sin(alpha) ** 2 * norm, atol=1e-15)
+    assert np.allclose(sz.values, np.sin(alpha) * ix, atol=1e-15)
+    assert np.allclose(ix, np.sin(alpha) * norm, atol=1e-15)
 
 
 def test_model_series_first_lag_undamped():

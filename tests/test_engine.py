@@ -64,7 +64,7 @@ def test_chunk_rng_streams_differ():
 def test_self_polarised_layout():
     batch = simulate_runs(CFG, runs=200, seed=1)
     assert batch.first_lag == 0
-    assert batch.length == CFG.cycles + 1
+    assert batch.outcomes.shape == (200, CFG.cycles + 1)
     assert batch.counts is None
     # column 0 is the polarising measurement itself
     assert np.array_equal(batch.outcomes[:, 0], batch.signs)
@@ -76,7 +76,7 @@ def test_prepolarised_layout():
     cfg = ProtocolConfig(alpha=ALPHA, phi=PHI, cycles=10, prepolarized=True)
     batch = simulate_runs(cfg, runs=64, seed=1)
     assert batch.first_lag == 1
-    assert batch.length == 10
+    assert batch.outcomes.shape == (64, 10)
     assert np.all(batch.signs == 1)
     # first recorded polarisation is deterministic: sin(a) cos(phi)
     assert np.allclose(batch.zetas[:, 0], np.sin(ALPHA) * np.cos(PHI), atol=1e-12)
@@ -87,7 +87,7 @@ def test_zeta_paths_follow_recurrence():
     sa = np.sin(ALPHA)
     for r in range(50):
         x, y = batch.signs[r] * sa, 0.0
-        for n in range(1, batch.length):
+        for n in range(1, CFG.cycles + 1):
             x, y = recurrence_step(x, y, ALPHA, PHI)
             assert batch.zetas[r, n] == pytest.approx(x * sa, abs=1e-12)
 

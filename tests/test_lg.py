@@ -8,18 +8,23 @@ from spintrack.errors import InvalidArgumentError
 from spintrack.lg import (
     DESPAGNAT_A,
     DESPAGNAT_B,
-    LgSeries,
     lg_function,
-    lg_theory,
     strong_additivity_check,
     wigner_despagnat_check,
 )
 
 
-def test_lg_theory_maximum_at_third_period():
+def _lg_of_precession(phi, amplitude=1.0, taus=12):
+    """LG of the undamped cosine series amplitude cos(phi N), N = 1 .. 2 taus."""
+    lags = np.arange(1, 2 * taus + 1)
+    return lg_function(CorrelationSeries(lags, amplitude * np.cos(phi * lags), np.zeros(lags.size)))
+
+
+def test_lg_of_precession_maximum_at_third_period():
     """Pure precession probed at a third of the period saturates the
     two-time bound at 3/2."""
-    series = lg_theory(np.pi / 3, np.arange(1, 13), amplitude=1.0)
+    series = _lg_of_precession(np.pi / 3)
+    assert np.array_equal(series.taus, np.arange(1, 13))
     assert series.max_lg == pytest.approx(1.5, abs=1e-12)
     assert series.lg[0] == pytest.approx(1.5, abs=1e-12)
     # the analytic series carries no errors, so the flag is exact
@@ -27,15 +32,17 @@ def test_lg_theory_maximum_at_third_period():
     assert not series.violated[1]  # lg(2) = -0.5
 
 
-def test_lg_theory_halved_amplitude_stays_classical():
-    series = lg_theory(np.pi / 3, np.arange(1, 13), amplitude=0.5)
+def test_lg_of_precession_halved_amplitude_stays_classical():
+    series = _lg_of_precession(np.pi / 3, amplitude=0.5)
     assert series.max_lg == pytest.approx(0.75, abs=1e-12)
+    assert not series.violated.any()
 
 
-def test_lg_theory_static_limit():
+def test_lg_of_precession_static_limit():
     # phi = 0: C(N) = 1 for all N, LG = 2 - 1 = 1 exactly (the boundary)
-    series = lg_theory(0.0, np.arange(1, 6))
+    series = _lg_of_precession(0.0, taus=5)
     assert np.allclose(series.lg, 1.0, atol=1e-15)
+    assert not series.violated.any()
 
 
 def test_lg_function_values_and_errors():
@@ -79,11 +86,6 @@ def test_lg_function_needs_a_doubled_lag():
     # lag list without any (tau, 2 tau) pair
     with pytest.raises(InvalidArgumentError):
         lg_function(CorrelationSeries(np.array([3, 5]), np.zeros(2), np.zeros(2)))
-
-
-def test_lg_series_validation():
-    with pytest.raises(InvalidArgumentError):
-        LgSeries(np.array([1, 2]), np.array([1.0]), np.zeros(2), np.zeros(2, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +188,7 @@ def test_quantum_joint_respects_additivity_but_lg_does_not():
         p2 = joint_distribution(np.cos(phi * n))
         assert p2.sum() == pytest.approx(1.0)
         assert np.all(p2 >= 0)
-    series = lg_theory(phi, np.arange(1, 4))
+    series = _lg_of_precession(phi, taus=3)
     assert series.max_lg > 1.0 + 1e-9
 
 

@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
 
+from spintrack.engine import simulate_runs
 from spintrack.errors import AmbiguousRegimeError, InvalidArgumentError
-from spintrack.pauli import density_to_bloch
+from spintrack.pauli import S_E, S_Z, bloch_to_density, density_to_bloch, partial_trace, tensor
+from spintrack.propagator import bch_evolve
 from spintrack.protocol import (
+    FREE_PRECESSION_H,
     GAMMA_C13,
+    INTERACTION_H,
     PhysicalParams,
     ProtocolConfig,
+    _ROT_X,
+    _ROT_Y,
     _conditioned_bloch_update,
     alpha_from_pulses,
     damped_cosine,
     dephasing_rates,
-    generate_initial_state,
     measurement_cycle,
     precession_frequencies,
     recurrence_matrix,
@@ -74,28 +79,46 @@ def test_zero_strength_cycle_is_pure_precession():
 
 
 def test_initial_state_matches_conditioned_update():
-    """The polarising measurement is the conditioned map applied to the
-    mixed state; both routes must give the same conditional state."""
+    """The engine's polarising measurement is the conditioned map applied
+    to the mixed state: each run starts from (sign sin(alpha), 0)."""
     for sign in (1, -1):
-        got_sign, bloch = generate_initial_state(ALPHA, sign=sign)
-        assert got_sign == sign
         x, y = _conditioned_bloch_update(0.0, 0.0, ALPHA, sign)
-        assert bloch[0] == pytest.approx(x, abs=1e-15)
-        assert bloch[1] == pytest.approx(y, abs=1e-15)
-        assert bloch[0] == pytest.approx(sign * np.sin(ALPHA), abs=1e-15)
+        assert (x, y) == pytest.approx((sign * np.sin(ALPHA), 0.0), abs=1e-15)
+    batch = simulate_runs(ProtocolConfig(alpha=ALPHA, phi=PHI, cycles=1), runs=300, seed=4)
+    assert set(np.unique(batch.signs)) == {-1, 1}
+    for sign in (1, -1):
+        x, y = recurrence_step(*_conditioned_bloch_update(0.0, 0.0, ALPHA, sign), ALPHA, PHI)
+        zeta1 = batch.zetas[batch.signs == sign, 1]
+        assert np.allclose(zeta1, x * np.sin(ALPHA), rtol=0, atol=1e-15)
 
 
-def test_initial_state_sign_is_fair(rng):
-    signs = [generate_initial_state(ALPHA, rng=rng)[0] for _ in range(4000)]
-    mean = np.mean(signs)
-    assert abs(mean) < 3.0 / np.sqrt(4000)
+def test_initial_state_sign_is_fair():
+    """The polarising outcome on the mixed state is a fair coin."""
+    signs = simulate_runs(ProtocolConfig(alpha=ALPHA, phi=PHI, cycles=1), runs=4000,
+                          seed=20260823).signs
+    assert abs(signs.mean()) < 3.0 / np.sqrt(signs.size)
 
 
-def test_initial_state_argument_validation():
-    with pytest.raises(InvalidArgumentError):
-        generate_initial_state(ALPHA)
-    with pytest.raises(InvalidArgumentError):
-        generate_initial_state(ALPHA, sign=2)
+@pytest.mark.parametrize("x, y", [(0.0, 0.0), (0.3, -0.4), (0.7, 0.2), (-0.5, 0.6)])
+def test_conditioned_update_matches_kraus_route(x, y):
+    """Project the sensor of `measurement_cycle`'s composite onto +-z: the
+    conditioned target state and the outcome probability must match
+    `_conditioned_bloch_update` on the precessed (x, y)."""
+    phi = np.pi / 3
+    comp = tensor(S_E + S_Z, bloch_to_density([x, y, 0.0]))
+    comp = bch_evolve(_ROT_Y, comp, np.pi / 2)
+    comp = bch_evolve(FREE_PRECESSION_H, comp, phi)
+    comp = bch_evolve(INTERACTION_H, comp, ALPHA)
+    comp = bch_evolve(_ROT_X, comp, np.pi / 2)
+    xp, yp = recurrence_step(x, y, 0.0, phi)  # precession only
+    for outcome in (1, -1):
+        proj = tensor((np.eye(2) + outcome * 2 * S_Z) / 2, np.eye(2))
+        target = partial_trace(proj @ comp @ proj, "target")
+        prob = np.trace(target).real
+        assert prob == pytest.approx((1 + outcome * xp * np.sin(ALPHA)) / 2, abs=1e-12)
+        bloch = density_to_bloch(target / prob)
+        want = _conditioned_bloch_update(xp, yp, ALPHA, outcome)
+        assert bloch == pytest.approx([*want, 0.0], abs=1e-12)
 
 
 def test_protocol_config_validation():

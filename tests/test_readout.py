@@ -13,6 +13,7 @@ from spintrack.readout import (
     modulation_trace,
     run_classical_experiment,
     run_quantum_experiment,
+    sweep_fraction,
 )
 
 MODEL = ReadoutModel(n_a=1200.0, n_b=600.0, phi_0=0.02, repetitions=200)
@@ -23,10 +24,11 @@ def test_readout_model_properties():
     assert MODEL.contrast == pytest.approx(600.0)
     m = ReadoutModel(n_a=100.0, n_b=40.0)
     # modulation sweep: bottom of the fringe at 0 deg, top at 180 deg
-    assert m.mean_count(0.0) == pytest.approx(70.0)
-    assert m.mean_count(180.0) == pytest.approx(100.0)
-    mid = m.mean_count(90.0)
-    assert 70.0 < mid < 100.0
+    assert m.n_av + 0.5 * m.contrast * sweep_fraction(0.0, m.phi_0) == pytest.approx(70.0)
+    assert m.n_av + 0.5 * m.contrast * sweep_fraction(180.0, m.phi_0) == pytest.approx(100.0)
+    assert 0.0 < sweep_fraction(90.0, m.phi_0) < 1.0
+    assert np.array_equal(sweep_fraction(np.array([0.0, 90.0, 180.0]), 0.02),
+                          [sweep_fraction(a, 0.02) for a in (0, 90, 180)])
 
 
 def test_readout_model_validation():
@@ -111,7 +113,7 @@ def test_modulation_trace_matches_fringe_model(rng):
     counts = np.concatenate([t.counts for t in sweeps])
     for ang in np.unique(angles):
         sel = angles == ang
-        expected = MODEL.mean_count(ang)
+        expected = MODEL.n_av + 0.5 * MODEL.contrast * sweep_fraction(ang, MODEL.phi_0)
         se = counts[sel].std(ddof=1) / np.sqrt(sel.sum())
         assert abs(counts[sel].mean() - expected) < 5 * se + 1e-9
 
