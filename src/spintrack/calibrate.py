@@ -92,10 +92,17 @@ class FitResult:
 
 
 def write_json(path, payload: dict) -> None:
-    """Write `payload` as every JSON artifact is written: sorted keys, indent 1."""
+    """Write `payload` as every JSON artifact is written: sorted keys, indent 1.
+
+    A NaN or infinite number raises InvalidArgumentError naming `path`
+    before the file is opened, so no artifact holds invalid JSON.
+    """
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from None
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------

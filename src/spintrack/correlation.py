@@ -32,7 +32,7 @@ sin(alpha), or 1 for its unit-amplitude normalisation.
 Empirical estimators all reduce a record with `lag_products`, as does
 `calibrate.reconstruct_Sz_corr` on photon counts.  'time-average' is the
 stationary estimator over long records (the classical random-phase
-experiment; `empirical_corr`); 'ensemble' correlates the first
+experiment); 'ensemble' correlates the first
 measurement of each run with the one N cycles later, averaged over runs,
 which converges to C_Sz for the quantum protocol (`ensemble_corr`) — a
 single outcome-averaged record is not stationary (the polarisation
@@ -54,7 +54,6 @@ __all__ = [
     "joint_distribution",
     "corr_Sz",
     "lag_products",
-    "empirical_corr",
     "ensemble_corr",
     "relative_entropy",
     "entropy_Sz_Ix",
@@ -97,10 +96,10 @@ class CorrelationSeries:
     @classmethod
     def from_csv(cls, path) -> "CorrelationSeries":
         """Read what `to_csv` writes: the header lag,value,stderr,kind, then
-        rows of an int lag, a finite value, a stderr >= 0 (inf for a lag
-        with a single product) and the first row's kind; anything else
-        raises InvalidArgumentError naming the file."""
-        lags, vals, errs, kind = [], [], [], "empirical"
+        one or more rows of an int lag, a finite value, a stderr >= 0 (inf
+        for a lag with a single product) and the first row's kind; anything
+        else raises InvalidArgumentError naming the file."""
+        lags, vals, errs = [], [], []
         with open(path, newline="") as fh:
             rows = csv.reader(fh)
             try:
@@ -116,6 +115,8 @@ class CorrelationSeries:
                         kind = row_kind
                     if row_kind != kind:
                         raise ValueError(f"kind {row_kind!r} differs from the first row's {kind!r}")
+                if not lags:
+                    raise ValueError("no rows after the header")
                 return cls(np.array(lags), np.array(vals), np.array(errs), kind=kind)
             except (ValueError, csv.Error) as exc:
                 raise InvalidArgumentError(f"{path} line {rows.line_num}: {exc}") from None
@@ -182,22 +183,6 @@ def lag_products(records, max_lag: int, estimator: str):
         means[j] = prod.mean()
         stds[j] = prod.std(ddof=1) if prod.size > 1 else np.inf
     return means, stds, runs * (length - lags)
-
-
-def empirical_corr(series, max_lag: int) -> CorrelationSeries:
-    """Time-averaged product estimator over one record:
-
-        C(N) = (1 / (k - N)) sum_i s_i s_{i+N},   i = 0 .. k-N-1
-
-    stderr is the sample standard error of the lag-N products (treats the
-    products as uncorrelated, which is adequate for the weakly correlated
-    records this is applied to), inf for a lag with a single product.
-    Only meaningful for (approximately) stationary records such as the
-    classical random-phase experiment.
-    """
-    s = np.asarray(series, dtype=float).reshape(1, -1)
-    mean, std, count = lag_products(s, max_lag, "time-average")
-    return CorrelationSeries(_lag_array(max_lag), mean, std / np.sqrt(count), kind="empirical")
 
 
 def ensemble_corr(records: np.ndarray, max_lag: int | None = None) -> CorrelationSeries:

@@ -7,8 +7,7 @@ usable contrast).
 """
 
 __all__ = ["SpintrackError", "InvalidArgumentError", "UnsupportedStateError",
-           "AmbiguousRegimeError", "DegenerateContrastError", "FitFailureError",
-           "AmplificationError"]
+           "DegenerateContrastError", "FitFailureError", "AmplificationError"]
 
 
 class SpintrackError(Exception):
@@ -23,10 +22,6 @@ class InvalidArgumentError(SpintrackError, ValueError):
 
 class UnsupportedStateError(SpintrackError):
     """The requested operation has no closed form for this operator/state pair."""
-
-
-class AmbiguousRegimeError(SpintrackError):
-    """Neither parameter regime dominates clearly enough to pick a formula branch."""
 
 
 class DegenerateContrastError(SpintrackError):

@@ -72,7 +72,9 @@ def lg_function(series: CorrelationSeries) -> LgSeries:
     Lags whose doubled partner is missing are dropped (no extrapolation).
     stderr adds in quadrature, sqrt(4 se_tau^2 + se_2tau^2); the flag
     `LgSeries.violated` is lg - 3 stderr > 1, so an analytic series (zero
-    errors) is flagged exactly where it exceeds the bound.
+    errors) is flagged exactly where it exceeds the bound.  An LG value
+    that overflows raises InvalidArgumentError naming its tau; a stderr
+    that overflows is inf, like that of a single-product lag.
     """
     lags = series.lags
     doubled = np.isin(2 * lags, lags)
@@ -80,8 +82,12 @@ def lg_function(series: CorrelationSeries) -> LgSeries:
         raise InvalidArgumentError("no lag tau with 2*tau also present in the series")
     taus = lags[doubled]
     j = np.searchsorted(lags, 2 * taus)  # the lags are sorted
-    lg = 2.0 * series.values[doubled] - series.values[j]
-    se = np.sqrt(4.0 * series.stderr[doubled] ** 2 + series.stderr[j] ** 2)
+    with np.errstate(over="ignore"):
+        lg = 2.0 * series.values[doubled] - series.values[j]
+        se = np.sqrt(4.0 * series.stderr[doubled] ** 2 + series.stderr[j] ** 2)
+    overflowed = taus[~np.isfinite(lg)]
+    if overflowed.size:
+        raise InvalidArgumentError(f"LG(tau) = 2 C(tau) - C(2 tau) is not finite at tau = {overflowed[0]}")
     return LgSeries(taus, lg, se)
 
 

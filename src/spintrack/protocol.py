@@ -42,21 +42,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousRegimeError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .pauli import S_E, S_X, S_Y, S_Z, partial_trace, tensor
 from .propagator import bch_evolve
 
 __all__ = [
-    "PhysicalParams",
     "ProtocolConfig",
     "CycleResult",
     "INTERACTION_H",
     "FREE_PRECESSION_H",
-    "GAMMA_C13",
-    "resonance_tau",
-    "alpha_from_pulses",
-    "precession_frequencies",
-    "dephasing_rates",
     "measurement_cycle",
     "recurrence_step",
     "recurrence_matrix",
@@ -72,109 +66,6 @@ INTERACTION_H = 2.0 * tensor(S_Z, S_X)
 FREE_PRECESSION_H = tensor(_EYE2, S_Z)
 _ROT_X = tensor(S_X, _EYE2)
 _ROT_Y = tensor(S_Y, _EYE2)
-
-#: gyromagnetic ratio of a 13C nucleus, Hz/T
-GAMMA_C13 = 10.7084e6
-
-#: dominance factor required between regimes before a formula branch is chosen
-REGIME_DOMINANCE = 100.0
-
-
-@dataclass
-class PhysicalParams:
-    """Physical parameters of the sensor-target pair.
-
-    omega_larmor   bare target Larmor frequency, rad/s
-    a_par          parallel hyperfine component A_par, Hz
-    a_perp         transverse hyperfine component A_perp, Hz
-    b_field        static field along the sensor axis, T
-    gamma_n        target gyromagnetic ratio, Hz/T (defaults to 13C)
-    pulses         number of pulses in one decoupling train
-    """
-
-    omega_larmor: float
-    a_par: float = 0.0
-    a_perp: float = 0.0
-    b_field: float = 0.0
-    gamma_n: float = GAMMA_C13
-    pulses: int = 1
-
-    def __post_init__(self):
-        if self.omega_larmor <= 0:
-            raise InvalidArgumentError("omega_larmor must be positive")
-        if self.pulses < 1:
-            raise InvalidArgumentError("pulses must be >= 1")
-        for name in ("a_par", "a_perp", "b_field", "gamma_n"):
-            if getattr(self, name) < 0:
-                raise InvalidArgumentError(f"{name} must be non-negative")
-
-
-def resonance_tau(params: PhysicalParams, harmonic: int = 0) -> float:
-    """Inter-pulse spacing that puts the decoupling train on resonance.
-
-    Two regimes, selected only when one dominates by a factor of
-    REGIME_DOMINANCE (=100):
-
-    * weak transverse coupling, A_perp << gamma_n * B:
-        tau = (2k + 1) pi / (2 omega_L + 2 pi A_par)
-    * weak parallel coupling, 2 pi A_par << omega_L:
-        tau = pi / omega_L
-
-    Anything in between raises AmbiguousRegimeError: neither closed form
-    is trustworthy there.
-    """
-    if harmonic < 0:
-        raise InvalidArgumentError("harmonic must be >= 0")
-    w0 = params.omega_larmor
-    if params.b_field > 0 and params.gamma_n * params.b_field >= REGIME_DOMINANCE * params.a_perp:
-        return (2 * harmonic + 1) * np.pi / (2 * w0 + 2 * np.pi * params.a_par)
-    if w0 >= REGIME_DOMINANCE * 2 * np.pi * params.a_par:
-        return (2 * harmonic + 1) * np.pi / w0
-    raise AmbiguousRegimeError(
-        "neither the transverse- nor the parallel-coupling regime dominates "
-        f"(A_perp={params.a_perp} Hz, A_par={params.a_par} Hz, "
-        f"gamma_n*B={params.gamma_n * params.b_field} Hz, omega_L={w0} rad/s)"
-    )
-
-
-def alpha_from_pulses(params: PhysicalParams, tau: float) -> float:
-    """Accumulated measurement strength alpha = pi * N_pulses * A_perp * tau."""
-    if tau <= 0:
-        raise InvalidArgumentError("tau must be positive")
-    return np.pi * params.pulses * params.a_perp * tau
-
-
-def precession_frequencies(params: PhysicalParams) -> tuple[float, float, float]:
-    """Target precession frequencies (omega_0, omega_+, omega_-), rad/s.
-
-    The sensor-state-dependent frequencies are
-    omega_+- = sqrt((omega_0 +- 2 pi A_par)^2 + (2 pi A_perp)^2).
-    """
-    w0 = params.omega_larmor
-    ap = 2 * np.pi * params.a_par
-    at = 2 * np.pi * params.a_perp
-    wp = float(np.hypot(w0 + ap, at))
-    wm = float(np.hypot(w0 - ap, at))
-    return w0, wp, wm
-
-
-def dephasing_rates(alpha: float, t_s: float, a_par: float = 0.0, t_l: float = 0.0) -> tuple[float, float]:
-    """(measurement-induced rate, coupling-induced rate), both 1/s.
-
-    measurement back-action:  alpha^2 / (4 t_s)
-    sensor-lifetime coupling: (2 pi a_par)^2 t_l^2 / (2 t_s)
-
-    t_s is the duration of one cycle, t_l the sensor relaxation window
-    during which the parallel coupling a_par (given in Hz) dephases the
-    target.
-    """
-    if t_s <= 0:
-        raise InvalidArgumentError("t_s must be positive")
-    if t_l < 0:
-        raise InvalidArgumentError("t_l must be non-negative")
-    gamma_meas = alpha**2 / (4.0 * t_s)
-    gamma_coupling = (2 * np.pi * a_par) ** 2 * t_l**2 / (2.0 * t_s)
-    return gamma_meas, gamma_coupling
 
 
 @dataclass

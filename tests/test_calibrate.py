@@ -10,6 +10,7 @@ from spintrack.calibrate import (
     fit_na_nb,
     reconstruct_Ix_corr,
     reconstruct_Sz_corr,
+    write_json,
 )
 from spintrack.correlation import CorrelationSeries, corr_Sz, ensemble_corr
 from spintrack.engine import simulate_runs
@@ -98,6 +99,15 @@ def test_fit_result_json_roundtrip(tmp_path):
     assert back.n_points == 13
     assert back.boundary is True
     assert back.meta["weighting"] == "full"
+
+
+def test_write_json_rejects_non_finite_numbers(tmp_path):
+    """No artifact holds NaN or Infinity, and a rejected payload leaves no file."""
+    for bad in (np.inf, -np.inf, np.nan):
+        path = tmp_path / "bad.json"
+        with pytest.raises(InvalidArgumentError, match=str(path)):
+            write_json(path, {"x": bad})
+        assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from spintrack.calibrate import fit_alpha
 from spintrack.cli import main
 from spintrack.correlation import corr_Sz
 from spintrack.errors import (
-    AmbiguousRegimeError,
     AmplificationError,
     DegenerateContrastError,
     FitFailureError,
@@ -380,8 +379,8 @@ def test_degenerate_contrast_exits_4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("error, code", [
-    (InvalidArgumentError, 2), (UnsupportedStateError, 2), (AmbiguousRegimeError, 2),
-    (FitFailureError, 3), (AmplificationError, 3), (DegenerateContrastError, 4)])
+    (InvalidArgumentError, 2), (UnsupportedStateError, 2), (FitFailureError, 3),
+    (AmplificationError, 3), (DegenerateContrastError, 4)])
 def test_each_error_class_owns_its_exit_code(tmp_path, capsys, monkeypatch, error, code):
     def fail(args, settings):
         raise error("probe")
@@ -440,9 +439,11 @@ def _series_lines(tmp_path):
     lambda lines: lines.__setitem__(2, "2,0.3,nan,Ix\r\n"),
     lambda lines: lines.__setitem__(2, "2,0.3,-0.01,Ix\r\n"),
     lambda lines: lines.__setitem__(4, "4,0.1,0.01,Sz\r\n"),
+    lambda lines: lines.__delitem__(slice(1, None)),
 ], ids=["value_abc", "header_val", "row_without_kind", "float_lag", "fifth_field",
         "stderr_nope", "blank_line", "empty_file", "duplicated_lag", "decreasing_lags",
-        "lag_0", "nan_value", "inf_value", "nan_stderr", "negative_stderr", "kind_changes"])
+        "lag_0", "nan_value", "inf_value", "nan_stderr", "negative_stderr", "kind_changes",
+        "empty_body"])
 def test_malformed_correlation_exits_2(tmp_path, capsys, corrupt):
     path, lines = _series_lines(tmp_path)
     cfg = quantum_config(tmp_path)
@@ -455,6 +456,20 @@ def test_malformed_correlation_exits_2(tmp_path, capsys, corrupt):
     err = capsys.readouterr().err
     assert err.startswith("error[InvalidArgumentError]") and err.count("\n") == 1
     assert str(path) in err
+
+
+def test_overflowing_lg_exits_2_and_writes_nothing(tmp_path, capsys):
+    """Finite values 1e308 and -1e308 at lags 1 and 2 overflow LG(1): one
+    error line, and neither lg.csv nor a summary.json holding Infinity."""
+    path = tmp_path / "corr.csv"
+    path.write_text("lag,value,stderr,kind\r\n1,1e+308,0.01,Ix\r\n2,-1e+308,0.01,Ix\r\n")
+    out = tmp_path / "lg"
+    cfg = quantum_config(tmp_path)
+    assert main(["lgtest", "--config", cfg, "--out", str(out), "--corr", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[InvalidArgumentError]") and err.count("\n") == 1
+    assert "tau = 1" in err
+    assert os.listdir(out) == []
 
 
 def test_correlate_rejects_a_report_fit(tmp_path, capsys):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from spintrack.correlation import (
     CorrelationSeries,
     corr_Sz,
-    empirical_corr,
     ensemble_corr,
     entropy_Sz_Ix,
     joint_distribution,
@@ -80,23 +79,23 @@ def test_ensemble_corr_validation():
 
 def test_empirical_corr_alternating_record():
     s = np.tile([1, -1], 50)
-    series = empirical_corr(s, max_lag=6)
+    mean, std, count = lag_products(s, 6, "time-average")
     expected = [(-1.0) ** n for n in range(1, 7)]
-    assert np.allclose(series.values, expected, atol=1e-15)
-    assert np.all(series.stderr[:6] == 0.0)
+    assert np.allclose(mean, expected, atol=1e-15)
+    assert np.all(std / np.sqrt(count) == 0.0)
 
 
 def test_empirical_corr_iid_record(rng):
     s = rng.choice([-1, 1], size=20000)
-    series = empirical_corr(s, max_lag=5)
-    assert np.all(np.abs(series.values) < 4 * series.stderr)
+    mean, std, count = lag_products(s, 5, "time-average")
+    assert np.all(np.abs(mean) < 4 * std / np.sqrt(count))
 
 
 def test_empirical_corr_validation():
     with pytest.raises(InvalidArgumentError):
-        empirical_corr(np.ones(5), max_lag=5)
+        lag_products(np.ones(5), 5, "time-average")
     with pytest.raises(InvalidArgumentError):
-        empirical_corr(np.ones(5), max_lag=0)
+        lag_products(np.ones(5), 0, "time-average")
 
 
 def test_lag_products_match_loop_reference(rng):
@@ -112,7 +111,7 @@ def test_lag_products_match_loop_reference(rng):
     # one record: the last lag has a single product and no spread estimate
     _, std, count = lag_products(m[:1], 11, "time-average")
     assert count[-1] == 1 and std[-1] == np.inf
-    assert empirical_corr(m[0], 11).stderr[-1] == np.inf
+    assert (std / np.sqrt(count))[-1] == np.inf
     with pytest.raises(InvalidArgumentError):
         lag_products(m, 3, "median")
     with pytest.raises(InvalidArgumentError):
@@ -124,9 +123,9 @@ def test_estimators_agree_on_stationary_noise(rng):
     the same (zero) correlator."""
     records = rng.choice([-1, 1], size=(400, 50))
     ens = ensemble_corr(records, max_lag=10)
-    emp = empirical_corr(records.ravel(), max_lag=10)
+    mean, std, count = lag_products(records.ravel(), 10, "time-average")
     assert np.all(np.abs(ens.values) < 4 * ens.stderr)
-    assert np.all(np.abs(emp.values) < 4 * emp.stderr)
+    assert np.all(np.abs(mean) < 4 * std / np.sqrt(count))
 
 
 def test_series_value_at_and_validation():

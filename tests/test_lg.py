@@ -88,6 +88,18 @@ def test_lg_function_needs_a_doubled_lag():
         lg_function(CorrelationSeries(np.array([3, 5]), np.zeros(2), np.zeros(2)))
 
 
+def test_lg_function_rejects_an_overflowing_value():
+    """Finite correlations near the float limit overflow 2 C(tau) - C(2 tau):
+    the error names the tau, with no numpy warning; an overflowing stderr
+    alone stays inf."""
+    lags = np.arange(1, 5)
+    values = np.array([0.5, 1e308, 0.2, -1e308])  # lg(1) is finite
+    with pytest.raises(InvalidArgumentError, match="tau = 2"):
+        lg_function(CorrelationSeries(lags, values, np.full(4, 0.01)))
+    out = lg_function(CorrelationSeries(lags, np.zeros(4), np.full(4, 1e308)))
+    assert np.all(out.lg == 0.0) and np.all(out.stderr == np.inf)
+
+
 # ---------------------------------------------------------------------------
 # joint-probability checks
 

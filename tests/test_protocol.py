@@ -2,26 +2,20 @@ import numpy as np
 import pytest
 
 from spintrack.engine import simulate_runs
-from spintrack.errors import AmbiguousRegimeError, InvalidArgumentError
+from spintrack.errors import InvalidArgumentError
 from spintrack.pauli import S_E, S_Z, bloch_to_density, density_to_bloch, partial_trace, tensor
 from spintrack.propagator import bch_evolve
 from spintrack.protocol import (
     FREE_PRECESSION_H,
-    GAMMA_C13,
     INTERACTION_H,
-    PhysicalParams,
     ProtocolConfig,
     _ROT_X,
     _ROT_Y,
     _conditioned_bloch_update,
-    alpha_from_pulses,
     damped_cosine,
-    dephasing_rates,
     measurement_cycle,
-    precession_frequencies,
     recurrence_matrix,
     recurrence_step,
-    resonance_tau,
 )
 
 from conftest import target_density
@@ -142,76 +136,3 @@ def test_approx_tracks_recurrence_at_weak_coupling():
         exact.append(x)
     approx = damped_cosine(alpha, PHI, np.arange(1, 51), np.sin(alpha))
     assert np.max(np.abs(approx - exact)) < 0.015
-
-
-def test_resonance_tau_transverse_regime():
-    p = PhysicalParams(
-        omega_larmor=2 * np.pi * 431e3,
-        a_par=60e3,
-        a_perp=30e3,
-        b_field=0.4,
-    )
-    # gamma_n * B ~ 4.3e6 Hz >> 100 * a_perp
-    tau = resonance_tau(p)
-    expected = np.pi / (2 * p.omega_larmor + 2 * np.pi * p.a_par)
-    assert tau == pytest.approx(expected, rel=1e-12)
-    assert resonance_tau(p, harmonic=1) / tau == pytest.approx(3.0, rel=1e-12)
-
-
-def test_resonance_tau_parallel_regime():
-    p = PhysicalParams(omega_larmor=2 * np.pi * 431e3, a_par=50.0)
-    tau = resonance_tau(p)
-    assert tau == pytest.approx(np.pi / p.omega_larmor, rel=1e-12)
-    assert resonance_tau(p, harmonic=2) / tau == pytest.approx(5.0, rel=1e-12)
-
-
-def test_resonance_tau_ambiguous_regime_raises():
-    p = PhysicalParams(omega_larmor=2 * np.pi * 431e3, a_par=100e3, a_perp=80e3)
-    with pytest.raises(AmbiguousRegimeError):
-        resonance_tau(p)
-    with pytest.raises(InvalidArgumentError):
-        resonance_tau(PhysicalParams(omega_larmor=1.0), harmonic=-1)
-
-
-def test_alpha_from_pulses_scales_linearly():
-    p = PhysicalParams(omega_larmor=1.0, a_perp=20e3, pulses=32)
-    tau = 1e-6
-    assert alpha_from_pulses(p, tau) == pytest.approx(np.pi * 32 * 20e3 * tau)
-    assert alpha_from_pulses(p, 2 * tau) == pytest.approx(2 * alpha_from_pulses(p, tau))
-    with pytest.raises(InvalidArgumentError):
-        alpha_from_pulses(p, 0.0)
-
-
-def test_precession_frequencies():
-    p = PhysicalParams(omega_larmor=2 * np.pi * 431e3, a_par=60e3, a_perp=30e3)
-    w0, wp, wm = precession_frequencies(p)
-    assert w0 == p.omega_larmor
-    assert wp == pytest.approx(
-        np.hypot(w0 + 2 * np.pi * 60e3, 2 * np.pi * 30e3), rel=1e-12
-    )
-    assert wm == pytest.approx(
-        np.hypot(w0 - 2 * np.pi * 60e3, 2 * np.pi * 30e3), rel=1e-12
-    )
-    assert wp > wm
-
-
-def test_dephasing_rates():
-    gm, gc = dephasing_rates(0.3, t_s=5e-6, a_par=50e3, t_l=300e-9)
-    assert gm == pytest.approx(0.3**2 / (4 * 5e-6), rel=1e-12)
-    assert gc == pytest.approx((2 * np.pi * 50e3) ** 2 * (300e-9) ** 2 / (2 * 5e-6), rel=1e-12)
-    assert dephasing_rates(0.3, t_s=1.0)[1] == 0.0
-    with pytest.raises(InvalidArgumentError):
-        dephasing_rates(0.3, t_s=0.0)
-
-
-def test_gamma_c13_constant():
-    assert GAMMA_C13 == pytest.approx(10.7084e6)
-
-
-def test_physical_params_validation():
-    with pytest.raises(InvalidArgumentError):
-        PhysicalParams(omega_larmor=0.0)
-    with pytest.raises(InvalidArgumentError):
-        PhysicalParams(omega_larmor=1.0, pulses=0)
-    with pytest.raises(InvalidArgumentError):
-        PhysicalParams(omega_larmor=1.0, a_perp=-1.0)
