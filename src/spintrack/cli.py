@@ -57,6 +57,9 @@ __all__ = ["main", "build_parser", "read_config", "CONFIG_KEYS"]
 
 SCHEMA_VERSION = 1
 REQUIRED = "required"
+#: the most photon measurements (runs x record length) a config may ask
+#: for; the int64 counts alone take 800 MB at the cap
+MAX_MEASUREMENTS = 10**8
 
 #: every config key once: (type, default), or REQUIRED for a key that must
 #: be given; the blocks are tables of the same shape
@@ -160,6 +163,12 @@ def read_config(args) -> dict:
     for key, low in (("seed", 0), ("runs", 1)):
         if settings[key] < low:
             raise InvalidArgumentError(f"config key '{key}' must be >= {low}, got {settings[key]}")
+    length = (settings["protocol"]["cycles"] + 1 if kind == "quantum"
+              else settings["classical"]["measurements_per_run"])
+    if settings["runs"] * length > MAX_MEASUREMENTS:
+        raise InvalidArgumentError(
+            f"config key 'runs' gives {settings['runs']} x {length} measurements, above the "
+            f"cap MAX_MEASUREMENTS = {MAX_MEASUREMENTS}")
     return settings
 
 

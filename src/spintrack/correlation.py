@@ -36,7 +36,10 @@ experiment); 'ensemble' correlates the first
 measurement of each run with the one N cycles later, averaged over runs,
 which converges to C_Sz for the quantum protocol (`ensemble_corr`) — a
 single outcome-averaged record is not stationary (the polarisation
-decays), so the two estimators are *not* interchangeable.
+decays), so the two estimators are *not* interchangeable.  The
+time-average sums are FFT autocorrelations of the record and of its
+square, summed over runs a block at a time; they match a lag-by-lag loop
+to rounding on the scale of the lag-0 sums of x^2 and x^4.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import InvalidArgumentError
 from .protocol import damped_cosine
@@ -154,6 +158,12 @@ def corr_Sz(alpha: float, phi: float, max_lag: int) -> CorrelationSeries:
     return CorrelationSeries(n, vals, np.zeros_like(vals), kind="Sz-model")
 
 
+#: about this many complex values per rfft block of the time-average
+#: reduction, which takes `_FFT_BLOCK // bins` runs at a time, so the FFT's
+#: working memory stays small next to the record
+_FFT_BLOCK = 2**17
+
+
 def lag_products(records, max_lag: int, estimator: str):
     """Per-lag (mean, std with ddof=1, count) of the lag-N products, N = 1..max_lag.
 
@@ -163,6 +173,16 @@ def lag_products(records, max_lag: int, estimator: str):
     every run (count = runs * (length - N)).  A single product has no
     spread estimate: its std is inf, so every standard error built on it
     is inf too.
+
+    The time-average takes the per-lag sums S1 of s_i s_{i+N} and S2 of
+    their squares from the autocorrelations of s and of s^2: each run is
+    zero-padded to at least `length + max_lag`, so no lag wraps around,
+    the power spectra are summed over blocks of runs and one inverse FFT
+    gives each sum.  mean = S1 / count and the variance is
+    (S2 - S1 mean) / (count - 1), clipped at 0.  Rounding sets the error
+    against a lag-by-lag loop: count |d mean| and (count - 1) |d std^2|
+    stay near 1e-15 times the lag-0 sums of x^2 and of x^4 (the tests hold
+    them to 1e-12).
     """
     m = np.atleast_2d(records)
     runs, length = m.shape
@@ -175,14 +195,19 @@ def lag_products(records, max_lag: int, estimator: str):
         return prod.mean(axis=0), prod.std(axis=0, ddof=1), np.full(max_lag, runs)
     if estimator != "time-average":
         raise InvalidArgumentError(f"unknown estimator {estimator!r}")
-    lags = _lag_array(max_lag)
-    means = np.empty(max_lag)
-    stds = np.empty(max_lag)
-    for j, n in enumerate(lags):
-        prod = (m[:, :-n] * m[:, n:]).ravel()
-        means[j] = prod.mean()
-        stds[j] = prod.std(ddof=1) if prod.size > 1 else np.inf
-    return means, stds, runs * (length - lags)
+    nfft = next_fast_len(length + max_lag, real=True)
+    block = max(1, _FFT_BLOCK // (nfft // 2 + 1))
+    power = np.zeros((2, nfft // 2 + 1))
+    for start in range(0, runs, block):
+        rows = np.asarray(m[start : start + block], dtype=float)
+        for k, x in enumerate((rows, rows * rows)):
+            spec = rfft(x, n=nfft, axis=1)
+            power[k] += (spec.real**2 + spec.imag**2).sum(axis=0)
+    s1, s2 = irfft(power, n=nfft, axis=1)[:, 1 : max_lag + 1]
+    count = runs * (length - _lag_array(max_lag))
+    mean = s1 / count
+    var = np.maximum(s2 - s1 * mean, 0.0) / np.maximum(count - 1, 1)
+    return mean, np.where(count > 1, np.sqrt(var), np.inf), count
 
 
 def ensemble_corr(records: np.ndarray, max_lag: int | None = None) -> CorrelationSeries:

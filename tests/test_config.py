@@ -6,13 +6,15 @@ wrong or edge values in a small valid config of each kind, and `report`
 runs in-process on the result.
 """
 
+import argparse
 import copy
 import json
 
 import numpy as np
 import pytest
 
-from spintrack.cli import CONFIG_KEYS, REQUIRED, main
+from spintrack.cli import CONFIG_KEYS, MAX_MEASUREMENTS, REQUIRED, main, read_config
+from spintrack.errors import InvalidArgumentError
 
 READOUT = {"n_a": 120.0, "n_b": 60.0, "phi_0": 0.02, "repetitions": 10}
 TOP = {"schema": 1, "runs": 20, "seed": 3, "workers": 1, "undo_decay": False, "boxcar": 0.5}
@@ -183,3 +185,27 @@ def test_config_probe_exits_2(tmp_path, capsys, name):
 def test_integral_floats_pass_and_lookalikes_do_not(tmp_path, capsys, field, value, code):
     cfg = dict(README, runs=20, max_lag=6)
     assert _run(tmp_path, capsys, dict(cfg, **{field: value}))[0] == code
+
+
+# far above the cap: if the check let it through, sampling would not end
+@pytest.mark.parametrize("cfg,flags", [(dict(README, runs=10**12), ()),
+                                       (README, ("--runs", str(10**12)))])
+def test_record_above_the_cap_exits_2_before_sampling(tmp_path, capsys, cfg, flags):
+    code, err = _run(tmp_path, capsys, cfg, *flags)
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("error[InvalidArgumentError]: config key 'runs'")
+    assert f"MAX_MEASUREMENTS = {MAX_MEASUREMENTS}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cfg,length", [(README, 25), (BASE["classical"], 16),
+                                        (BASE["classical-modulated"], 16)])
+def test_the_cap_counts_runs_times_record_length(tmp_path, cfg, length):
+    """The record length is cycles + 1 for quantum and measurements_per_run
+    for the classical kinds; read_config samples nothing."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    runs = MAX_MEASUREMENTS // length
+    assert read_config(argparse.Namespace(config=str(path), runs=runs))["runs"] == runs
+    with pytest.raises(InvalidArgumentError, match="MAX_MEASUREMENTS"):
+        read_config(argparse.Namespace(config=str(path), runs=runs + 1))

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from spintrack.correlation import (
+    _FFT_BLOCK,
     CorrelationSeries,
     corr_Sz,
     ensemble_corr,
@@ -98,16 +100,47 @@ def test_empirical_corr_validation():
         lag_products(np.ones(5), 0, "time-average")
 
 
+def _loop_reference(m, max_lag):
+    """Per-lag (mean, std with ddof=1, count) of the pooled time-average
+    products, formed lag by lag."""
+    for n in range(1, max_lag + 1):
+        prod = np.concatenate([m[r, :-n] * m[r, n:] for r in range(len(m))])
+        yield prod.mean(), prod.std(ddof=1) if prod.size > 1 else np.inf, prod.size
+
+
+def _assert_matches_loop(m, max_lag):
+    """The FFT reduction against the loop, on its own error scale: the
+    lag-0 sums of x^2 (for the product sums) and of x^4 (for the sums of
+    squared products), to 1e-12."""
+    mean, std, count = lag_products(m, max_lag, "time-average")
+    sum_x2, sum_x4 = np.sum(m**2), np.sum(m**4)
+    for j, (ref_mean, ref_std, ref_count) in enumerate(_loop_reference(m, max_lag)):
+        assert count[j] == ref_count
+        assert ref_count * abs(mean[j] - ref_mean) <= 1e-12 * sum_x2
+        if ref_count == 1:
+            assert std[j] == np.inf
+        else:
+            assert (ref_count - 1) * abs(std[j] ** 2 - ref_std**2) <= 1e-12 * sum_x4
+
+
 def test_lag_products_match_loop_reference(rng):
     m = rng.integers(0, 9, size=(5, 12)).astype(float)
     mean, std, count = lag_products(m, 11, "ensemble")
     for j, n in enumerate(range(1, 12)):
         prod = m[:, 0] * m[:, n]
         assert mean[j] == prod.mean() and std[j] == prod.std(ddof=1) and count[j] == 5
-    mean, std, count = lag_products(m, 11, "time-average")
-    for j, n in enumerate(range(1, 12)):
-        prod = np.concatenate([m[r, :-n] * m[r, n:] for r in range(5)])
-        assert mean[j] == prod.mean() and std[j] == prod.std(ddof=1) and count[j] == prod.size
+    _assert_matches_loop(m, 11)
+    # records whose loop std is exactly 0, a single record up to its last
+    # lag, photon counts of the golden classical shape, and runs that fill
+    # more than one FFT block and end in a partial one
+    _assert_matches_loop(np.full((4, 20), 3.0), 19)
+    _assert_matches_loop(np.tile([1.0, -1.0], (3, 15)), 29)
+    _assert_matches_loop(rng.choice([-1.0, 1.0], size=(1, 40)), 39)
+    _assert_matches_loop(rng.poisson(900, size=(30, 600)).astype(float), 300)
+    runs, length, max_lag = 30, 20_000, 50
+    block = _FFT_BLOCK // (next_fast_len(length + max_lag, real=True) // 2 + 1)
+    assert 1 < block < runs and runs % block
+    _assert_matches_loop(rng.poisson(900, size=(runs, length)).astype(float), max_lag)
     # one record: the last lag has a single product and no spread estimate
     _, std, count = lag_products(m[:1], 11, "time-average")
     assert count[-1] == 1 and std[-1] == np.inf

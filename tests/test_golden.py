@@ -57,10 +57,10 @@ GOLDEN = {
         "trace.csv": "58f1d1c76bc4c74562a4fc7710fefe339c62a19a22c50bb9fa9ef8efae5ba67e",
     },
     "classical": {
-        "corr_ix.csv": "9101c101840a57f2b02013467a7b822a8f208cfa02707f5ef3dd26d3e4dc0d2f",
-        "corr_sz.csv": "6b38cfb6fa0019ef25aac700c4d6677811286b33ac1329df66a67aa101108d42",
+        "corr_ix.csv": "d8297e7c205ca0855f2e0cac316a3e4ecb9e3e177d611c10534577b33754807b",
+        "corr_sz.csv": "ca7955a4192115517b032a9d1d8fdfecabdb625dcd4a69b88c72a8d7f66c9eb4",
         "fit.json": "fb3cd6bcf85f72cfbb98793cafe190f84fca11aefacd291069457fcfdffb3192",
-        "lg.csv": "bc6743ea7c5b555bbf83373d8a22ff0a5a85a3d3ecdec18972ab4bccaa6c8787",
+        "lg.csv": "445a7b72f32ade7286b057158547784e38423f4cad14d1b796980209688eed10",
         "modulation.csv": "ae71a6a4645a5cf559683ae0884f2bf63b1e094aed6e312c7d608fb23e39a0e3",
         "summary.json": "5d95f565d8dfe1a5100bc9408d11c05d5acf58aa58847423082726eb1787ef57",
         "trace.csv": "5f1acc1051a3c6baddb544a48b8e9a6412dfd2ae8d0dfb492f869bb945ed7fda",
