@@ -8,9 +8,11 @@ The analysis chain for a photon record is
     reconstruct_Ix_corr  divide out sin^2(alpha) (and optionally the
                          measurement-induced decay) -> target correlation
 
-All fits are derivative-free (bounded Brent for the scalar ones,
-Nelder-Mead for the joint ones); the objectives are smooth and tiny, so
-this is simpler and just as accurate as gradient-based solvers here.
+All fits are derivative-free: the scalar ones use `_bounded_search`, a
+bounded Brent search written here, and the two joint ones scipy's
+Nelder-Mead, which they import in their own bodies, so only they load
+scipy.  The objectives are smooth and tiny, so this is simpler and just
+as accurate as gradient-based solvers here.
 Parameter uncertainties come from the Gauss-Newton approximation at the
 optimum.
 """
@@ -18,10 +20,11 @@ optimum.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+import numpy.ma  # noqa: F401  (np.unique loads it lazily; load it at start-up)
 
 from .correlation import CorrelationSeries, lag_products
 from .engine import modulated_drive
@@ -106,6 +109,89 @@ def write_json(path, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
+# bounded scalar search
+
+#: the most objective evaluations `_bounded_search` makes before it fails
+_MAX_EVALS = 500
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _sign(v: float) -> float:
+    return -1.0 if v < 0 else 1.0
+
+
+def _bounded_search(func, bounds, xatol: float, name: str) -> tuple[float, float]:
+    """(x, func(x)) at the minimum of the scalar `func` on the interval `bounds`.
+
+    Brent's method: golden-section steps, and parabolic ones where the
+    last three points allow, until x is known to about xatol.  It is a
+    port of scipy.optimize.minimize_scalar(method="bounded") and returns
+    the same floats.  It raises FitFailureError naming `name` after
+    _MAX_EVALS evaluations, when the minimum is not finite, or when the
+    last evaluation is NaN.
+    """
+    a, b = bounds
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    fx = fnfc = ffulc = func(xf)
+    fu, evals = math.inf, 1
+    rat = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try the parabola through xf, nfc and fulc
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * _sign(xm - xf)
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        evals += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if evals >= _MAX_EVALS:
+            raise FitFailureError(f"{name} search failed: no convergence in {evals} evaluations")
+    if not math.isfinite(fx) or math.isnan(fu):
+        raise FitFailureError(
+            f"{name} search failed: the objective is not finite (minimum {fx}, last value {fu})")
+    return xf, fx
+
+
+# ---------------------------------------------------------------------------
 # photon-level calibration
 
 
@@ -159,11 +245,7 @@ def fit_na_nb(trace: ModulationTrace) -> FitResult:
         r = m - design @ coef
         return float(r @ (w * r)), coef, lhs
 
-    opt = minimize_scalar(lambda p: solve(p)[0], bounds=PHI0_BOUNDS, method="bounded",
-                          options={"xatol": PHI0_XATOL})
-    if not opt.success:
-        raise FitFailureError(f"phi_0 search failed: {opt.message}")
-    phi0 = float(opt.x)
+    phi0, _ = _bounded_search(lambda p: solve(p)[0], PHI0_BOUNDS, PHI0_XATOL, "phi_0")
     residual, (a, b), lhs = solve(phi0)
 
     cov = np.linalg.inv(lhs)  # weights are inverse variances, so no residual scale
@@ -189,7 +271,6 @@ def fit_na_nb(trace: ModulationTrace) -> FitResult:
         },
         residual=residual,
         n_points=int(xs.size),
-        success=bool(opt.success),
         boundary=bool(boundary),
         message="phi_0 estimate at search bound" if boundary else "",
     )
@@ -328,11 +409,7 @@ def fit_alpha(
         def sse(a):
             return float(np.sum(w * (v - damped_cosine(a, phi, n, np.sin(a) ** 2)) ** 2))
 
-        opt = minimize_scalar(sse, bounds=ALPHA_BOUNDS, method="bounded",
-                              options={"xatol": ALPHA_XATOL})
-        if not opt.success or not np.isfinite(opt.fun):
-            raise FitFailureError(f"alpha search failed: {opt.message}")
-        return float(opt.x), float(opt.fun), n, v, w
+        return (*_bounded_search(sse, ALPHA_BOUNDS, ALPHA_XATOL, "alpha"), n, v, w)
 
     sel = np.ones(lags.size, dtype=bool)
     a_hat, residual, n, v, w = run_pass(sel)
@@ -377,6 +454,8 @@ def fit_decay(
     CorrelationSeries, so run-averaged zeta paths can be fitted too).
     Unweighted; the stderr is scaled by the residual variance.
     """
+    from scipy.optimize import minimize  # only the joint fits need scipy
+
     n = np.asarray(lags, dtype=float)
     v = np.asarray(values, dtype=float)
     if n.shape != v.shape or n.size < 3:
@@ -424,6 +503,8 @@ def fit_alpha_modulated(trace: PhotonTrace, phi_s: float = 1.0) -> FitResult:
     parameter of the modulation pattern.  Weighted by the per-position
     standard errors of the mean.
     """
+    from scipy.optimize import minimize  # only the joint fits need scipy
+
     counts = trace.counts.astype(float)
     runs, length = counts.shape
     if runs < 2:

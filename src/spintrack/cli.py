@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  (argparse's gettext loads it; load it at start-up, not in `main`)
 import os
 import sys
 

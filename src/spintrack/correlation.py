@@ -37,9 +37,9 @@ measurement of each run with the one N cycles later, averaged over runs,
 which converges to C_Sz for the quantum protocol (`ensemble_corr`) — a
 single outcome-averaged record is not stationary (the polarisation
 decays), so the two estimators are *not* interchangeable.  The
-time-average sums are FFT autocorrelations of the record and of its
-square, summed over runs a block at a time; they match a lag-by-lag loop
-to rounding on the scale of the lag-0 sums of x^2 and x^4.
+time-average sums are FFT autocorrelations (`numpy.fft`) of the record
+and of its square, summed over runs a block at a time; they match a
+lag-by-lag loop to rounding on the scale of the lag-0 sums of x^2 and x^4.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .errors import InvalidArgumentError
 from .protocol import damped_cosine
@@ -158,6 +158,21 @@ def corr_Sz(alpha: float, phi: float, max_lag: int) -> CorrelationSeries:
     return CorrelationSeries(n, vals, np.zeros_like(vals), kind="Sz-model")
 
 
+def _fft_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length pocketfft transforms fast
+    (scipy.fft.next_fast_len(n, real=True) gives the same)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            quotient = -(-n // p35)  # ceil(n / p35)
+            best = min(best, p35 << (quotient - 1).bit_length())  # p35 x its power of two
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 #: about this many complex values per rfft block of the time-average
 #: reduction, which takes `_FFT_BLOCK // bins` runs at a time, so the FFT's
 #: working memory stays small next to the record
@@ -195,7 +210,7 @@ def lag_products(records, max_lag: int, estimator: str):
         return prod.mean(axis=0), prod.std(axis=0, ddof=1), np.full(max_lag, runs)
     if estimator != "time-average":
         raise InvalidArgumentError(f"unknown estimator {estimator!r}")
-    nfft = next_fast_len(length + max_lag, real=True)
+    nfft = _fft_len(length + max_lag)
     block = max(1, _FFT_BLOCK // (nfft // 2 + 1))
     power = np.zeros((2, nfft // 2 + 1))
     for start in range(0, runs, block):

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it lazily; load it at start-up)
 
 from .errors import InvalidArgumentError
 from .protocol import ProtocolConfig

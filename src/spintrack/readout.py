@@ -35,6 +35,8 @@ photons at a dark-like level (`nv0_mean`, default n_b).
 from __future__ import annotations
 
 import csv
+import encodings.latin_1  # noqa: F401  (the codec of `PhotonTrace.from_csv`, loaded at start-up)
+import gzip  # noqa: F401  (np.loadtxt's file opener needs it; load it at start-up)
 import json
 from dataclasses import asdict, dataclass, field
 

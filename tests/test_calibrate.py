@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from spintrack.calibrate import (
     MAX_GAIN,
     FitResult,
+    _bounded_search,
     fit_alpha,
     fit_alpha_modulated,
     fit_decay,
@@ -17,6 +21,7 @@ from spintrack.engine import simulate_runs
 from spintrack.errors import (
     AmplificationError,
     DegenerateContrastError,
+    FitFailureError,
     InvalidArgumentError,
 )
 from spintrack.protocol import ProtocolConfig
@@ -305,3 +310,60 @@ def test_fit_alpha_modulated_validation():
     single = run_classical_experiment(0.3, 0.5, 16, MODEL, runs=1, seed=1, modulated=True)
     with pytest.raises(InvalidArgumentError):
         fit_alpha_modulated(single)
+
+
+# ---------------------------------------------------------------------------
+# bounded scalar search
+
+
+def _objective(shape: int, rng):
+    """A random quadratic, cosine or kinked objective, in float arithmetic."""
+    c, k = rng.uniform(-6.0, 6.0), rng.uniform(0.1, 10.0)
+    if shape == 0:
+        return lambda x: k * (x - c) ** 2 + c
+    if shape == 1:
+        return lambda x: math.cos(k * x + c)
+    slope = rng.uniform(-0.9, 0.9) * k  # a V with unequal sides
+    return lambda x: k * abs(x - c) + slope * (x - c)
+
+
+def test_bounded_search_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(1401)
+    for i in range(1200):
+        func = _objective(i % 3, rng)
+        low = rng.uniform(-5.0, 5.0)
+        bounds = (low, low + rng.uniform(1e-3, 10.0))
+        xatol = 10.0 ** rng.uniform(-12.0, -4.0)
+        ref = minimize_scalar(func, bounds=bounds, method="bounded", options={"xatol": xatol})
+        assert ref.success, i
+        x, fx = _bounded_search(func, bounds, xatol, "x")
+        assert (float(x).hex(), float(fx).hex()) == (float(ref.x).hex(), float(ref.fun).hex()), i
+
+
+def test_bounded_search_failures():
+    with pytest.raises(FitFailureError, match="^x search failed: the objective is not finite"):
+        _bounded_search(lambda x: math.nan, (0.0, 1.0), 1e-8, "x")
+    # scipy flags only a NaN; an infinite minimum fails here too
+    with pytest.raises(FitFailureError, match="^x search failed: the objective is not finite"):
+        _bounded_search(lambda x: math.inf, (0.0, 1.0), 1e-8, "x")
+    # a kink at 0 with no tolerance closes in on 0 forever
+    ref = minimize_scalar(abs, bounds=(-1.0, 1.0), method="bounded", options={"xatol": 0.0})
+    assert (ref.status, ref.nfev) == (1, 500)
+    with pytest.raises(FitFailureError, match="no convergence in 500 evaluations"):
+        _bounded_search(abs, (-1.0, 1.0), 0.0, "x")
+    # an objective infinite on part of the interval is fine if its minimum is not
+    x, fx = _bounded_search(lambda x: math.inf if x < 0 else (x - 0.5) ** 2, (-1.0, 1.0),
+                            1e-10, "x")
+    assert x == pytest.approx(0.5, abs=1e-9) and fx < 1e-18
+
+
+def test_scalar_fits_reject_a_nan_objective():
+    series = corr_Sz(0.3, 0.6, 20)
+    series.values[3] = np.nan
+    with pytest.raises(FitFailureError, match="^alpha search failed"):
+        fit_alpha(series, 0.6)
+    angles = np.repeat(np.arange(0.0, 361.0, 30.0), 3)
+    counts = 900.0 + 300.0 * sweep_fraction(angles, 0.02) + np.arange(angles.size) % 3
+    counts[4] = np.nan
+    with pytest.raises(FitFailureError, match="^phi_0 search failed"):
+        fit_na_nb(ModulationTrace(angles, counts))

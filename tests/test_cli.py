@@ -391,6 +391,19 @@ def test_each_error_class_owns_its_exit_code(tmp_path, capsys, monkeypatch, erro
     assert capsys.readouterr().err == f"error[{error.__name__}]: probe\n"
 
 
+def test_nan_correlation_series_exits_3(tmp_path, capsys, monkeypatch):
+    def nan_series(trace, model, max_lag):
+        series = corr_Sz(ALPHA, PHI, max_lag)
+        series.values[:] = np.nan
+        return series
+
+    monkeypatch.setattr(cli.cal, "reconstruct_Sz_corr", nan_series)
+    cfg = quantum_config(tmp_path, runs=50)
+    assert main(["report", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[FitFailureError]: alpha search failed") and err.count("\n") == 1
+
+
 def test_argparse_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # --config is required

@@ -7,6 +7,7 @@ from scipy.fft import next_fast_len
 from spintrack.correlation import (
     _FFT_BLOCK,
     CorrelationSeries,
+    _fft_len,
     corr_Sz,
     ensemble_corr,
     entropy_Sz_Ix,
@@ -138,7 +139,7 @@ def test_lag_products_match_loop_reference(rng):
     _assert_matches_loop(rng.choice([-1.0, 1.0], size=(1, 40)), 39)
     _assert_matches_loop(rng.poisson(900, size=(30, 600)).astype(float), 300)
     runs, length, max_lag = 30, 20_000, 50
-    block = _FFT_BLOCK // (next_fast_len(length + max_lag, real=True) // 2 + 1)
+    block = _FFT_BLOCK // (_fft_len(length + max_lag) // 2 + 1)
     assert 1 < block < runs and runs % block
     _assert_matches_loop(rng.poisson(900, size=(runs, length)).astype(float), max_lag)
     # one record: the last lag has a single product and no spread estimate
@@ -149,6 +150,11 @@ def test_lag_products_match_loop_reference(rng):
         lag_products(m, 3, "median")
     with pytest.raises(InvalidArgumentError):
         lag_products(m[:1], 3, "ensemble")
+
+
+def test_fft_len_is_scipys_next_fast_len():
+    assert [_fft_len(n) for n in range(1, 30_001)] == [
+        next_fast_len(n, real=True) for n in range(1, 30_001)]
 
 
 def test_estimators_agree_on_stationary_noise(rng):

@@ -1,0 +1,80 @@
+"""Start-up: which modules `spintrack.cli` loads at import and which a run adds.
+
+Every module a subcommand needs is loaded by `import spintrack.cli`, so its
+cost counts as start-up and none falls inside the timed `cli.main`; scipy
+is not among them.  Each case runs in a fresh interpreter, because this
+suite's own process has loaded scipy long before.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import spintrack
+
+#: imports the CLI, runs it on argv, prints the exit code and the modules
+#: that the run loaded, as JSON
+_CHILD = """\
+import json, sys
+import spintrack.cli as cli
+before = set(sys.modules)
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps({"code": code, "before": sorted(before),
+                  "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+READOUT = {"n_a": 1200.0, "n_b": 600.0, "phi_0": 0.02, "repetitions": 50}
+CONFIGS = {
+    "quantum": {"protocol": {"alpha": 0.5655, "phi": 1.0472, "cycles": 12}, "runs": 300},
+    "classical": {"classical": {"alpha": 0.5655, "theta_step": 1.0472,
+                                "measurements_per_run": 200}, "runs": 10},
+    "classical-modulated": {"classical": {"alpha": 0.35, "theta_step": 0.5,
+                                          "measurements_per_run": 64}, "runs": 50},
+}
+
+
+def _run(*argv) -> dict:
+    src = os.path.dirname(os.path.dirname(spintrack.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _config(tmp_path, kind: str) -> str:
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(dict(schema=1, kind=kind, seed=3, readout=READOUT,
+                                    **CONFIGS[kind])))
+    return str(path)
+
+
+def test_import_loads_no_scipy_and_every_lazy_numpy_module():
+    before = _run()["before"]
+    assert [m for m in before if m.split(".")[0] == "scipy"] == []
+    for name in ("numpy.random", "numpy.fft", "numpy.ma", "locale"):
+        assert name in before, name
+
+
+def test_stage_subcommands_load_no_module_inside_main(tmp_path):
+    cfg, out = _config(tmp_path, "quantum"), str(tmp_path / "out")
+    for step in (["simulate", "--workers", "2"], ["calibrate"],
+                 ["correlate", "--fit", f"{out}/fit.json"],
+                 ["lgtest", "--corr", f"{out}/corr_sz.csv"]):
+        run = _run(step[0], "--config", cfg, "--out", out, *step[1:])
+        assert (run["code"], run["loaded"]) == (0, []), step[0]
+
+
+@pytest.mark.parametrize("kind", ["classical", "quantum"])
+def test_report_loads_no_module_inside_main(tmp_path, kind):
+    run = _run("report", "--config", _config(tmp_path, kind), "--out", str(tmp_path / "out"))
+    assert (run["code"], run["loaded"]) == (0, [])
+
+
+def test_only_the_modulated_report_loads_scipy(tmp_path):
+    cfg = _config(tmp_path, "classical-modulated")
+    run = _run("report", "--config", cfg, "--out", str(tmp_path / "out"))
+    assert run["code"] == 0 and "scipy.optimize" in run["loaded"]
