@@ -8,11 +8,11 @@ The analysis chain for a photon record is
     reconstruct_Ix_corr  divide out sin^2(alpha) (and optionally the
                          measurement-induced decay) -> target correlation
 
-All fits are derivative-free: the scalar ones use `_bounded_search`, a
-bounded Brent search written here, and the two joint ones scipy's
-Nelder-Mead, which they import in their own bodies, so only they load
-scipy.  The objectives are smooth and tiny, so this is simpler and just
-as accurate as gradient-based solvers here.
+All fits are derivative-free and use one search, `_bounded_search`, a
+bounded Brent search written here, over their one nonlinear parameter;
+the joint fits are linear in the others, which `_profile_fit` solves for
+at each trial value.  The objectives are smooth and tiny, so this is
+simpler and just as accurate as gradient-based solvers here.
 Parameter uncertainties come from the Gauss-Newton approximation at the
 optimum.
 """
@@ -191,6 +191,32 @@ def _bounded_search(func, bounds, xatol: float, name: str) -> tuple[float, float
     return xf, fx
 
 
+def _profile_fit(design, v, w, bounds, xatol: float, name: str):
+    """Weighted least squares for a model linear in all its coefficients but theta.
+
+    At fixed theta the coefficients are the weighted linear solution for
+    the columns `design(theta)`; theta minimises that solution's sum of
+    squares on `bounds` (`_bounded_search`).  Returns theta and `solve`,
+    which maps a theta to (residual, coefficients, X^T W X).
+    """
+
+    def solve(theta):
+        x = design(theta)
+        lhs = x.T @ (w[:, None] * x)
+        coef = np.linalg.solve(lhs, x.T @ (w * v))
+        r = v - x @ coef
+        return float(r @ (w * r)), coef, lhs
+
+    theta, _ = _bounded_search(lambda t: solve(t)[0], bounds, xatol, name)
+    return theta, solve
+
+
+def _at_bound(name: str, x: float, bounds) -> dict:
+    """FitResult's boundary and message for x found on bounds (searches stop ~1e-8 short)."""
+    hit = bool(min(x - bounds[0], bounds[1] - x) < 1e-6)
+    return {"boundary": hit, "message": f"{name} estimate at search bound" if hit else ""}
+
+
 # ---------------------------------------------------------------------------
 # photon-level calibration
 
@@ -236,16 +262,9 @@ def fit_na_nb(trace: ModulationTrace) -> FitResult:
     positive by at least 3 standard errors.
     """
     xs, m, se = _angle_groups(trace.angles_deg, trace.counts)
-    w = 1.0 / se**2
-
-    def solve(phi0):
-        design = np.column_stack([np.ones_like(xs), sweep_fraction(xs, phi0)])
-        lhs = design.T @ (w[:, None] * design)
-        coef = np.linalg.solve(lhs, design.T @ (w * m))
-        r = m - design @ coef
-        return float(r @ (w * r)), coef, lhs
-
-    phi0, _ = _bounded_search(lambda p: solve(p)[0], PHI0_BOUNDS, PHI0_XATOL, "phi_0")
+    phi0, solve = _profile_fit(
+        lambda p: np.column_stack([np.ones_like(xs), sweep_fraction(xs, p)]),
+        m, 1.0 / se**2, PHI0_BOUNDS, PHI0_XATOL, "phi_0")
     residual, (a, b), lhs = solve(phi0)
 
     cov = np.linalg.inv(lhs)  # weights are inverse variances, so no residual scale
@@ -261,7 +280,6 @@ def fit_na_nb(trace: ModulationTrace) -> FitResult:
     curv = (solve(phi0 + h)[0] - 2 * residual + solve(phi0 - h)[0]) / h**2
     phi0_se = float(np.sqrt(2.0 / curv)) if curv > 0 else float("inf")
 
-    boundary = min(phi0 - PHI0_BOUNDS[0], PHI0_BOUNDS[1] - phi0) < 10 * PHI0_XATOL
     return FitResult(
         params={"n_a": float(a + b), "n_b": float(a - b), "phi_0": phi0},
         stderr={
@@ -271,8 +289,7 @@ def fit_na_nb(trace: ModulationTrace) -> FitResult:
         },
         residual=residual,
         n_points=int(xs.size),
-        boundary=bool(boundary),
-        message="phi_0 estimate at search bound" if boundary else "",
+        **_at_bound("phi_0", phi0, PHI0_BOUNDS),
     )
 
 
@@ -429,60 +446,51 @@ def fit_alpha(
         fisher /= residual / dof if residual > 0 else 1.0
     a_se = 1.0 / np.sqrt(fisher) if fisher > 0 else float("inf")
 
-    boundary = min(a_hat - ALPHA_BOUNDS[0], ALPHA_BOUNDS[1] - a_hat) < 1e-6
     return FitResult(
         params={"alpha": a_hat},
         stderr={"alpha": a_se},
         residual=residual,
         n_points=int(n.size),
-        boundary=bool(boundary),
-        message="alpha estimate at search bound" if boundary else "",
+        **_at_bound("alpha", a_hat, ALPHA_BOUNDS),
         meta={"weighting": weighting, "window": window, "phi": phi},
     )
 
 
-def fit_decay(
-    lags,
-    values,
-    phi: float,
-    amp0: float | None = None,
-    gamma0: float = 0.01,
-) -> FitResult:
+#: search interval of the per-lag decay rate Gamma and its tolerance: the
+#: measurement-induced rate alpha^2/4 is below 0.62 on ALPHA_BOUNDS, a neutral
+#: charge fraction only slows it, and a Gamma below 0 is a growth, not a decay
+GAMMA_BOUNDS = (0.0, 1.0)
+GAMMA_XATOL = 1e-12
+
+
+def fit_decay(lags, values, phi: float) -> FitResult:
     """Damped-oscillation fit  A cos(phi N) e^{-Gamma (N-1)}  over lags N.
 
     Works on any mean-signal or correlation series (arrays, not
     CorrelationSeries, so run-averaged zeta paths can be fitted too).
-    Unweighted; the stderr is scaled by the residual variance.
+    A is profiled over Gamma on GAMMA_BOUNDS.  Unweighted; the stderr is
+    scaled by the residual variance.
     """
-    from scipy.optimize import minimize  # only the joint fits need scipy
-
     n = np.asarray(lags, dtype=float)
     v = np.asarray(values, dtype=float)
     if n.shape != v.shape or n.size < 3:
         raise InvalidArgumentError("need matching lags/values with at least 3 points")
-    if amp0 is None:
-        amp0 = float(np.abs(v).max())
 
-    def model(amp, gam):
-        return amp * np.cos(phi * n) * np.exp(-gam * (n - 1))
+    def design(gam):
+        return (np.cos(phi * n) * np.exp(-gam * (n - 1)))[:, None]
 
-    opt = minimize(lambda p: float(np.sum((v - model(*p)) ** 2)), x0=[amp0, gamma0],
-                   method="Nelder-Mead",
-                   options={"xatol": 1e-13, "fatol": 1e-15, "maxfev": 20000})
-    if not opt.success:
-        raise FitFailureError(f"decay fit did not converge: {opt.message}")
-    amp, gam = map(float, opt.x)
-
-    env = model(1.0, gam)
-    scale = opt.fun / max(n.size - 2, 1) if opt.fun > 0 else 1.0
+    gam, solve = _profile_fit(design, v, np.ones_like(v), GAMMA_BOUNDS, GAMMA_XATOL, "gamma")
+    residual, (amp,), _ = solve(gam)
+    env, amp = design(gam)[:, 0], float(amp)
+    scale = residual / max(n.size - 2, 1) if residual > 0 else 1.0
     jac = np.column_stack([env, -amp * (n - 1) * env])
     errs = _gauss_newton_stderr(jac, np.ones_like(v), scale)
     return FitResult(
         params={"amplitude": amp, "gamma": gam},
         stderr={"amplitude": float(errs[0]), "gamma": float(errs[1])},
-        residual=float(opt.fun),
+        residual=residual,
         n_points=int(n.size),
-        success=bool(opt.success),
+        **_at_bound("gamma", gam, GAMMA_BOUNDS),
         meta={"phi": phi},
     )
 
@@ -493,18 +501,17 @@ def fit_alpha_modulated(trace: PhotonTrace, phi_s: float = 1.0) -> FitResult:
     The modulation pattern is deterministic and shared by every run, so
     the per-position mean photon count follows
 
-        <n_i> = n_av + ((n_a - n_b)/2) m_i(alpha)
+        <n_i> = n_a (1 + m_i(alpha))/2 + n_b (1 - m_i(alpha))/2
 
     with m_i the modulated spin signal; fitting the mean path pins all
     three parameters at once, unlike the random-phase record whose means
     are flat.  (The within-run autocorrelation is nearly alpha-blind
     here: the alpha term shares the carrier's period, so lag products de-
     pend on it only at second order.)  phi_s is the sequence-phase
-    parameter of the modulation pattern.  Weighted by the per-position
-    standard errors of the mean.
+    parameter of the modulation pattern.  (n_a, n_b) are profiled over
+    alpha on ALPHA_BOUNDS, weighted by the per-position standard errors
+    of the mean.
     """
-    from scipy.optimize import minimize  # only the joint fits need scipy
-
     counts = trace.counts.astype(float)
     runs, length = counts.shape
     if runs < 2:
@@ -515,32 +522,24 @@ def fit_alpha_modulated(trace: PhotonTrace, phi_s: float = 1.0) -> FitResult:
     w = 1.0 / se**2
     k = np.arange(length)
 
-    def sse(p):
-        n_a, n_b, alpha = p
+    def design(alpha):
         m = np.sin(modulated_drive(k, alpha, phi_s)[0])
-        model = 0.5 * (n_a + n_b) + 0.5 * (n_a - n_b) * m
-        return float(np.sum(w * (mean_path - model) ** 2))
+        return np.column_stack([0.5 * (1.0 + m), 0.5 * (1.0 - m)])
 
-    spread = max(counts.std(), 1.0)
-    x0 = [mean_path.mean() + spread, max(mean_path.mean() - spread, 0.0), 0.3]
-    opt = minimize(sse, x0=x0, method="Nelder-Mead",
-                   options={"xatol": 1e-8, "fatol": 1e-10, "maxfev": 40000})
-    if not opt.success:
-        raise FitFailureError(f"modulated calibration fit did not converge: {opt.message}")
-    n_a, n_b, alpha = map(float, opt.x)
+    alpha, solve = _profile_fit(design, mean_path, w, ALPHA_BOUNDS, ALPHA_XATOL, "alpha")
+    residual, (n_a, n_b), _ = solve(alpha)
+    n_a, n_b = float(n_a), float(n_b)
     if n_a - n_b <= 0:
         raise DegenerateContrastError("modulated fit found no positive bright/dark contrast")
 
-    angle, slope = modulated_drive(k, abs(alpha), phi_s)
-    m = np.sin(angle)
-    jac = np.column_stack([0.5 * (1.0 + m), 0.5 * (1.0 - m),
-                           0.5 * (n_a - n_b) * (np.cos(angle) * slope)])
+    angle, slope = modulated_drive(k, alpha, phi_s)
+    jac = np.column_stack([design(alpha), 0.5 * (n_a - n_b) * (np.cos(angle) * slope)])
     errs = _gauss_newton_stderr(jac, w)
     return FitResult(
-        params={"n_a": n_a, "n_b": n_b, "alpha": abs(alpha)},
+        params={"n_a": n_a, "n_b": n_b, "alpha": alpha},
         stderr={"n_a": float(errs[0]), "n_b": float(errs[1]), "alpha": float(errs[2])},
-        residual=float(opt.fun),
+        residual=residual,
         n_points=int(length),
-        success=bool(opt.success),
+        **_at_bound("alpha", alpha, ALPHA_BOUNDS),
         meta={"phi_s": phi_s},
     )

@@ -68,6 +68,8 @@ ANCHOR_SAMPLES = 500
 _CSV_BLOCK_ROWS = 4096
 _CSV_READ_BYTES = 1 << 20
 _TRACE_KINDS = ("quantum", "classical", "classical-modulated")
+#: the largest mean numpy's Poisson sampler accepts (numpy's POISSON_LAM_MAX)
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
 @dataclass
@@ -86,6 +88,9 @@ class ReadoutModel:
             # n_a == n_b is allowed so the degenerate-contrast path can be
             # exercised end to end; reconstruction rejects it downstream.
             raise InvalidArgumentError("need n_a >= n_b >= 0")
+        if self.n_a > _POISSON_LAM_MAX:  # n_b <= n_a, so this bounds both
+            raise InvalidArgumentError(f"n_a and n_b must not exceed numpy's Poisson limit "
+                                       f"{_POISSON_LAM_MAX:.6g}, got n_a = {self.n_a}")
         if self.repetitions < 1:
             raise InvalidArgumentError("repetitions must be >= 1")
 
@@ -108,8 +113,9 @@ class ChargeModel:
     def __post_init__(self):
         if not (0.0 <= self.p_minus <= 1.0):
             raise InvalidArgumentError(f"p_minus must lie in [0, 1], got {self.p_minus}")
-        if self.nv0_mean is not None and not 0 <= self.nv0_mean < np.inf:
-            raise InvalidArgumentError(f"nv0_mean must be finite and >= 0, got {self.nv0_mean}")
+        if self.nv0_mean is not None and not 0 <= self.nv0_mean <= _POISSON_LAM_MAX:
+            raise InvalidArgumentError(f"nv0_mean must lie in [0, {_POISSON_LAM_MAX:.6g}] "
+                                       f"(numpy's Poisson limit), got {self.nv0_mean}")
 
 
 @dataclass

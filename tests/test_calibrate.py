@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 
 from spintrack.calibrate import (
     MAX_GAIN,
@@ -17,7 +17,7 @@ from spintrack.calibrate import (
     write_json,
 )
 from spintrack.correlation import CorrelationSeries, corr_Sz, ensemble_corr
-from spintrack.engine import simulate_runs
+from spintrack.engine import modulated_drive, simulate_runs
 from spintrack.errors import (
     AmplificationError,
     DegenerateContrastError,
@@ -65,6 +65,14 @@ def test_fit_na_nb_closed_loop():
     # quoted uncertainties should cover the truth at a few sigma
     assert abs(fit["n_a"] - 1200.0) < 4 * fit.stderr["n_a"]
     assert abs(fit["n_b"] - 600.0) < 4 * fit.stderr["n_b"]
+
+
+def test_fit_na_nb_boundary_flag():
+    angles = np.repeat(np.arange(0.0, 361.0, 30.0), 3)
+    for phi_0 in (0.7, -0.7):  # outside PHI0_BOUNDS
+        counts = 900.0 + 300.0 * sweep_fraction(angles, phi_0) + np.arange(angles.size) % 3
+        fit = fit_na_nb(ModulationTrace(angles, counts))
+        assert fit.boundary and fit.message == "phi_0 estimate at search bound", phi_0
 
 
 def test_fit_na_nb_degenerate_contrast():
@@ -313,6 +321,78 @@ def test_fit_alpha_modulated_validation():
 
 
 # ---------------------------------------------------------------------------
+# the profiled fits against a joint Nelder-Mead reference
+
+
+def _nelder_mead(sse, x0, xatol, fatol):
+    """scipy's Nelder-Mead on `sse` from x0: (x, sse(x))."""
+    opt = minimize(sse, x0=x0, method="Nelder-Mead",
+                   options={"xatol": xatol, "fatol": fatol, "maxfev": 40000})
+    assert opt.success, opt.message
+    return opt.x, float(opt.fun)
+
+
+def _modulated_reference(trace, phi_s):
+    counts = trace.counts.astype(float)
+    mean_path = counts.mean(axis=0)
+    se = counts.std(axis=0, ddof=1) / np.sqrt(counts.shape[0])
+    w = 1.0 / np.maximum(se, 1e-9 * max(1.0, np.abs(mean_path).max())) ** 2
+    k = np.arange(counts.shape[1])
+
+    def sse(p):
+        n_a, n_b, alpha = p
+        m = np.sin(modulated_drive(k, alpha, phi_s)[0])
+        return float(np.sum(w * (mean_path - 0.5 * (n_a + n_b) - 0.5 * (n_a - n_b) * m) ** 2))
+
+    spread = max(counts.std(), 1.0)
+    x0 = [mean_path.mean() + spread, max(mean_path.mean() - spread, 0.0), 0.3]
+    x, fun = _nelder_mead(sse, x0, 1e-8, 1e-10)
+    return dict(zip(("n_a", "n_b", "alpha"), x)), fun
+
+
+def _decay_reference(lags, values, phi):
+    def sse(p):
+        return float(np.sum((values - p[0] * np.cos(phi * lags) * np.exp(-p[1] * (lags - 1))) ** 2))
+
+    x, fun = _nelder_mead(sse, [np.abs(values).max(), 0.01], 1e-13, 1e-15)
+    return dict(zip(("amplitude", "gamma"), x)), fun
+
+
+def _assert_matches_reference(fit, ref):
+    params, residual = ref
+    for name, value in params.items():
+        assert abs(fit[name] - value) <= 1e-5 * fit.stderr[name], name
+    assert fit.residual <= (1.0 + 1e-12) * residual
+    assert not fit.boundary
+
+
+@pytest.mark.parametrize("seed,alpha,phi_s", [(1, 0.05, 1.0), (2, 0.35, 1.0), (3, 0.8, 1.0),
+                                              (4, 1.2, 1.0), (5, 0.2, 0.7), (6, 0.6, 0.7),
+                                              (7, 1.0, 0.7)])
+def test_fit_alpha_modulated_matches_nelder_mead(seed, alpha, phi_s):
+    trace = run_classical_experiment(alpha, 0.5, 64, MODEL, runs=200, seed=seed,
+                                     modulated=True, phi_s=phi_s)
+    fit = fit_alpha_modulated(trace, phi_s)
+    _assert_matches_reference(fit, _modulated_reference(trace, phi_s))
+
+
+@pytest.mark.parametrize("alpha", [-0.3, 1.8])
+def test_fit_alpha_modulated_flags_alpha_outside_the_bounds(alpha):
+    trace = run_classical_experiment(alpha, 0.5, 64, MODEL, runs=200, seed=8, modulated=True)
+    fit = fit_alpha_modulated(trace)
+    assert fit.boundary and fit.message == "alpha estimate at search bound"
+
+
+@pytest.mark.parametrize("seed,p_minus", [(11, 1.0), (12, 1.0), (13, 0.7), (14, 0.7)])
+def test_fit_decay_matches_nelder_mead(seed, p_minus):
+    phi = np.deg2rad(27.0)
+    cfg = ProtocolConfig(alpha=0.1 * np.pi, phi=phi, cycles=100, prepolarized=True)
+    lags = np.arange(1.0, 101.0)
+    values = simulate_runs(cfg, runs=300, seed=seed, p_minus=p_minus).zetas.mean(axis=0)
+    _assert_matches_reference(fit_decay(lags, values, phi), _decay_reference(lags, values, phi))
+
+
+# ---------------------------------------------------------------------------
 # bounded scalar search
 
 
@@ -367,3 +447,5 @@ def test_scalar_fits_reject_a_nan_objective():
     counts[4] = np.nan
     with pytest.raises(FitFailureError, match="^phi_0 search failed"):
         fit_na_nb(ModulationTrace(angles, counts))
+    with pytest.raises(FitFailureError, match="^gamma search failed"):
+        fit_decay(np.arange(1.0, 21.0), series.values, 0.6)

@@ -134,7 +134,7 @@ def _readme(path, value, *flags):
 
 #: the probes that ended in a traceback, or in exit 0 on a misread value:
 #: (config, flags, what the error names); `report` runs them, except the
-#: ones named simulate_*, which `simulate` runs
+#: ones named simulate_* or calibrate_*, which that subcommand runs
 PROBES = {
     "prepolarised_spelling": (*_readme(("protocol", "prepolarised"), True),
                               "'protocol.prepolarised'"),
@@ -165,13 +165,23 @@ PROBES = {
                                    "'protocol.prepolarized'"),
     "simulate_prepolarized_false": (*_readme(("protocol", "prepolarized"), False),
                                     "'protocol.prepolarized'"),
+    # levels above numpy's Poisson limit ended in "lam value too large", exit 1;
+    # `calibrate` samples no charge states, so it reads no nv0_mean
+    **{f"{command}{name}": (*_readme(path, value), "Poisson limit")
+       for name, path, value, commands in (
+           ("n_a_1e160", ("readout", "n_a"), 1e160, ("", "simulate_", "calibrate_")),
+           ("n_a_n_b_1e160", ("readout",), {"n_a": 1e160, "n_b": 1e159},
+            ("", "simulate_", "calibrate_")),
+           ("nv0_mean_1e160", ("charge",), {"p_minus": 0.9, "nv0_mean": 1e160},
+            ("", "simulate_")))
+       for command in commands},
 }
 
 
 @pytest.mark.parametrize("name", sorted(PROBES))
 def test_config_probe_exits_2(tmp_path, capsys, name):
     cfg, flags, names = PROBES[name]
-    command = "simulate" if name.startswith("simulate_") else "report"
+    command = name.split("_")[0] if name.startswith(("simulate_", "calibrate_")) else "report"
     code, err = _run(tmp_path, capsys, cfg, *flags, command=command)
     assert code == 2, err
     assert err.startswith("error[InvalidArgumentError]") and err.count("\n") == 1, err

@@ -66,9 +66,9 @@ GOLDEN = {
         "trace.csv": "5f1acc1051a3c6baddb544a48b8e9a6412dfd2ae8d0dfb492f869bb945ed7fda",
     },
     "classical-modulated": {
-        "fit.json": "af8ed36792e102f1a7af583fef359a5a80c7f404afea87586eb221f737a79501",
+        "fit.json": "5d5d1602ccc9a3d898e4ad74f3ad9efb275f3c52892fc95cd91d3383ada20897",
         "modulation.csv": "b094a3bf8785b060c4dffa4dafb6afb89a26c3d040c71221b2b7d10d1105d468",
-        "summary.json": "cf5b738740d5d49e56f59ad89b7c604df1cfe626b71e7fc0768801e884cb5d5c",
+        "summary.json": "c77bdb6033ee35af21a3bba17dde501ea2dd64fcd17e63e1de42a085a25ef80d",
         "trace.csv": "fe8c16630415dc8dbe128cba0edcf850f47939a69dd32ec3245d8d7e9fd79198",
     },
 }

@@ -2,8 +2,9 @@
 
 Every module a subcommand needs is loaded by `import spintrack.cli`, so its
 cost counts as start-up and none falls inside the timed `cli.main`; scipy
-is not among them.  Each case runs in a fresh interpreter, because this
-suite's own process has loaded scipy long before.
+is not among them, and the subcommands run where it cannot be imported.
+Each case runs in a fresh interpreter, because this suite's own process
+has loaded scipy long before.
 """
 
 import json
@@ -36,10 +37,10 @@ CONFIGS = {
 }
 
 
-def _run(*argv) -> dict:
+def _run(*argv, child: str = _CHILD) -> dict:
     src = os.path.dirname(os.path.dirname(spintrack.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -74,7 +75,30 @@ def test_report_loads_no_module_inside_main(tmp_path, kind):
     assert (run["code"], run["loaded"]) == (0, [])
 
 
-def test_only_the_modulated_report_loads_scipy(tmp_path):
+#: the same with scipy unimportable: `import scipy` raises ImportError, then
+#: the CLI runs on argv and `fit_decay` on an exact damped cosine
+_NO_SCIPY = """\
+import json, sys
+sys.modules["scipy"] = None
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise SystemExit("scipy was importable")
+import numpy as np
+import spintrack.cli as cli
+from spintrack.calibrate import fit_decay
+code = cli.main(sys.argv[1:])
+n = np.arange(1.0, 40.0)
+fit = fit_decay(n, 0.3 * np.cos(0.5 * n) * np.exp(-0.02 * (n - 1)), 0.5)
+print(json.dumps({"code": code, "params": fit.params}))
+"""
+
+
+def test_the_modulated_report_and_fit_decay_run_without_scipy(tmp_path):
     cfg = _config(tmp_path, "classical-modulated")
-    run = _run("report", "--config", cfg, "--out", str(tmp_path / "out"))
-    assert run["code"] == 0 and "scipy.optimize" in run["loaded"]
+    run = _run("report", "--config", cfg, "--out", str(tmp_path / "out"), child=_NO_SCIPY)
+    assert run["code"] == 0
+    assert run["params"] == pytest.approx({"amplitude": 0.3, "gamma": 0.02}, abs=1e-9)
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["alpha_fit"] > 0
