@@ -388,6 +388,12 @@ ALPHA_BOUNDS = (1e-3, np.pi / 2 - 1e-3)
 ALPHA_XATOL = 1e-12
 
 
+def _check_boxcar_fraction(fraction: float) -> None:
+    """`fit_alpha`'s range check of its boxcar window, which `cli.read_config` runs too."""
+    if not 0 < fraction <= 1:
+        raise InvalidArgumentError(f"boxcar_fraction must lie in (0, 1], got {fraction}")
+
+
 def fit_alpha(
     series: CorrelationSeries,
     phi: float,
@@ -408,8 +414,8 @@ def fit_alpha(
     """
     if weighting not in ("full", "boxcar"):
         raise InvalidArgumentError(f"weighting must be 'full' or 'boxcar', got {weighting!r}")
-    if weighting == "boxcar" and not 0 < boxcar_fraction <= 1:
-        raise InvalidArgumentError(f"boxcar_fraction must lie in (0, 1], got {boxcar_fraction}")
+    if weighting == "boxcar":
+        _check_boxcar_fraction(boxcar_fraction)
     se = series.stderr
     if not np.isfinite(se).any():
         raise InvalidArgumentError("no lag of the series has a finite stderr")

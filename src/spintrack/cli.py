@@ -16,7 +16,8 @@ and its default or as required; `read_config` merges the override flags,
 checks every key against it, rejects a key it does not list, and `main`
 passes the checked settings to every subcommand.  The block keys are the
 fields of `ProtocolConfig`, `ReadoutModel`, `ChargeModel` and the
-arguments of `run_classical_experiment`, which keep their range checks;
+arguments of `run_classical_experiment`; `read_config` builds the first
+three, so their range checks end a bad config before anything is written;
 `ProtocolConfig.prepolarized` is not a key, because a prepolarised
 record has no reference measurement for the ensemble estimator.
 
@@ -149,7 +150,8 @@ def _checked(table: dict, block, where: str) -> dict:
 
 
 def read_config(args) -> dict:
-    """Checked settings of the config at `args.config`, flags merged in."""
+    """Checked settings of the config at `args.config`, flags merged in; the
+    readout, protocol and charge blocks come back as the objects they configure."""
     raw = load_config(args.config)
     if not isinstance(raw, dict):
         raise InvalidArgumentError(f"config must be a JSON object, got {json.dumps(raw)}")
@@ -164,8 +166,21 @@ def read_config(args) -> dict:
     for key, low in (("seed", 0), ("runs", 1)):
         if settings[key] < low:
             raise InvalidArgumentError(f"config key '{key}' must be >= {low}, got {settings[key]}")
-    length = (settings["protocol"]["cycles"] + 1 if kind == "quantum"
-              else settings["classical"]["measurements_per_run"])
+    # the blocks become the objects they configure, so their range checks
+    # run here, before `main` makes the output directory
+    settings["readout"] = ro.ReadoutModel(**settings["readout"])
+    if kind == "quantum":
+        settings["protocol"] = ProtocolConfig(**settings["protocol"])
+        if settings["charge"] is not None:
+            settings["charge"] = ro.ChargeModel(**settings["charge"])
+        length = settings["protocol"].cycles + 1
+    else:
+        length = settings["classical"]["measurements_per_run"]
+        if length < 1:
+            raise InvalidArgumentError(
+                f"config key 'classical.measurements_per_run' must be >= 1, got {length}")
+    if settings["boxcar"] is not None:
+        cal._check_boxcar_fraction(settings["boxcar"])
     if settings["runs"] * length > MAX_MEASUREMENTS:
         raise InvalidArgumentError(
             f"config key 'runs' gives {settings['runs']} x {length} measurements, above the "
@@ -179,13 +194,10 @@ def read_config(args) -> dict:
 
 def _make_trace(settings: dict, out: str) -> ro.PhotonTrace:
     """Simulate the photon record and write it to <out>/trace.csv."""
-    model = ro.ReadoutModel(**settings["readout"])
-    runs, seed = settings["runs"], settings["seed"]
+    model, runs, seed = settings["readout"], settings["runs"], settings["seed"]
     if settings["kind"] == "quantum":
-        charge = settings["charge"]
-        trace = ro.run_quantum_experiment(
-            ProtocolConfig(**settings["protocol"]), model, runs, seed,
-            charge=None if charge is None else ro.ChargeModel(**charge))
+        trace = ro.run_quantum_experiment(settings["protocol"], model, runs, seed,
+                                          charge=settings["charge"])
     else:
         trace = ro.run_classical_experiment(
             **settings["classical"], model=model, runs=runs, seed=seed,
@@ -196,8 +208,7 @@ def _make_trace(settings: dict, out: str) -> ro.PhotonTrace:
 
 def _calibrate(settings: dict, out: str) -> cal.FitResult:
     """Simulate the rotation sweep, write <out>/modulation.csv and fit it."""
-    sweep = ro.modulation_trace(ro.ReadoutModel(**settings["readout"]),
-                                aux_rng(settings["seed"], 0))
+    sweep = ro.modulation_trace(settings["readout"], aux_rng(settings["seed"], 0))
     sweep.to_csv(os.path.join(out, "modulation.csv"))
     return cal.fit_na_nb(sweep)
 
@@ -244,7 +255,7 @@ def cmd_correlate(args, settings: dict) -> dict:
                 f"{args.fit} has no calibrated levels: params {bad} missing or not numbers")
         model = ro.ReadoutModel(levels["n_a"], levels["n_b"], levels["phi_0"])
     else:
-        model = ro.ReadoutModel(**settings["readout"])
+        model = settings["readout"]
     series = cal.reconstruct_Sz_corr(trace, model, max_lag=settings["max_lag"])
     series.to_csv(os.path.join(out, "corr_sz.csv"))
     return {"kind": trace.kind, "estimator": series.meta["estimator"],
@@ -287,7 +298,7 @@ def cmd_report(args, settings: dict) -> dict:
 
         if kind == "quantum":
             boxcar = settings["boxcar"]
-            alpha_fit = cal.fit_alpha(series, settings["protocol"]["phi"],
+            alpha_fit = cal.fit_alpha(series, settings["protocol"].phi,
                                       weighting="full" if boxcar is None else "boxcar",
                                       boxcar_fraction=boxcar)
             fits["alpha"] = alpha_fit.as_dict()

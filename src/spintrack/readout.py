@@ -65,11 +65,16 @@ SAMPLES_PER_ANGLE = 50
 #: the sweep angle sampled ANCHOR_SAMPLES times instead of SAMPLES_PER_ANGLE
 ANCHOR_ANGLE = 90
 ANCHOR_SAMPLES = 500
-_CSV_BLOCK_ROWS = 4096
+#: rows `PhotonTrace.to_csv` encodes at a time: about 1 MiB of working arrays
+_CSV_BLOCK_ROWS = 16384
 _CSV_READ_BYTES = 1 << 20
 _TRACE_KINDS = ("quantum", "classical", "classical-modulated")
 #: the largest mean numpy's Poisson sampler accepts (numpy's POISSON_LAM_MAX)
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+#: the four ASCII digits of 0 .. 9999, zero-padded, as one uint32 each
+_DIGIT_TABLE = (np.arange(10000, dtype=np.uint16)[:, None]
+                // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
+                + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 
 
 @dataclass
@@ -129,6 +134,7 @@ class PhotonTrace:
     + ``\n``, then ``index,count\r\n``, then one ``i,c\r\n`` row per count
     in row-major order, i = 0 .. runs * length - 1.  `from_csv` rejects a
     file that departs from it with an `InvalidArgumentError` naming the file.
+    `to_csv` builds the bytes in numpy, a block of rows at a time.
     """
 
     counts: np.ndarray
@@ -151,17 +157,17 @@ class PhotonTrace:
         header = {"kind": self.kind, "runs": self.runs, "length": self.length,
                   "first_lag": self.first_lag, "meta": self.meta}
         flat = self.counts.ravel()
-        with open(path, "w", newline="") as fh:
-            fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-            fh.write("index,count\r\n")
-            # format a block of rows at a time: small blocks keep the
-            # temporary strings (and peak memory) small
-            for start in range(0, flat.size, _CSV_BLOCK_ROWS):
-                block = flat[start:start + _CSV_BLOCK_ROWS]
-                pairs = np.empty((block.size, 2), dtype=np.int64)
-                pairs[:, 0] = np.arange(start, start + block.size)
-                pairs[:, 1] = block
-                fh.write(("%d,%d\r\n" * block.size) % tuple(pairs.ravel().tolist()))
+        if flat.min(initial=0) < 0:
+            raise InvalidArgumentError("counts must be non-negative")
+        with open(path, "wb") as fh:
+            fh.write(("# " + json.dumps(header, sort_keys=True) + "\n").encode())
+            fh.write(b"index,count\r\n")
+            start = 0
+            while start < flat.size:
+                # a block never crosses a power of 10, so its indices share one width
+                stop = min(start + _CSV_BLOCK_ROWS, flat.size, 10 ** len(str(start)))
+                fh.write(_encode_rows(start, flat[start:stop]))
+                start = stop
 
     @classmethod
     def from_csv(cls, path) -> "PhotonTrace":
@@ -213,7 +219,7 @@ class PhotonTrace:
         # comma and a CRLF per row.  Any sign, space, leading zero, lone LF or
         # blank line adds a byte; with one CRLF per row and the last byte a LF,
         # an equal size leaves the written layout as the only one possible.
-        canonical = _digits(rows[:, 0]) + _digits(rows[:, 1]) + 3 * len(rows)
+        canonical = int(_digits(rows[:, 0]).sum() + _digits(rows[:, 1]).sum()) + 3 * len(rows)
         if size != canonical or crlf != len(rows) or (rows.size and last != b"\n"):
             raise InvalidArgumentError(
                 f"{path}: every row must read 'i,c\\r\\n' in plain decimal digits")
@@ -230,13 +236,46 @@ def _is_trace_header(header) -> bool:
             and header["kind"] in _TRACE_KINDS and isinstance(header["meta"], dict))
 
 
-def _digits(values: np.ndarray) -> int:
-    """Total number of decimal digits of non-negative integers, as `%d` writes them."""
-    total, top, power = values.size, int(values.max(initial=0)), 10
+def _digits(values: np.ndarray) -> np.ndarray:
+    """Number of decimal digits of each non-negative integer, as `%d` writes it."""
+    digits, top, power = np.ones(values.shape, dtype=np.uint8), int(values.max(initial=0)), 10
     while power <= top:
-        total += int(np.count_nonzero(values >= power))
+        digits += values >= power
         power *= 10
-    return total
+    return digits
+
+
+def _padded_digits(values: np.ndarray, digits: int) -> np.ndarray:
+    """ASCII digits of non-negative `values` of at most `digits` digits, zero-padded
+    to a multiple of 4: one uint8 row per value, one table lookup per base-10^4 limb."""
+    limbs = np.empty((values.size, -(-digits // 4)), dtype=np.uint32)
+    for j in range(limbs.shape[1] - 1, -1, -1):
+        values, low = np.divmod(values, 10000)
+        limbs[:, j] = _DIGIT_TABLE.take(low)
+    return limbs.view(np.uint8)
+
+
+def _encode_rows(start: int, counts: np.ndarray) -> bytes:
+    """The rows ``i,c\\r\\n`` for i = start .. start + counts.size - 1, all
+    with as many index digits as `start`."""
+    index_width = len(str(start))
+    index = _padded_digits(np.arange(start, start + counts.size, dtype=np.int64), index_width)
+    ndigits = _digits(counts)
+    count = _padded_digits(counts, int(ndigits.max()))
+    count_width = count.shape[1]
+    # fixed-width rows: index | ',' | count, zero-padded | '\r\n'; numpy copies
+    # narrow rows slowly, so the matrix is filled one column at a time
+    columns = [*index.T[-index_width:], ord(","), *count.T, ord("\r"), ord("\n")]
+    rows = np.empty((counts.size, len(columns)), dtype=np.uint8)
+    for j, column in enumerate(columns):
+        rows[:, j] = column
+    # keep[d] drops the padding zeros in front of a d-digit count; taking its
+    # rows as whole items is 4x faster than the fancy index keep[ndigits]
+    keep = np.ones((count_width + 1, len(columns)), dtype=bool)
+    for d in range(1, count_width):
+        keep[d, index_width + 1:index_width + 1 + count_width - d] = False
+    mask = keep.view(np.dtype((np.void, len(columns)))).take(ndigits).view(bool)
+    return rows.ravel()[mask].tobytes()
 
 
 @dataclass

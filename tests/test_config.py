@@ -165,6 +165,13 @@ PROBES = {
                                    "'protocol.prepolarized'"),
     "simulate_prepolarized_false": (*_readme(("protocol", "prepolarized"), False),
                                     "'protocol.prepolarized'"),
+    # a bad model or record value ended only after the output directory was made
+    "p_minus_1_5": (*_readme(("charge",), {"p_minus": 1.5}), "p_minus"),
+    "n_b_above_n_a": (*_readme(("readout", "n_b"), 1300.0), "n_a >= n_b"),
+    "protocol_alpha_4": (*_readme(("protocol", "alpha"), 4.0), "alpha must lie in"),
+    "cycles_minus_1": (*_readme(("protocol", "cycles"), -1), "cycles must be >= 1"),
+    "measurements_per_run_0": (_set(BASE["classical"], ("classical", "measurements_per_run"), 0),
+                               (), "'classical.measurements_per_run'"),
     # levels above numpy's Poisson limit ended in "lam value too large", exit 1;
     # `calibrate` samples no charge states, so it reads no nv0_mean
     **{f"{command}{name}": (*_readme(path, value), "Poisson limit")
@@ -186,6 +193,7 @@ def test_config_probe_exits_2(tmp_path, capsys, name):
     assert code == 2, err
     assert err.startswith("error[InvalidArgumentError]") and err.count("\n") == 1, err
     assert names in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("field,value,code", [

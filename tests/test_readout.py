@@ -1,12 +1,17 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spintrack.errors import InvalidArgumentError
 from spintrack.protocol import ProtocolConfig
 from spintrack.readout import (
+    _CSV_BLOCK_ROWS,
     ChargeModel,
     PhotonTrace,
     ReadoutModel,
@@ -90,7 +95,12 @@ def _csv_writer_reference(trace, path):
             w.writerow([i, int(cval)])
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 4095), (1, 4096), (1, 4097), (3, 5), (2, 8193)])
+@pytest.mark.parametrize("shape", [
+    (1, 1), (1, 4095), (1, 4096), (1, 4097), (3, 5), (2, 8193),
+    # across the encoder's block size, then where the index gains a digit
+    (1, _CSV_BLOCK_ROWS - 1), (1, _CSV_BLOCK_ROWS), (1, _CSV_BLOCK_ROWS + 1),
+    (1, 10), (1, 11), (11, 9091), (101, 9901),
+])
 def test_photon_trace_csv_matches_csv_writer(tmp_path, shape):
     rng = np.random.default_rng(sum(shape))
     counts = rng.integers(0, 5000, size=shape, dtype=np.int64)
@@ -104,6 +114,54 @@ def test_photon_trace_csv_matches_csv_writer(tmp_path, shape):
     assert back.counts.dtype == np.int64
     assert np.array_equal(back.counts, counts)
     assert (back.kind, back.first_lag, back.meta) == ("quantum", 1, {"seed": 3})
+
+
+#: counts where the digit count, or the number of base-10^4 limbs, changes
+EDGE_COUNTS = [0, 9, 10, 9999, 10000, 2**63 - 1]
+
+
+@pytest.mark.parametrize("value", EDGE_COUNTS)
+def test_photon_trace_csv_edge_counts(tmp_path, value):
+    """A whole block of `value`, then a block that mixes every edge count."""
+    counts = np.full(_CSV_BLOCK_ROWS + 4 * len(EDGE_COUNTS), value, dtype=np.int64)
+    counts[_CSV_BLOCK_ROWS:] = EDGE_COUNTS * 4
+    trace = PhotonTrace(counts=counts[None, :], kind="classical", meta={})
+    trace.to_csv(tmp_path / "block.csv")
+    _csv_writer_reference(trace, tmp_path / "reference.csv")
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert np.array_equal(PhotonTrace.from_csv(tmp_path / "block.csv").counts, trace.counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.int64, st.tuples(st.integers(1, 40), st.integers(1, 40)),
+              elements=st.integers(0, 2**63 - 1)))
+def test_photon_trace_csv_property(tmp_path_factory, counts):
+    path = tmp_path_factory.mktemp("property")
+    trace = PhotonTrace(counts=counts, kind="quantum", first_lag=0, meta={"seed": 1})
+    trace.to_csv(path / "block.csv")
+    _csv_writer_reference(trace, path / "reference.csv")
+    assert (path / "block.csv").read_bytes() == (path / "reference.csv").read_bytes()
+    assert np.array_equal(PhotonTrace.from_csv(path / "block.csv").counts, counts)
+
+
+def test_photon_trace_csv_rejects_negative_counts(tmp_path):
+    trace = PhotonTrace(counts=np.array([[3, -1]]), kind="quantum")
+    with pytest.raises(InvalidArgumentError, match="non-negative"):
+        trace.to_csv(tmp_path / "trace.csv")
+
+
+def test_photon_trace_to_csv_streams_in_blocks(tmp_path):
+    """Encoding the whole 2e6-count record as one block traces about 67 MB;
+    block by block, the peak stays near 1 MiB whatever the record's size."""
+    counts = np.random.default_rng(7).poisson(900.0, size=(80_000, 25)).astype(np.int64)
+    trace = PhotonTrace(counts=counts, kind="quantum", first_lag=0, meta={"seed": 7})
+    tracemalloc.start()
+    try:
+        trace.to_csv(tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def test_modulation_trace_matches_fringe_model(rng):
