@@ -17,7 +17,9 @@ checks every key against it, rejects a key it does not list, and `main`
 passes the checked settings to every subcommand.  The block keys are the
 fields of `ProtocolConfig`, `ReadoutModel`, `ChargeModel` and the
 arguments of `run_classical_experiment`; `read_config` builds the first
-three, so their range checks end a bad config before anything is written;
+three, so their range checks end a bad config before anything is written,
+and so do the kind each command writes and what `report` and `correlate`
+need of the record (`runs`, `max_lag`), checked by the analysis's own rules;
 `ProtocolConfig.prepolarized` is not a key, because a prepolarised
 record has no reference measurement for the ensemble estimator.
 
@@ -50,7 +52,7 @@ import numpy as np
 
 from . import calibrate as cal
 from . import readout as ro
-from .correlation import CorrelationSeries
+from .correlation import CorrelationSeries, _check_lag_products
 from .errors import AmplificationError, InvalidArgumentError, SpintrackError
 from .lg import lg_function
 from .protocol import ProtocolConfig
@@ -161,6 +163,9 @@ def read_config(args) -> dict:
     kind = raw.get("kind")
     if not isinstance(kind, str) or kind not in CONFIG_KEYS:
         raise InvalidArgumentError(f"unknown experiment kind {json.dumps(kind)}")
+    kinds = getattr(args, "kinds", CONFIG_KEYS)
+    if kind not in kinds:
+        raise InvalidArgumentError(f"`{args.command}` needs kind in {kinds}, got {kind!r}")
     flags = {key: getattr(args, key) for key in _TOP_KEYS if getattr(args, key, None) is not None}
     settings = _checked(CONFIG_KEYS[kind], dict(raw, **flags), "")
     for key, low in (("seed", 0), ("runs", 1)):
@@ -185,6 +190,17 @@ def read_config(args) -> dict:
         raise InvalidArgumentError(
             f"config key 'runs' gives {settings['runs']} x {length} measurements, above the "
             f"cap MAX_MEASUREMENTS = {MAX_MEASUREMENTS}")
+    # the estimator stages' rules for the record, which here depend on the
+    # config alone; `correlate` reads its record's kind and size from the trace
+    command = getattr(args, "command", None)
+    if command == "correlate" and settings["max_lag"] is not None:
+        _check_lag_products(settings["max_lag"], None)
+    elif command == "report" and kind == "classical-modulated":
+        cal._check_mean_path_runs(settings["runs"])
+    elif command == "report":
+        estimator = cal._trace_estimator(kind)
+        _check_lag_products(cal._resolve_max_lag(settings["max_lag"], estimator, length),
+                            estimator, settings["runs"], length)
     return settings
 
 
@@ -227,10 +243,8 @@ def _lg_stage(series: CorrelationSeries, out: str) -> dict:
 
 
 def cmd_trace(args, settings: dict) -> dict:
-    """`simulate` and `classical`: write the photon record of an allowed kind."""
-    if settings["kind"] not in args.kinds:
-        raise InvalidArgumentError(
-            f"`{args.command}` needs kind in {args.kinds}, got {settings['kind']!r}")
+    """`simulate` and `classical`: write the photon record of an allowed kind
+    (`read_config` checks the kind)."""
     trace = _make_trace(settings, args.out)
     return {"kind": settings["kind"], "runs": trace.runs, "length": trace.length,
             "seed": trace.meta["seed"], "artifacts": ["trace.csv"]}

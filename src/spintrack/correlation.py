@@ -179,6 +179,18 @@ def _fft_len(n: int) -> int:
 _FFT_BLOCK = 2**17
 
 
+def _check_lag_products(max_lag: int, estimator: str | None, runs: int | None = None,
+                        length: int | None = None) -> None:
+    """The rules `lag_products` holds a (runs, length) record to, which
+    `cli.read_config` also runs on a config's record before sampling it; a
+    None estimator, run count or length is not known yet and not checked."""
+    if max_lag < 1 or length is not None and max_lag > length - 1:
+        high = "length - 1" if length is None else length - 1
+        raise InvalidArgumentError(f"max_lag must be in [1, {high}], got {max_lag}")
+    if estimator == "ensemble" and runs is not None and runs < 2:
+        raise InvalidArgumentError("need at least 2 runs for an ensemble estimate")
+
+
 def lag_products(records, max_lag: int, estimator: str):
     """Per-lag (mean, std with ddof=1, count) of the lag-N products, N = 1..max_lag.
 
@@ -201,11 +213,8 @@ def lag_products(records, max_lag: int, estimator: str):
     """
     m = np.atleast_2d(records)
     runs, length = m.shape
-    if not (1 <= max_lag <= length - 1):
-        raise InvalidArgumentError(f"max_lag must be in [1, {length - 1}], got {max_lag}")
+    _check_lag_products(max_lag, estimator, runs, length)
     if estimator == "ensemble":
-        if runs < 2:
-            raise InvalidArgumentError("need at least 2 runs for an ensemble estimate")
         prod = m[:, :1] * m[:, 1 : max_lag + 1]
         return prod.mean(axis=0), prod.std(axis=0, ddof=1), np.full(max_lag, runs)
     if estimator != "time-average":

@@ -2,14 +2,21 @@
 
 Runs are partitioned into fixed chunks of `CHUNK_SIZE`; chunk ``c`` of a
 simulation with master seed ``s`` always draws from
-``SeedSequence(entropy=s, spawn_key=(c,))`` in a fixed order, and a batch
-is the concatenation of its chunks, sampled one after another
-(`_run_chunked`).  Each kind of draw has one helper, which both samplers
-call where they make that draw: `_draw_outcomes` (the +-1 readout),
-`_draw_charge` (the per-cycle charge state) and `_draw_photons` (the
-Poisson counts).  Do not reorder the RNG calls inside `_simulate_chunk` /
-`_classical_chunk` or these helpers: the draw order is part of the
-determinism contract.
+``SeedSequence(entropy=s, spawn_key=(c,))`` in a fixed order, so run i
+depends only on (seed, i // CHUNK_SIZE) and a batch equals its chunks
+sampled one after another and stacked.  `_run_chunked` samples in three
+passes: every chunk draws its uniforms in the order its runs consume them
+(`_quantum`: one call, cycle-major; `_classical`: the phases, then the
+outcome uniforms) into one matrix over all runs; the recurrence then steps
+all runs at once (`_cycle`), writing into the batch's arrays; last, each
+chunk draws its photons from its own generator.  PCG64 spends one 64-bit
+word per double, so one call for k n uniforms gives the numbers of k calls
+for n, and elementwise IEEE arithmetic does not depend on the array width:
+the streams are those of the chunk-by-chunk sampler.  Each kind of draw
+has one helper: `_draw_outcomes` (the +-1 readout), `_draw_charge` (the
+per-cycle charge state) and `_draw_photons` (the Poisson counts).  Do not
+reorder the draws inside `_quantum`, `_cycle`, `_classical` or
+`_run_chunked`: the draw order is part of the determinism contract.
 
 The target spin follows the outcome-averaged recurrence of
 `spintrack.protocol`; readout outcomes are drawn from the presented
@@ -65,59 +72,73 @@ class RunBatch:
     first_lag: int
 
 
-def _draw_outcomes(rng, zetas) -> np.ndarray:
-    """+-1 readout outcomes, +1 with probability (1 + zeta) / 2."""
-    return np.where(rng.random(zetas.shape) < (1.0 + zetas) / 2.0, 1, -1).astype(np.int8)
+def _draw_outcomes(u, zetas) -> np.ndarray:
+    """+-1 readout outcomes from uniforms u: +1 with probability (1 + zeta) / 2."""
+    return np.where(u < (1.0 + zetas) / 2.0, np.int8(1), np.int8(-1))
 
 
-def _draw_charge(rng, n_runs: int, p_minus: float) -> np.ndarray:
-    """Charge state of one cycle per run, True when active; no draw at p_minus 1."""
+def _draw_charge(rows, n_runs: int, p_minus: float) -> np.ndarray:
+    """Charge state of one cycle per run, True when active, from the next row
+    of uniforms in the iterator `rows`; no draw at p_minus 1."""
     if p_minus < 1.0:
-        return rng.random(n_runs) < p_minus
+        return next(rows) < p_minus
     return np.ones(n_runs, dtype=bool)
 
 
 def _draw_photons(rng, outcomes, bright, dark, live=None, nv0_mean=None):
     """Poisson counts at the bright/dark level of each outcome, or at
-    nv0_mean where `live` is False; None when there is no photon model."""
-    if bright is None:
-        return None
+    nv0_mean where `live` is False."""
     lam = np.where(outcomes == 1, bright, dark)
     if live is not None:
         lam = np.where(live, lam, nv0_mean)
-    return rng.poisson(lam).astype(np.int64)
+    return rng.poisson(lam).astype(np.int64, copy=False)
 
 
-def _simulate_chunk(rng, n_runs, config: ProtocolConfig, p_minus, bright, dark, nv0_mean):
-    alpha, phi = config.alpha, config.phi
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    c, s = np.cos(phi), np.sin(phi)
+def _cycle(x, y, rows, p_minus, cos_phi, sin_phi, sa, ca):
+    """One measurement cycle of every run: the charge draw, the precession by
+    phi, the outcome-averaged back-action on live runs and the outcome draw.
+    Returns (x, y, zeta, outcome, live)."""
+    live = _draw_charge(rows, x.size, p_minus)
+    x, yr = x * cos_phi - y * sin_phi, x * sin_phi + y * cos_phi
+    zeta = np.where(live, x * sa, 0.0)
+    y = np.where(live, yr * ca, yr)
+    return x, y, zeta, _draw_outcomes(next(rows), zeta), live
 
-    out_cols, zeta_cols, live_cols = [], [], []
+
+def _quantum(chunks, runs, config: ProtocolConfig, p_minus):
+    """(outcomes, zetas, live, signs) of every run.  Each chunk draws its
+    uniforms cycle-major: the polarising outcome and charge, then the charge
+    and the outcome of each cycle; `_cycle` then steps all runs at once."""
+    sa, ca = np.sin(config.alpha), np.cos(config.alpha)
+    trig = np.cos(config.phi), np.sin(config.phi)
+    length = config.cycles + (not config.prepolarized)
+    charged = p_minus < 1.0
+    u = np.empty((length * (1 + charged), runs))
+    for rng, sl in chunks:
+        u[:, sl] = rng.random((len(u), sl.stop - sl.start))
+    rows = iter(u)
+
+    outcomes = np.empty((runs, length), dtype=np.int8)
+    zetas = np.empty((runs, length))
+    live = np.empty((runs, length), dtype=bool) if charged else None
     if config.prepolarized:
-        signs = np.ones(n_runs, dtype=np.int8)
-        x = np.ones(n_runs)
+        signs = np.ones(runs, dtype=np.int8)
+        x = np.ones(runs)
     else:
-        zeta_cols.append(np.zeros(n_runs))
-        out_cols.append(_draw_outcomes(rng, zeta_cols[0]))
-        live_cols.append(_draw_charge(rng, n_runs, p_minus))
-        signs = np.where(live_cols[0], out_cols[0], 0).astype(np.int8)
+        zetas[:, 0] = 0.0
+        outcomes[:, 0] = _draw_outcomes(next(rows), zetas[:, 0])
+        live_0 = _draw_charge(rows, runs, p_minus)
+        if charged:
+            live[:, 0] = live_0
+        signs = np.where(live_0, outcomes[:, 0], 0).astype(np.int8)
         x = signs * sa
-    y = np.zeros(n_runs)
+    y = np.zeros(runs)
 
-    for _ in range(config.cycles):
-        live = _draw_charge(rng, n_runs, p_minus)
-        x, yr = x * c - y * s, x * s + y * c
-        zeta = np.where(live, x * sa, 0.0)
-        y = np.where(live, yr * ca, yr)
-        out_cols.append(_draw_outcomes(rng, zeta))
-        zeta_cols.append(zeta)
-        live_cols.append(live)
-
-    outcomes = np.column_stack(out_cols)
-    live = np.column_stack(live_cols) if p_minus < 1.0 else None
-    counts = _draw_photons(rng, outcomes, bright, dark, live, nv0_mean)
-    return outcomes, np.column_stack(zeta_cols), counts, signs
+    for j in range(length - config.cycles, length):
+        x, y, zetas[:, j], outcomes[:, j], live_j = _cycle(x, y, rows, p_minus, *trig, sa, ca)
+        if charged:
+            live[:, j] = live_j
+    return outcomes, zetas, live, signs
 
 
 def modulated_drive(k: np.ndarray, alpha: float, phi_s: float):
@@ -131,30 +152,45 @@ def modulated_drive(k: np.ndarray, alpha: float, phi_s: float):
     return 0.5 * np.pi * np.sin(2 * np.pi * k / 8.0) + alpha * slope, slope
 
 
-def _classical_chunk(rng, n_runs, alpha, theta_step, length, modulated, phi_s,
-                     bright, dark):
+def _classical(chunks, runs, alpha, theta_step, length, modulated, phi_s):
+    """(outcomes, zetas, live, signs) of every run.  Each chunk draws its
+    uniforms run-major, straight into the arrays over all runs: one phase
+    per run (unmodulated only), then the outcome uniforms of its runs."""
+    phase = np.empty(runs)
+    u = np.empty((runs, length))
+    for rng, sl in chunks:
+        if not modulated:
+            rng.random(out=phase[sl])
+        rng.random(out=u[sl])
     k = np.arange(length)
     if modulated:
         zeta_row = np.sin(modulated_drive(k, alpha, phi_s)[0])
-        zetas = np.broadcast_to(zeta_row, (n_runs, length)).copy()
+        zetas = np.broadcast_to(zeta_row, (runs, length)).copy()
     else:
-        phase = rng.random(n_runs) * 2 * np.pi
+        phase = phase * 2 * np.pi
         zetas = np.sin(alpha * np.sin(theta_step * k[None, :] + phase[:, None]))
-    outcomes = _draw_outcomes(rng, zetas)
-    counts = _draw_photons(rng, outcomes, bright, dark)
-    return outcomes, zetas, counts, np.ones(n_runs, dtype=np.int8)
+    return _draw_outcomes(u, zetas), zetas, None, np.ones(runs, dtype=np.int8)
 
 
-def _run_chunked(sample, seed: int, runs: int, first_lag: int, bright, dark) -> RunBatch:
-    """Stack `sample(chunk_rng(seed, i), n)` over the chunks of `runs` runs."""
+def _run_chunked(sample, seed: int, runs: int, first_lag: int, bright, dark,
+                 nv0_mean=None) -> RunBatch:
+    """The batch of `runs` runs in chunks of CHUNK_SIZE, chunk i drawing from
+    `chunk_rng(seed, i)`: `sample(chunks, runs)` draws every chunk's uniforms
+    and returns (outcomes, zetas, live, signs) of all runs; then each chunk
+    draws its photons from its own generator, after its uniforms."""
     if runs < 1:
         raise InvalidArgumentError("runs must be >= 1")
     if (bright is None) != (dark is None):
         raise InvalidArgumentError("bright and dark must be provided together")
-    parts = [sample(chunk_rng(seed, i), min(CHUNK_SIZE, runs - start))
-             for i, start in enumerate(range(0, runs, CHUNK_SIZE))]
-    outcomes, zetas, counts, signs = (
-        None if arrays[0] is None else np.concatenate(arrays) for arrays in zip(*parts))
+    chunks = [(chunk_rng(seed, i), slice(start, min(start + CHUNK_SIZE, runs)))
+              for i, start in enumerate(range(0, runs, CHUNK_SIZE))]
+    outcomes, zetas, live, signs = sample(chunks, runs)
+    counts = None
+    if bright is not None:
+        counts = np.empty(outcomes.shape, dtype=np.int64)
+        for rng, sl in chunks:
+            counts[sl] = _draw_photons(rng, outcomes[sl], bright, dark,
+                                       None if live is None else live[sl], nv0_mean)
     return RunBatch(outcomes, zetas, counts, signs, first_lag)
 
 
@@ -177,9 +213,8 @@ def simulate_runs(
         raise InvalidArgumentError(f"p_minus must lie in [0, 1], got {p_minus}")
     if nv0_mean is None:
         nv0_mean = dark
-    return _run_chunked(
-        lambda rng, n: _simulate_chunk(rng, n, config, p_minus, bright, dark, nv0_mean),
-        seed, runs, 1 if config.prepolarized else 0, bright, dark)
+    return _run_chunked(lambda chunks, n: _quantum(chunks, n, config, p_minus),
+                        seed, runs, 1 if config.prepolarized else 0, bright, dark, nv0_mean)
 
 
 def classical_runs(
@@ -205,6 +240,5 @@ def classical_runs(
     if length < 1:
         raise InvalidArgumentError("length must be >= 1")
     return _run_chunked(
-        lambda rng, n: _classical_chunk(rng, n, alpha, theta_step, length, modulated, phi_s,
-                                        bright, dark),
+        lambda chunks, n: _classical(chunks, n, alpha, theta_step, length, modulated, phi_s),
         seed, runs, 0, bright, dark)

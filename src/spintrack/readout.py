@@ -219,7 +219,7 @@ class PhotonTrace:
         # comma and a CRLF per row.  Any sign, space, leading zero, lone LF or
         # blank line adds a byte; with one CRLF per row and the last byte a LF,
         # an equal size leaves the written layout as the only one possible.
-        canonical = int(_digits(rows[:, 0]).sum() + _digits(rows[:, 1]).sum()) + 3 * len(rows)
+        canonical = _index_digits(len(rows)) + int(_digits(rows[:, 1]).sum()) + 3 * len(rows)
         if size != canonical or crlf != len(rows) or (rows.size and last != b"\n"):
             raise InvalidArgumentError(
                 f"{path}: every row must read 'i,c\\r\\n' in plain decimal digits")
@@ -243,6 +243,17 @@ def _digits(values: np.ndarray) -> np.ndarray:
         digits += values >= power
         power *= 10
     return digits
+
+
+def _index_digits(n: int) -> int:
+    """Total decimal digits of the indices 0 .. n - 1, which `_digits` would
+    sum: n, plus n - 10^d for each power 10^d < n (sum_d d (min(n, 10^d) - 10^(d-1)),
+    the index 0 counted among the one-digit ones)."""
+    total, power = n, 10
+    while power < n:
+        total += n - power
+        power *= 10
+    return total
 
 
 def _padded_digits(values: np.ndarray, digits: int) -> np.ndarray:

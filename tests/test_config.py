@@ -65,11 +65,11 @@ def _set(cfg, path, value):
     return cfg
 
 
-def _run(tmp_path, capsys, cfg, *flags, command="report"):
+def _run(tmp_path, capsys, cfg, *flags, command="report", out="out"):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     capsys.readouterr()
-    code = main([command, "--config", str(path), "--out", str(tmp_path / "out"), *flags])
+    code = main([command, "--config", str(path), "--out", str(tmp_path / out), *flags])
     return code, capsys.readouterr().err
 
 
@@ -101,13 +101,17 @@ def test_config_gate(tmp_path, capsys, kind):
              for value in MUTATIONS]
     blocks = [()] + [path for path, t, _ in _keys(CONFIG_KEYS[kind]) if isinstance(t, dict)]
     cases += [(path + ("surplus",), None, None, 1) for path in blocks]
-    for path, t, default, value in cases:
+    for i, (path, t, default, value) in enumerate(cases):
+        out = f"out{i}"
         try:
-            code, err = _run(tmp_path, capsys, _set(base, path, value))
+            code, err = _run(tmp_path, capsys, _set(base, path, value), out=out)
         except Exception as exc:  # the gate itself: nothing may escape main
             bad.append((path, value, f"{type(exc).__name__}: {exc}"))
             continue
         problem = _check(code, err)
+        # every config error ends before anything is written
+        if problem is None and code == 2 and (tmp_path / out).exists():
+            problem = f"exit 2 left --out behind: {err!r}"
         if problem is None and path[-1] == "surplus" and code != 2:
             problem = f"unknown key accepted with exit {code}"
         if problem is None and t is not None and _must_exit_2(t, default, value) and code != 2:
@@ -134,7 +138,8 @@ def _readme(path, value, *flags):
 
 #: the probes that ended in a traceback, or in exit 0 on a misread value:
 #: (config, flags, what the error names); `report` runs them, except the
-#: ones named simulate_* or calibrate_*, which that subcommand runs
+#: ones named simulate_*, calibrate_* or correlate_*, which that subcommand runs
+COMMAND_PROBES = ("simulate_", "calibrate_", "correlate_")
 PROBES = {
     "prepolarised_spelling": (*_readme(("protocol", "prepolarised"), True),
                               "'protocol.prepolarised'"),
@@ -182,13 +187,28 @@ PROBES = {
            ("nv0_mean_1e160", ("charge",), {"p_minus": 0.9, "nv0_mean": 1e160},
             ("", "simulate_")))
        for command in commands},
+    # the estimator stages rejected these only after trace.csv was written
+    "quantum_runs_1": (*_readme(("runs",), 1), "at least 2 runs for an ensemble estimate"),
+    "modulated_runs_1": (_set(BASE["classical-modulated"], ("runs",), 1), (),
+                         "at least 2 runs to estimate the mean path"),
+    "max_lag_0": (*_readme(("max_lag",), 0), "max_lag must be in [1, 24], got 0"),
+    "max_lag_minus_1": (*_readme(("max_lag",), -1), "max_lag must be in [1, 24], got -1"),
+    "flag_max_lag_25": (README, ("--max-lag", "25"), "max_lag must be in [1, 24], got 25"),
+    "classical_max_lag_0": (_set(BASE["classical"], ("max_lag",), 0), (),
+                            "max_lag must be in [1, 15], got 0"),
+    "measurements_per_run_1": (_set(_set(BASE["classical"], ("classical", "measurements_per_run"),
+                                         1), ("max_lag",), DROP), (),
+                               "max_lag must be in [1, 0], got 0"),
+    "correlate_max_lag_0": (*_readme(("max_lag",), 0), "max_lag must be in [1, length - 1]"),
+    # `simulate` and `classical` rejected the other kinds after making --out
+    "simulate_kind_classical": (BASE["classical"], (), "`simulate` needs kind in"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PROBES))
 def test_config_probe_exits_2(tmp_path, capsys, name):
     cfg, flags, names = PROBES[name]
-    command = name.split("_")[0] if name.startswith(("simulate_", "calibrate_")) else "report"
+    command = name.split("_")[0] if name.startswith(COMMAND_PROBES) else "report"
     code, err = _run(tmp_path, capsys, cfg, *flags, command=command)
     assert code == 2, err
     assert err.startswith("error[InvalidArgumentError]") and err.count("\n") == 1, err

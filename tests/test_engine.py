@@ -1,12 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spintrack.engine import (
     CHUNK_SIZE,
-    _classical_chunk,
-    _simulate_chunk,
     chunk_rng,
     classical_runs,
+    modulated_drive,
     simulate_runs,
 )
 from spintrack.errors import InvalidArgumentError
@@ -27,21 +28,138 @@ def test_same_seed_same_batch():
     assert not np.array_equal(a.outcomes, c.outcomes)
 
 
+# --- the chunk-by-chunk reference sampler: each chunk draws from its own
+# generator, one cycle at a time, in the order the engine's draws must keep
+
+
+def _draw_outcomes(rng, zetas) -> np.ndarray:
+    """+-1 readout outcomes, +1 with probability (1 + zeta) / 2."""
+    return np.where(rng.random(zetas.shape) < (1.0 + zetas) / 2.0, 1, -1).astype(np.int8)
+
+
+def _draw_charge(rng, n_runs: int, p_minus: float) -> np.ndarray:
+    """Charge state of one cycle per run, True when active; no draw at p_minus 1."""
+    if p_minus < 1.0:
+        return rng.random(n_runs) < p_minus
+    return np.ones(n_runs, dtype=bool)
+
+
+def _draw_photons(rng, outcomes, bright, dark, live=None, nv0_mean=None):
+    """Poisson counts at the bright/dark level of each outcome, or at
+    nv0_mean where `live` is False; None when there is no photon model."""
+    if bright is None:
+        return None
+    lam = np.where(outcomes == 1, bright, dark)
+    if live is not None:
+        lam = np.where(live, lam, nv0_mean)
+    return rng.poisson(lam).astype(np.int64)
+
+
+def _simulate_chunk(rng, n_runs, config: ProtocolConfig, p_minus, bright, dark, nv0_mean):
+    alpha, phi = config.alpha, config.phi
+    sa, ca = np.sin(alpha), np.cos(alpha)
+    c, s = np.cos(phi), np.sin(phi)
+
+    out_cols, zeta_cols, live_cols = [], [], []
+    if config.prepolarized:
+        signs = np.ones(n_runs, dtype=np.int8)
+        x = np.ones(n_runs)
+    else:
+        zeta_cols.append(np.zeros(n_runs))
+        out_cols.append(_draw_outcomes(rng, zeta_cols[0]))
+        live_cols.append(_draw_charge(rng, n_runs, p_minus))
+        signs = np.where(live_cols[0], out_cols[0], 0).astype(np.int8)
+        x = signs * sa
+    y = np.zeros(n_runs)
+
+    for _ in range(config.cycles):
+        live = _draw_charge(rng, n_runs, p_minus)
+        x, yr = x * c - y * s, x * s + y * c
+        zeta = np.where(live, x * sa, 0.0)
+        y = np.where(live, yr * ca, yr)
+        out_cols.append(_draw_outcomes(rng, zeta))
+        zeta_cols.append(zeta)
+        live_cols.append(live)
+
+    outcomes = np.column_stack(out_cols)
+    live = np.column_stack(live_cols) if p_minus < 1.0 else None
+    counts = _draw_photons(rng, outcomes, bright, dark, live, nv0_mean)
+    return outcomes, np.column_stack(zeta_cols), counts, signs
+
+
+def _classical_chunk(rng, n_runs, alpha, theta_step, length, modulated, phi_s,
+                     bright, dark):
+    k = np.arange(length)
+    if modulated:
+        zeta_row = np.sin(modulated_drive(k, alpha, phi_s)[0])
+        zetas = np.broadcast_to(zeta_row, (n_runs, length)).copy()
+    else:
+        phase = rng.random(n_runs) * 2 * np.pi
+        zetas = np.sin(alpha * np.sin(theta_step * k[None, :] + phase[:, None]))
+    outcomes = _draw_outcomes(rng, zetas)
+    counts = _draw_photons(rng, outcomes, bright, dark)
+    return outcomes, zetas, counts, np.ones(n_runs, dtype=np.int8)
+
+
+PREPOLARISED = ProtocolConfig(alpha=ALPHA, phi=PHI, cycles=10, prepolarized=True)
+#: (config, p_minus, nv0_mean) of the quantum setups the chunk tests cover
+QUANTUM_SETUPS = {"self-polarised": (CFG, 1.0, 30.0), "prepolarised": (PREPOLARISED, 1.0, 30.0),
+                  "p_minus_0.7": (CFG, 0.7, 5.0)}
+BATCH_ARRAYS = ("outcomes", "zetas", "counts", "signs")
+
+
 def test_batch_is_concatenation_of_chunks():
     """Run i depends only on (seed, i // CHUNK_SIZE): a batch is its chunks'
-    outputs stacked in order, each chunk drawn from its own `chunk_rng`."""
+    outputs stacked in order, each chunk drawn from its own `chunk_rng` by the
+    chunk-by-chunk reference sampler above."""
     runs = 3 * CHUNK_SIZE + 17
     sizes = [CHUNK_SIZE] * 3 + [17]
-    quantum = simulate_runs(CFG, runs=runs, seed=7, bright=90.0, dark=30.0)
-    quantum_parts = [_simulate_chunk(chunk_rng(7, i), n, CFG, 1.0, 90.0, 30.0, 30.0)
-                     for i, n in enumerate(sizes)]
-    classical = classical_runs(0.3, 0.5, length=40, runs=runs, seed=12, bright=90.0, dark=30.0)
-    classical_parts = [_classical_chunk(chunk_rng(12, i), n, 0.3, 0.5, 40, False, 1.0,
-                                        90.0, 30.0) for i, n in enumerate(sizes)]
-    for batch, parts in ((quantum, quantum_parts), (classical, classical_parts)):
-        for k, name in enumerate(("outcomes", "zetas", "counts", "signs")):
+    cases = []
+    for seed, (cfg, p_minus, nv0_mean) in enumerate(QUANTUM_SETUPS.values(), start=7):
+        batch = simulate_runs(cfg, runs=runs, seed=seed, p_minus=p_minus, bright=90.0,
+                              dark=30.0, nv0_mean=nv0_mean)
+        assert batch.first_lag == (1 if cfg.prepolarized else 0)
+        cases.append((batch, [_simulate_chunk(chunk_rng(seed, i), n, cfg, p_minus, 90.0, 30.0,
+                                              nv0_mean) for i, n in enumerate(sizes)]))
+    for seed, modulated in ((12, False), (13, True)):
+        batch = classical_runs(0.3, 0.5, length=40, runs=runs, seed=seed, modulated=modulated,
+                               bright=90.0, dark=30.0)
+        cases.append((batch, [_classical_chunk(chunk_rng(seed, i), n, 0.3, 0.5, 40, modulated,
+                                               1.0, 90.0, 30.0) for i, n in enumerate(sizes)]))
+    for batch, parts in cases:
+        for k, name in enumerate(BATCH_ARRAYS):
             stacked = np.concatenate([part[k] for part in parts])
             assert np.array_equal(getattr(batch, name), stacked), name
+
+
+@pytest.mark.parametrize("setup", sorted(QUANTUM_SETUPS))
+def test_first_chunks_of_a_batch_are_the_smaller_batch(setup):
+    """The first k chunks of a batch of 5 chunks plus 17 runs equal the
+    batch of k chunks: sampling all runs at once couples no chunk to a later one."""
+    cfg, p_minus, nv0_mean = QUANTUM_SETUPS[setup]
+    photons = {"p_minus": p_minus, "bright": 90.0, "dark": 30.0, "nv0_mean": nv0_mean}
+    big = simulate_runs(cfg, runs=5 * CHUNK_SIZE + 17, seed=23, **photons)
+    for k in range(1, 6):
+        small = simulate_runs(cfg, runs=k * CHUNK_SIZE, seed=23, **photons)
+        for name in BATCH_ARRAYS:
+            assert np.array_equal(getattr(big, name)[: k * CHUNK_SIZE], getattr(small, name)), \
+                (k, name)
+
+
+def test_simulate_runs_holds_no_second_copy_of_the_batch():
+    """Outcomes, zetas and counts go straight into the batch's arrays.  At
+    25 measurements a run the traced peak is about 1.17 times the batch;
+    concatenating per-chunk counts reads 1.48 and stacking every per-chunk
+    array about 2, so the bound sits between them."""
+    cfg = ProtocolConfig(alpha=ALPHA, phi=PHI, cycles=24)
+    tracemalloc.start()
+    try:
+        batch = simulate_runs(cfg, runs=20 * CHUNK_SIZE, seed=29, bright=90.0, dark=30.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(getattr(batch, name).nbytes for name in BATCH_ARRAYS)
+    assert peak < 1.3 * size, (peak, size)
 
 
 def test_chunking_is_invisible():

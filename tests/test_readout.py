@@ -12,6 +12,8 @@ from spintrack.errors import InvalidArgumentError
 from spintrack.protocol import ProtocolConfig
 from spintrack.readout import (
     _CSV_BLOCK_ROWS,
+    _digits,
+    _index_digits,
     ChargeModel,
     PhotonTrace,
     ReadoutModel,
@@ -224,3 +226,9 @@ def test_run_classical_experiment_kinds():
     assert plain.length == 30
     mod = run_classical_experiment(0.3, 0.5, 30, MODEL, runs=20, seed=3, modulated=True)
     assert mod.kind == "classical-modulated"
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 12345, 100_000,
+                               625_001])
+def test_index_digit_total_matches_digits(n):
+    assert _index_digits(n) == int(_digits(np.arange(n)).sum())
