@@ -20,6 +20,8 @@ arguments of `run_classical_experiment`; `read_config` builds the first
 three, so their range checks end a bad config before anything is written,
 and so do the kind each command writes and what `report` and `correlate`
 need of the record (`runs`, `max_lag`), checked by the analysis's own rules;
+`correlate` reads its trace and its --fit levels there too, so a bad input
+file also leaves no output directory;
 `ProtocolConfig.prepolarized` is not a key, because a prepolarised
 record has no reference measurement for the ensemble estimator.
 
@@ -153,7 +155,9 @@ def _checked(table: dict, block, where: str) -> dict:
 
 def read_config(args) -> dict:
     """Checked settings of the config at `args.config`, flags merged in; the
-    readout, protocol and charge blocks come back as the objects they configure."""
+    readout, protocol and charge blocks come back as the objects they configure.
+    For `correlate`, "trace" holds the record it reads and "readout" the levels
+    of --fit when given."""
     raw = load_config(args.config)
     if not isinstance(raw, dict):
         raise InvalidArgumentError(f"config must be a JSON object, got {json.dumps(raw)}")
@@ -190,18 +194,39 @@ def read_config(args) -> dict:
         raise InvalidArgumentError(
             f"config key 'runs' gives {settings['runs']} x {length} measurements, above the "
             f"cap MAX_MEASUREMENTS = {MAX_MEASUREMENTS}")
-    # the estimator stages' rules for the record, which here depend on the
-    # config alone; `correlate` reads its record's kind and size from the trace
-    command = getattr(args, "command", None)
-    if command == "correlate" and settings["max_lag"] is not None:
-        _check_lag_products(settings["max_lag"], None)
-    elif command == "report" and kind == "classical-modulated":
-        cal._check_mean_path_runs(settings["runs"])
-    elif command == "report":
+    # the estimator stages' rules for the record: `report` samples it as the
+    # config says, `correlate` reads it (and the levels of --fit) here, so
+    # that a bad input file also ends the run before --out is made
+    command, max_lag, runs = getattr(args, "command", None), settings["max_lag"], settings["runs"]
+    if command == "correlate":
+        if max_lag is not None:
+            _check_lag_products(max_lag, None)
+        trace = settings["trace"] = ro.PhotonTrace.from_csv(
+            args.trace or os.path.join(args.out, "trace.csv"))
+        if args.fit:
+            settings["readout"] = _fit_levels(args.fit)
+        kind, runs, length = trace.kind, trace.runs, trace.length
+    if command == "report" and kind == "classical-modulated":
+        # no stage of this kind reads max_lag; it must still fit the record
+        cal._check_mean_path_runs(runs)
+        if max_lag is not None:
+            _check_lag_products(max_lag, None, length=length)
+    elif command in ("report", "correlate"):
         estimator = cal._trace_estimator(kind)
-        _check_lag_products(cal._resolve_max_lag(settings["max_lag"], estimator, length),
-                            estimator, settings["runs"], length)
+        _check_lag_products(cal._resolve_max_lag(max_lag, estimator, length), estimator,
+                            runs, length)
     return settings
+
+
+def _fit_levels(path: str) -> ro.ReadoutModel:
+    """The calibrated levels (n_a, n_b, phi_0) in the fit.json `calibrate` wrote."""
+    params = cal.FitResult.from_json(path).params
+    levels = dict({"phi_0": 0.0}, **params) if isinstance(params, dict) else {}
+    bad = [k for k in ("n_a", "n_b", "phi_0") if type(levels.get(k)) not in (int, float)]
+    if bad:
+        raise InvalidArgumentError(
+            f"{path} has no calibrated levels: params {bad} missing or not numbers")
+    return ro.ReadoutModel(levels["n_a"], levels["n_b"], levels["phi_0"])
 
 
 # ---------------------------------------------------------------------------
@@ -258,20 +283,10 @@ def cmd_calibrate(args, settings: dict) -> dict:
 
 
 def cmd_correlate(args, settings: dict) -> dict:
-    out = args.out
-    trace = ro.PhotonTrace.from_csv(args.trace or os.path.join(out, "trace.csv"))
-    if args.fit:
-        params = cal.FitResult.from_json(args.fit).params
-        levels = dict({"phi_0": 0.0}, **params) if isinstance(params, dict) else {}
-        bad = [k for k in ("n_a", "n_b", "phi_0") if type(levels.get(k)) not in (int, float)]
-        if bad:
-            raise InvalidArgumentError(
-                f"{args.fit} has no calibrated levels: params {bad} missing or not numbers")
-        model = ro.ReadoutModel(levels["n_a"], levels["n_b"], levels["phi_0"])
-    else:
-        model = settings["readout"]
-    series = cal.reconstruct_Sz_corr(trace, model, max_lag=settings["max_lag"])
-    series.to_csv(os.path.join(out, "corr_sz.csv"))
+    """The readout correlation of the trace and levels `read_config` read."""
+    trace = settings["trace"]
+    series = cal.reconstruct_Sz_corr(trace, settings["readout"], max_lag=settings["max_lag"])
+    series.to_csv(os.path.join(args.out, "corr_sz.csv"))
     return {"kind": trace.kind, "estimator": series.meta["estimator"],
             "max_lag": int(series.lags.max()), "artifacts": ["corr_sz.csv"]}
 

@@ -268,7 +268,8 @@ def relative_entropy(p, q) -> float:
     pm = p > 0
     if np.any(pm & (q <= 0)):
         raise InvalidArgumentError("q vanishes where p does not (disjoint support)")
-    return float(np.sum(p[pm] * np.log(p[pm] / q[pm])))
+    # where p and q nearly agree, rounding can leave a sum just below 0
+    return max(0.0, float(np.sum(p[pm] * np.log(p[pm] / q[pm]))))
 
 
 def entropy_Sz_Ix(alpha: float, phi: float, lag: int = 1) -> float:

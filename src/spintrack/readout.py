@@ -35,9 +35,8 @@ photons at a dark-like level (`nv0_mean`, default n_b).
 from __future__ import annotations
 
 import csv
-import encodings.latin_1  # noqa: F401  (the codec of `PhotonTrace.from_csv`, loaded at start-up)
-import gzip  # noqa: F401  (np.loadtxt's file opener needs it; load it at start-up)
 import json
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -67,7 +66,15 @@ ANCHOR_ANGLE = 90
 ANCHOR_SAMPLES = 500
 #: rows `PhotonTrace.to_csv` encodes at a time: about 1 MiB of working arrays
 _CSV_BLOCK_ROWS = 16384
-_CSV_READ_BYTES = 1 << 20
+#: body bytes `PhotonTrace.from_csv` decodes at a time: a block's per-row
+#: arrays and 8-byte windows stay in cache, and its short-lived arrays stay
+#: small enough that freeing them hands their memory back
+_CSV_READ_BYTES = 1 << 16
+#: the longest row `to_csv` writes: a 19-digit index and count, ',' and CRLF
+_CSV_ROW_MAX = 19 + 1 + 19 + 2
+#: zero bytes in front of each decoded block, so every 8-byte window a field
+#: ends in starts inside the buffer
+_CSV_PAD = 8
 _TRACE_KINDS = ("quantum", "classical", "classical-modulated")
 #: the largest mean numpy's Poisson sampler accepts (numpy's POISSON_LAM_MAX)
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
@@ -75,6 +82,12 @@ _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 _DIGIT_TABLE = (np.arange(10000, dtype=np.uint16)[:, None]
                 // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
                 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+#: for a field of w = 0 .. 8 digits that ends an 8-byte little-endian window,
+#: the mask keeping the low nibble of each of its bytes (the digit's value)
+_FIELD_MASKS = np.array([0x0F0F0F0F0F0F0F0F & -(1 << 8 * (8 - w)) for w in range(9)],
+                        dtype=np.uint64)
+#: the least value of a w-digit field without a leading zero, w = 0 .. 19
+_FIELD_FLOORS = np.array([0, 0] + [10**(w - 1) for w in range(2, 20)], dtype=np.uint64)
 
 
 @dataclass
@@ -134,7 +147,9 @@ class PhotonTrace:
     + ``\n``, then ``index,count\r\n``, then one ``i,c\r\n`` row per count
     in row-major order, i = 0 .. runs * length - 1.  `from_csv` rejects a
     file that departs from it with an `InvalidArgumentError` naming the file.
-    `to_csv` builds the bytes in numpy, a block of rows at a time.
+    Both directions work in numpy, a block at a time: `to_csv` builds the
+    bytes of a block of rows, `from_csv` checks and decodes a block of bytes
+    (8-byte windows combined by integer arithmetic) into the counts.
     """
 
     counts: np.ndarray
@@ -189,41 +204,20 @@ class PhotonTrace:
                 raise InvalidArgumentError(f"{path}: header must be '# ' + sorted-key JSON + LF")
             if fh.readline() != b"index,count\r\n":
                 raise InvalidArgumentError(f"{path}: second line must be 'index,count\\r\\n'")
-            rows = np.empty((0, 2), dtype=np.int64)
-            if fh.peek(1):
-                # given the path, loadtxt parses in C-sized chunks: about twice
-                # as fast as iterating over the lines of an open handle
-                try:
-                    rows = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2,
-                                      comments=None, skiprows=2, encoding="latin1")
-                except ValueError as exc:
-                    raise InvalidArgumentError(f"{path}: {exc}") from None
-            # count the line ends block by block, so the body is never held whole
-            size = crlf = 0
-            last = b""
-            while block := fh.read(_CSV_READ_BYTES):
-                size += len(block)
-                crlf += block.count(b"\r\n") + (last == b"\r" and block[:1] == b"\n")
-                last = block[-1:]
-        if rows.shape[1] != 2:
-            raise InvalidArgumentError(f"{path}: rows must have 2 fields, found {rows.shape[1]}")
-        if len(rows) != runs * length:
+            # each row takes at least its index digits and 4 bytes, 'i,0\r\n': a
+            # header promising more rows than the rest of the file can hold is
+            # refused before the counts are allocated
+            n, body = runs * length, os.fstat(fh.fileno()).st_size - fh.tell()
+            if body < _index_digits(n) + 4 * n:
+                raise InvalidArgumentError(
+                    f"{path}: header promises {runs} x {length} = {n} counts, "
+                    f"more than the {body} bytes of rows can hold")
+            counts = np.empty(n, dtype=np.int64)
+            rows = _decode_rows(fh, counts, path)
+        if rows != n:
             raise InvalidArgumentError(
-                f"{path}: header promises {runs} x {length} = {runs * length} counts, "
-                f"found {len(rows)} rows")
-        if not np.array_equal(rows[:, 0], np.arange(len(rows))):
-            raise InvalidArgumentError(f"{path}: the index column must run 0 .. {len(rows) - 1}")
-        if rows[:, 1].min(initial=0) < 0:
-            raise InvalidArgumentError(f"{path}: counts must be non-negative")
-        # `to_csv` writes these values in exactly `canonical` bytes: digits, a
-        # comma and a CRLF per row.  Any sign, space, leading zero, lone LF or
-        # blank line adds a byte; with one CRLF per row and the last byte a LF,
-        # an equal size leaves the written layout as the only one possible.
-        canonical = _index_digits(len(rows)) + int(_digits(rows[:, 1]).sum()) + 3 * len(rows)
-        if size != canonical or crlf != len(rows) or (rows.size and last != b"\n"):
-            raise InvalidArgumentError(
-                f"{path}: every row must read 'i,c\\r\\n' in plain decimal digits")
-        return cls(rows[:, 1].copy().reshape(runs, length), kind=header["kind"],
+                f"{path}: header promises {runs} x {length} = {n} counts, found {rows} rows")
+        return cls(counts.reshape(runs, length), kind=header["kind"],
                    first_lag=header["first_lag"], meta=header["meta"])
 
 
@@ -287,6 +281,107 @@ def _encode_rows(start: int, counts: np.ndarray) -> bytes:
         keep[d, index_width + 1:index_width + 1 + count_width - d] = False
     mask = keep.view(np.dtype((np.void, len(columns)))).take(ndigits).view(bool)
     return rows.ravel()[mask].tobytes()
+
+
+def _decode_rows(fh, counts: np.ndarray, path) -> int:
+    """Decode the rows ``i,c\\r\\n`` left in `fh` into `counts`, a block at a
+    time, and return how many there were (at most ``counts.size``; one more
+    raises).  A block's partial last row is carried to the front of the next."""
+    buf = np.zeros(_CSV_PAD + _CSV_ROW_MAX + _CSV_READ_BYTES, dtype=np.uint8)
+    # the 8-byte windows of a block, copied out of `buf` (see `_decode_block`)
+    windows = np.empty(buf.size - 7, dtype=np.uint64)
+    free = memoryview(buf)
+    row = carry = 0
+    while got := fh.readinto(free[_CSV_PAD + carry:_CSV_PAD + carry + _CSV_READ_BYTES]):
+        end = _CSV_PAD + carry + got
+        rows, stop = _decode_block(buf[:end], windows, counts, row, path)
+        row += rows
+        carry = end - stop
+        if carry >= _CSV_ROW_MAX:
+            raise _malformed(path)
+        buf[_CSV_PAD:_CSV_PAD + carry] = buf[stop:end]
+    if carry:
+        raise _malformed(path)
+    return row
+
+
+def _decode_block(buf: np.ndarray, windows: np.ndarray, counts: np.ndarray, row: int,
+                  path) -> tuple[int, int]:
+    """Check the whole rows in ``buf[_CSV_PAD:]`` and decode them into
+    ``counts[row:]``; returns their number and the offset after the last.
+    Each row must be exactly what `to_csv` writes: its index, row + 0, 1, ...,
+    in as many digits as it has, one ',', a count of 1 to 19 digits without
+    a leading zero and at most 2^63 - 1, then CRLF."""
+    lf = np.flatnonzero(buf[_CSV_PAD:] == ord("\n"))
+    if not lf.size:
+        return 0, _CSV_PAD
+    lf += _CSV_PAD
+    rows, stop = lf.size, int(lf[-1]) + 1
+    if row + rows > counts.size:
+        raise InvalidArgumentError(f"{path}: header promises {counts.size} counts, found more rows")
+    # the index of row i takes as many digits as i has
+    width = np.full(rows, len(str(row)), dtype=np.int64)
+    power = 10 ** len(str(row))
+    while power < row + rows:
+        width[power - row:] += 1
+        power *= 10
+    # a row starts after the LF before it, the first one at the pad
+    comma = np.empty(rows, dtype=np.int64)
+    comma[0], comma[1:] = _CSV_PAD, lf[:-1] + 1
+    comma += width
+    cr = lf - 1
+    count_width = cr - comma - 1
+    widest = count_width.max()
+    # a ',' and a CR where `to_csv` puts them, and no other non-digit besides
+    # the LFs: then every other byte of the rows is a digit
+    body = buf[_CSV_PAD:stop]
+    if (count_width.min() < 1 or widest > 19
+            or not (buf.take(comma) == ord(",")).all()
+            or not (buf.take(cr) == ord("\r")).all()
+            or body.size - np.count_nonzero((body - ord("0")) < 10) != 3 * rows):
+        raise _malformed(path)
+    # windows[j] holds the 8 bytes from j on, little-endian; `take` on the
+    # strided view would copy all of it for each gather, so it is copied once
+    np.copyto(windows[:stop - 7],
+              np.ndarray((stop - 7,), dtype="<u8", buffer=buf, strides=(1,)))
+    if not np.array_equal(_decode_fields(windows, comma, width),
+                          np.arange(row, row + rows, dtype=np.uint64)):
+        raise InvalidArgumentError(f"{path}: the index column must run 0 .. {counts.size - 1}")
+    values = _decode_fields(windows, cr, count_width)
+    # a count below the floor of its width has a leading zero
+    if (values < _FIELD_FLOORS.take(count_width)).any():
+        raise _malformed(path)
+    if widest == 19 and values.max() > np.iinfo(np.int64).max:
+        raise InvalidArgumentError(
+            f"{path}: counts must be at most 2^63 - 1 = {np.iinfo(np.int64).max}")
+    counts[row:row + rows] = values.view(np.int64)
+    return rows, stop
+
+
+def _malformed(path) -> InvalidArgumentError:
+    return InvalidArgumentError(f"{path}: every row must read 'i,c\\r\\n' in plain decimal digits")
+
+
+def _decode_fields(windows: np.ndarray, end: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The values, as uint64, of the decimal fields of `width` (1 .. 19) digits
+    that end before the bytes `end`; ``windows[j]`` holds the 8 bytes from j on,
+    little-endian.  The last 8 digits of each field are combined in three
+    steps (SWAR): digit pairs, then fours, then the eight, one multiply each;
+    wider fields add the digits in front of those, times 10^8."""
+    value = windows.take(end - 8)
+    value &= _FIELD_MASKS.take(width, mode="clip")
+    value *= 10 << 8 | 1
+    value >>= 8
+    value &= 0x00FF00FF00FF00FF
+    value *= 100 << 16 | 1
+    value >>= 16
+    value &= 0x0000FFFF0000FFFF
+    value *= 10000 << 32 | 1
+    value >>= 32
+    if width.max() > 8:
+        wide = np.flatnonzero(width > 8)
+        value[wide] += _decode_fields(windows, end[wide] - 8, width[wide] - 8) * 10**8
+    return value
 
 
 @dataclass

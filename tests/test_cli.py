@@ -294,6 +294,64 @@ def test_correlate_fit_needs_the_levels(tmp_path, capsys):
         assert str(fit) in err and named in err
 
 
+#: rows the reader must refuse, most of them in place of the first (index 0)
+READER_EDGES = {
+    "count_2_pow_63": lambda lines: lines.__setitem__(2, b"0,9223372036854775808\r\n"),
+    "count_20_digits": lambda lines: lines.__setitem__(2, b"0,12345678901234567890\r\n"),
+    "count_1e3": lambda lines: lines.__setitem__(2, b"0,1e3\r\n"),
+    "count_9_0": lambda lines: lines.__setitem__(2, b"0,9.0\r\n"),
+    "count_1_0_underscore": lambda lines: lines.__setitem__(2, b"0,1_0\r\n"),
+    "nul_byte": lambda lines: lines.__setitem__(2, b"0,1\x002\r\n"),
+    "ff_byte": lambda lines: lines.__setitem__(2, b"0,\xff12\r\n"),
+    "empty_count": lambda lines: lines.__setitem__(2, b"0,\r\n"),
+    "three_fields": lambda lines: lines.__setitem__(2, b"0,5,6\r\n"),
+    "last_row_ends_in_cr": lambda lines: lines.__setitem__(-1, lines[-1][:-1]),
+    "bytes_after_last_row": lambda lines: lines.append(b"7"),
+}
+
+
+@pytest.mark.parametrize("corrupt", READER_EDGES.values(), ids=READER_EDGES)
+def test_reader_edge_case_exits_2(tmp_path, capsys, corrupt):
+    cfg = quantum_config(tmp_path, runs=20)
+    out = tmp_path / "edge"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    trace = out / "trace.csv"
+    lines = trace.read_bytes().splitlines(keepends=True)
+    corrupt(lines)
+    trace.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main(["correlate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[InvalidArgumentError]") and err.count("\n") == 1
+    assert str(trace) in err
+
+
+def test_correlate_leaves_no_out_on_bad_inputs(tmp_path, capsys):
+    """`correlate` reads its trace and fit before it makes --out: a missing
+    or malformed trace, a max_lag above the record and levels-free fit.json
+    each exit 2 with no output directory left behind."""
+    cfg = quantum_config(tmp_path, runs=20)
+    made = tmp_path / "made"
+    assert main(["simulate", "--config", cfg, "--out", str(made)]) == 0
+    malformed = tmp_path / "malformed.csv"
+    malformed.write_bytes((made / "trace.csv").read_bytes().replace(b"\r\n1,", b"\r\n1,x", 1))
+    alpha_fit = fit_alpha(corr_Sz(0.5, 1.0, 10), 1.0)
+    no_levels = tmp_path / "alpha.json"
+    alpha_fit.to_json(no_levels)
+    trace = str(made / "trace.csv")
+    for flags, named in ((["--trace", str(tmp_path / "absent.csv")], "absent.csv"),
+                         (["--trace", str(malformed)], str(malformed)),
+                         (["--trace", trace, "--max-lag", "1000"], "max_lag must be in [1, 12]"),
+                         (["--trace", trace, "--fit", str(no_levels)], str(no_levels))):
+        fresh = tmp_path / "fresh"
+        assert main(["correlate", "--config", cfg, "--out", str(fresh), *flags]) == 2, flags
+        err = capsys.readouterr().err
+        assert err.startswith("error[") and err.count("\n") == 1 and named in err, err
+        assert not fresh.exists(), flags
+    assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "fresh"),
+                 "--trace", trace]) == 0
+
+
 def test_stage_chain_matches_report(tmp_path):
     """simulate -> calibrate -> correlate --fit reads the trace back and
     must land on the bytes `report` writes at the same seed."""

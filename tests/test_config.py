@@ -200,6 +200,10 @@ PROBES = {
                                          1), ("max_lag",), DROP), (),
                                "max_lag must be in [1, 0], got 0"),
     "correlate_max_lag_0": (*_readme(("max_lag",), 0), "max_lag must be in [1, length - 1]"),
+    # no stage of the modulated kind reads max_lag, and it went unchecked there
+    **{f"modulated_max_lag_{value}": (_set(BASE["classical-modulated"], ("max_lag",), value), (),
+                                      f"max_lag must be in [1, 15], got {value}")
+       for value in (-1, 0, 1000)},
     # `simulate` and `classical` rejected the other kinds after making --out
     "simulate_kind_classical": (BASE["classical"], (), "`simulate` needs kind in"),
 }

@@ -12,6 +12,7 @@ from spintrack.errors import InvalidArgumentError
 from spintrack.protocol import ProtocolConfig
 from spintrack.readout import (
     _CSV_BLOCK_ROWS,
+    _CSV_READ_BYTES,
     _digits,
     _index_digits,
     ChargeModel,
@@ -164,6 +165,81 @@ def test_photon_trace_to_csv_streams_in_blocks(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak
+
+
+def test_photon_trace_from_csv_allocates_little_beside_the_counts(tmp_path):
+    """The reader decodes into the counts array it returns, a block of bytes
+    at a time: its traced peak stays within 1.5x the counts' own bytes."""
+    counts = np.random.default_rng(11).poisson(900.0, size=(25_000, 25)).astype(np.int64)
+    PhotonTrace(counts=counts, kind="quantum", meta={"seed": 11}).to_csv(tmp_path / "trace.csv")
+    tracemalloc.start()
+    try:
+        back = PhotonTrace.from_csv(tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.counts, counts)
+    assert peak < 1.5 * back.counts.nbytes, peak
+
+
+def test_photon_trace_rows_straddle_read_blocks(tmp_path):
+    """Four-digit counts give the rows around the first block boundary one
+    length; the first count's width moves them by one byte a case, so the
+    boundary falls at each byte of such a row once."""
+    offsets, lengths = set(), set()
+    for shift in range(12):
+        counts = np.random.default_rng(shift).integers(1000, 10000, size=(3, 12_000))
+        counts[0, 0] = 10**shift
+        PhotonTrace(counts=counts, kind="classical", meta={}).to_csv(tmp_path / "trace.csv")
+        data = (tmp_path / "trace.csv").read_bytes()
+        body = data[data.index(b"index,count\r\n") + len(b"index,count\r\n"):]
+        assert len(body) > 2 * _CSV_READ_BYTES
+        start = body.rindex(b"\n", 0, _CSV_READ_BYTES) + 1
+        offsets.add(_CSV_READ_BYTES - start)
+        lengths.add(body.index(b"\n", start) + 1 - start)
+        assert np.array_equal(PhotonTrace.from_csv(tmp_path / "trace.csv").counts, counts)
+    assert len(lengths) == 1 and offsets == set(range(lengths.pop()))
+
+
+#: bytes an edit writes: the trace's own characters, or any byte
+_EDIT_BYTES = st.one_of(st.sampled_from(b"0123456789,\r\n#{} "), st.integers(0, 255))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(0, 2**32 - 1), st.data())
+def test_photon_trace_reader_fuzz(tmp_path_factory, runs, length, seed, data):
+    """A trace with one to three random edits of its rows (insert, delete or
+    substitute a byte, or insert CR LF) either fails to read with an
+    InvalidArgumentError naming the file or reads back to counts that
+    `to_csv` writes as exactly the edited bytes."""
+    path = tmp_path_factory.getbasetemp() / "fuzz"
+    path.mkdir(exist_ok=True)
+    # counts of 1 to 7 digits, zeros among them
+    counts = 10 ** np.random.default_rng(seed).uniform(0, 7, size=(runs, length))
+    counts = counts.astype(np.int64) - 1
+    PhotonTrace(counts=counts, kind="quantum", meta={"seed": 2}).to_csv(path / "trace.csv")
+    edited = bytearray((path / "trace.csv").read_bytes())
+    body = edited.index(b"index,count\r\n") + len(b"index,count\r\n")
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(["insert", "delete", "substitute", "crlf"]))
+        last = len(edited) - (op in ("delete", "substitute"))
+        if last < body:
+            continue
+        at = data.draw(st.integers(body, last))
+        if op == "crlf":
+            edited[at:at] = b"\r\n"
+        elif op == "delete":
+            del edited[at]
+        else:
+            edited[at:at + (op == "substitute")] = bytes([data.draw(_EDIT_BYTES)])
+    (path / "edited.csv").write_bytes(edited)
+    try:
+        back = PhotonTrace.from_csv(path / "edited.csv")
+    except InvalidArgumentError as exc:
+        assert str(path / "edited.csv") in str(exc)
+        return
+    back.to_csv(path / "again.csv")
+    assert (path / "again.csv").read_bytes() == bytes(edited)
 
 
 def test_modulation_trace_matches_fringe_model(rng):
