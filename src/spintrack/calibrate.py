@@ -297,19 +297,6 @@ def fit_na_nb(trace: ModulationTrace) -> FitResult:
 # correlation reconstruction
 
 
-def _trace_estimator(kind: str) -> str:
-    """The `lag_products` estimator `reconstruct_Sz_corr` uses on a trace kind."""
-    return "ensemble" if kind == "quantum" else "time-average"
-
-
-def _resolve_max_lag(max_lag: int | None, estimator: str, length: int) -> int:
-    """`max_lag`, or when None the default of `reconstruct_Sz_corr`: every lag
-    for the ensemble, at most half the record for the time-average."""
-    if max_lag is not None:
-        return max_lag
-    return length - 1 if estimator == "ensemble" else min(length - 1, length // 2)
-
-
 def reconstruct_Sz_corr(
     trace: PhotonTrace,
     model: ReadoutModel,
@@ -330,13 +317,14 @@ def reconstruct_Sz_corr(
     contrast = model.contrast
     if contrast <= 0:
         raise DegenerateContrastError("n_a must exceed n_b to normalise the correlation")
-    estimator = _trace_estimator(trace.kind)
+    estimator = "ensemble" if trace.kind == "quantum" else "time-average"
     if estimator == "ensemble" and trace.first_lag != 0:
         raise InvalidArgumentError(
             "ensemble estimator needs the reference measurement in column 0 "
             "(self-polarised records)")
     counts = trace.counts.astype(float)
-    max_lag = _resolve_max_lag(max_lag, estimator, trace.length)
+    if max_lag is None:  # every lag of the ensemble, half the record of the time-average
+        max_lag = trace.length - 1 if estimator == "ensemble" else trace.length // 2
     mean, std, count = lag_products(counts, max_lag, estimator)
     scale = 4.0 / contrast**2
     vals = scale * (mean - model.n_av**2)
@@ -512,12 +500,6 @@ def fit_decay(lags, values, phi: float) -> FitResult:
     )
 
 
-def _check_mean_path_runs(runs: int) -> None:
-    """`fit_alpha_modulated`'s rule for its record, which `cli.read_config` runs too."""
-    if runs < 2:
-        raise InvalidArgumentError("need at least 2 runs to estimate the mean path")
-
-
 def fit_alpha_modulated(trace: PhotonTrace, phi_s: float = 1.0) -> FitResult:
     """Joint (n_a, n_b, alpha) fit on a phase-modulated classical record.
 
@@ -537,7 +519,8 @@ def fit_alpha_modulated(trace: PhotonTrace, phi_s: float = 1.0) -> FitResult:
     """
     counts = trace.counts.astype(float)
     runs, length = counts.shape
-    _check_mean_path_runs(runs)
+    if runs < 2:
+        raise InvalidArgumentError("need at least 2 runs to estimate the mean path")
     mean_path = counts.mean(axis=0)
     se = counts.std(axis=0, ddof=1) / np.sqrt(runs)
     se = np.maximum(se, 1e-9 * max(1.0, np.abs(mean_path).max()))

@@ -17,13 +17,14 @@ checks every key against it, rejects a key it does not list, and `main`
 passes the checked settings to every subcommand.  The block keys are the
 fields of `ProtocolConfig`, `ReadoutModel`, `ChargeModel` and the
 arguments of `run_classical_experiment`; `read_config` builds the first
-three, so their range checks end a bad config before anything is written,
-and so do the kind each command writes and what `report` and `correlate`
-need of the record (`runs`, `max_lag`), checked by the analysis's own rules;
-`correlate` reads its trace and its --fit levels there too, so a bad input
-file also leaves no output directory;
+three, so their range checks end a bad config before anything is sampled.
 `ProtocolConfig.prepolarized` is not a key, because a prepolarised
 record has no reference measurement for the ensemble estimator.
+
+A command that exits non-zero leaves --out as it found it: `main` has the
+command write every artifact into a staging directory and moves them into
+--out only after it returns.  A killed process may leave a `.partial-*`
+staging directory behind.
 
 Everything is deterministic given the seed: the trace engine splits the
 seed by run chunk, the calibration sweep uses the reserved auxiliary
@@ -48,7 +49,9 @@ import argparse
 import json
 import locale  # noqa: F401  (argparse's gettext loads it; load it at start-up, not in `main`)
 import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -155,9 +158,7 @@ def _checked(table: dict, block, where: str) -> dict:
 
 def read_config(args) -> dict:
     """Checked settings of the config at `args.config`, flags merged in; the
-    readout, protocol and charge blocks come back as the objects they configure.
-    For `correlate`, "trace" holds the record it reads and "readout" the levels
-    of --fit when given."""
+    readout, protocol and charge blocks come back as the objects they configure."""
     raw = load_config(args.config)
     if not isinstance(raw, dict):
         raise InvalidArgumentError(f"config must be a JSON object, got {json.dumps(raw)}")
@@ -176,7 +177,7 @@ def read_config(args) -> dict:
         if settings[key] < low:
             raise InvalidArgumentError(f"config key '{key}' must be >= {low}, got {settings[key]}")
     # the blocks become the objects they configure, so their range checks
-    # run here, before `main` makes the output directory
+    # run here, before anything is sampled
     settings["readout"] = ro.ReadoutModel(**settings["readout"])
     if kind == "quantum":
         settings["protocol"] = ProtocolConfig(**settings["protocol"])
@@ -194,27 +195,11 @@ def read_config(args) -> dict:
         raise InvalidArgumentError(
             f"config key 'runs' gives {settings['runs']} x {length} measurements, above the "
             f"cap MAX_MEASUREMENTS = {MAX_MEASUREMENTS}")
-    # the estimator stages' rules for the record: `report` samples it as the
-    # config says, `correlate` reads it (and the levels of --fit) here, so
-    # that a bad input file also ends the run before --out is made
-    command, max_lag, runs = getattr(args, "command", None), settings["max_lag"], settings["runs"]
-    if command == "correlate":
-        if max_lag is not None:
-            _check_lag_products(max_lag, None)
-        trace = settings["trace"] = ro.PhotonTrace.from_csv(
-            args.trace or os.path.join(args.out, "trace.csv"))
-        if args.fit:
-            settings["readout"] = _fit_levels(args.fit)
-        kind, runs, length = trace.kind, trace.runs, trace.length
-    if command == "report" and kind == "classical-modulated":
-        # no stage of this kind reads max_lag; it must still fit the record
-        cal._check_mean_path_runs(runs)
-        if max_lag is not None:
-            _check_lag_products(max_lag, None, length=length)
-    elif command in ("report", "correlate"):
-        estimator = cal._trace_estimator(kind)
-        _check_lag_products(cal._resolve_max_lag(max_lag, estimator, length), estimator,
-                            runs, length)
+    # a given max_lag must fit the record `report` is about to sample;
+    # `correlate`'s record is the trace it reads
+    command, max_lag = getattr(args, "command", None), settings["max_lag"]
+    if max_lag is not None and command in ("report", "correlate"):
+        _check_lag_products(max_lag, None, length=length if command == "report" else None)
     return settings
 
 
@@ -263,43 +248,46 @@ def _lg_stage(series: CorrelationSeries, out: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each takes the parsed flags and the checked settings and
-# returns the summary that `main` writes to <out>/summary.json
+# subcommands: each takes the parsed flags and the checked settings, writes
+# its artifacts into settings["staging"] and returns the summary that `main`
+# writes to summary.json; inputs resolve against --out
 
 
 def cmd_trace(args, settings: dict) -> dict:
     """`simulate` and `classical`: write the photon record of an allowed kind
     (`read_config` checks the kind)."""
-    trace = _make_trace(settings, args.out)
+    trace = _make_trace(settings, settings["staging"])
     return {"kind": settings["kind"], "runs": trace.runs, "length": trace.length,
             "seed": trace.meta["seed"], "artifacts": ["trace.csv"]}
 
 
 def cmd_calibrate(args, settings: dict) -> dict:
-    fit = _calibrate(settings, args.out)
-    fit.to_json(os.path.join(args.out, "fit.json"))
+    fit = _calibrate(settings, settings["staging"])
+    fit.to_json(os.path.join(settings["staging"], "fit.json"))
     return {"kind": "calibration", "n_a": fit["n_a"], "n_b": fit["n_b"],
             "phi_0": fit["phi_0"], "artifacts": ["modulation.csv", "fit.json"]}
 
 
 def cmd_correlate(args, settings: dict) -> dict:
-    """The readout correlation of the trace and levels `read_config` read."""
-    trace = settings["trace"]
-    series = cal.reconstruct_Sz_corr(trace, settings["readout"], max_lag=settings["max_lag"])
-    series.to_csv(os.path.join(args.out, "corr_sz.csv"))
+    """The readout correlation of the trace, with the configured levels or
+    those of --fit."""
+    trace = ro.PhotonTrace.from_csv(args.trace or os.path.join(args.out, "trace.csv"))
+    model = _fit_levels(args.fit) if args.fit else settings["readout"]
+    series = cal.reconstruct_Sz_corr(trace, model, max_lag=settings["max_lag"])
+    series.to_csv(os.path.join(settings["staging"], "corr_sz.csv"))
     return {"kind": trace.kind, "estimator": series.meta["estimator"],
             "max_lag": int(series.lags.max()), "artifacts": ["corr_sz.csv"]}
 
 
 def cmd_lgtest(args, settings: dict) -> dict:
     series = CorrelationSeries.from_csv(args.corr or os.path.join(args.out, "corr_ix.csv"))
-    return dict(_lg_stage(series, args.out), artifacts=["lg.csv"])
+    return dict(_lg_stage(series, settings["staging"]), artifacts=["lg.csv"])
 
 
 def cmd_report(args, settings: dict) -> dict:
     """Full pipeline: trace, calibration pre-pass, correlation, strength
     fit, normalisation and the Leggett-Garg verdict."""
-    out, kind = args.out, settings["kind"]
+    out, kind = settings["staging"], settings["kind"]
     trace = _make_trace(settings, out)
     cal_fit = _calibrate(settings, out)
     artifacts = ["trace.csv", "modulation.csv"]
@@ -405,13 +393,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    staging = None
     try:
         settings = read_config(args)
+        # stage inside the nearest directory of --out that exists, so every
+        # move into --out stays on one filesystem; summary.json moves last
+        parent = os.path.realpath(args.out)
+        while not os.path.isdir(parent):
+            parent = os.path.dirname(parent)
+        staging = settings["staging"] = tempfile.mkdtemp(prefix=".partial-", dir=parent)
+        cal.write_json(os.path.join(staging, "summary.json"), args.func(args, settings))
         os.makedirs(args.out, exist_ok=True)
-        cal.write_json(os.path.join(args.out, "summary.json"), args.func(args, settings))
+        for name in sorted(os.listdir(staging), key=lambda name: name == "summary.json"):
+            os.replace(os.path.join(staging, name), os.path.join(args.out, name))
     except (SpintrackError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
+    finally:
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
     return 0
 
 

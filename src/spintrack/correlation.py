@@ -181,9 +181,9 @@ _FFT_BLOCK = 2**17
 
 def _check_lag_products(max_lag: int, estimator: str | None, runs: int | None = None,
                         length: int | None = None) -> None:
-    """The rules `lag_products` holds a (runs, length) record to, which
-    `cli.read_config` also runs on a config's record before sampling it; a
-    None estimator, run count or length is not known yet and not checked."""
+    """The rules `lag_products` holds a (runs, length) record to; `cli.read_config`
+    checks a given max_lag with them, where a None estimator, run count or
+    length is not known yet and not checked."""
     if max_lag < 1 or length is not None and max_lag > length - 1:
         high = "length - 1" if length is None else length - 1
         raise InvalidArgumentError(f"max_lag must be in [1, {high}], got {max_lag}")

@@ -75,6 +75,9 @@ _CSV_ROW_MAX = 19 + 1 + 19 + 2
 #: zero bytes in front of each decoded block, so every 8-byte window a field
 #: ends in starts inside the buffer
 _CSV_PAD = 8
+#: the longest header line, LF included, that `to_csv` writes and `from_csv` reads
+_CSV_HEADER_MAX = 1 << 16
+_CSV_COLUMNS = b"index,count\r\n"
 _TRACE_KINDS = ("quantum", "classical", "classical-modulated")
 #: the largest mean numpy's Poisson sampler accepts (numpy's POISSON_LAM_MAX)
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
@@ -174,9 +177,12 @@ class PhotonTrace:
         flat = self.counts.ravel()
         if flat.min(initial=0) < 0:
             raise InvalidArgumentError("counts must be non-negative")
+        line = ("# " + json.dumps(header, sort_keys=True) + "\n").encode()
+        if len(line) > _CSV_HEADER_MAX:
+            raise InvalidArgumentError(
+                f"trace header is {len(line)} bytes, above the {_CSV_HEADER_MAX} `from_csv` reads")
         with open(path, "wb") as fh:
-            fh.write(("# " + json.dumps(header, sort_keys=True) + "\n").encode())
-            fh.write(b"index,count\r\n")
+            fh.write(line + _CSV_COLUMNS)
             start = 0
             while start < flat.size:
                 # a block never crosses a power of 10, so its indices share one width
@@ -187,7 +193,10 @@ class PhotonTrace:
     @classmethod
     def from_csv(cls, path) -> "PhotonTrace":
         with open(path, "rb") as fh:
-            first = fh.readline()
+            first = fh.readline(_CSV_HEADER_MAX)
+            if len(first) == _CSV_HEADER_MAX and not first.endswith(b"\n"):
+                raise InvalidArgumentError(
+                    f"{path}: header line longer than {_CSV_HEADER_MAX} bytes")
             if not first.startswith(b"#"):
                 raise InvalidArgumentError(f"{path}: missing JSON header line")
             try:
@@ -202,7 +211,7 @@ class PhotonTrace:
             runs, length = header["runs"], header["length"]
             if first != b"# " + json.dumps(header, sort_keys=True).encode() + b"\n":
                 raise InvalidArgumentError(f"{path}: header must be '# ' + sorted-key JSON + LF")
-            if fh.readline() != b"index,count\r\n":
+            if fh.readline(len(_CSV_COLUMNS)) != _CSV_COLUMNS:
                 raise InvalidArgumentError(f"{path}: second line must be 'index,count\\r\\n'")
             # each row takes at least its index digits and 4 bytes, 'i,0\r\n': a
             # header promising more rows than the rest of the file can hold is

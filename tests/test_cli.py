@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -19,6 +21,7 @@ from spintrack.errors import (
     InvalidArgumentError,
     UnsupportedStateError,
 )
+from spintrack.readout import PhotonTrace
 
 ALPHA = 0.18 * np.pi
 PHI = np.pi / 3
@@ -327,9 +330,9 @@ def test_reader_edge_case_exits_2(tmp_path, capsys, corrupt):
 
 
 def test_correlate_leaves_no_out_on_bad_inputs(tmp_path, capsys):
-    """`correlate` reads its trace and fit before it makes --out: a missing
-    or malformed trace, a max_lag above the record and levels-free fit.json
-    each exit 2 with no output directory left behind."""
+    """A missing or malformed trace, a max_lag above the record and a
+    levels-free fit.json each make `correlate` exit 2 with no output
+    directory left behind."""
     cfg = quantum_config(tmp_path, runs=20)
     made = tmp_path / "made"
     assert main(["simulate", "--config", cfg, "--out", str(made)]) == 0
@@ -540,7 +543,7 @@ def test_overflowing_lg_exits_2_and_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error[InvalidArgumentError]") and err.count("\n") == 1
     assert "tau = 1" in err
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_correlate_rejects_a_report_fit(tmp_path, capsys):
@@ -554,3 +557,66 @@ def test_correlate_rejects_a_report_fit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error[InvalidArgumentError]") and err.count("\n") == 1
     assert str(fit) in err and "'params'" in err and "'calibration'" in err
+
+
+def _digests(path):
+    """sha256 of every file in the directory `path`, hidden ones included."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in path.iterdir()}
+
+
+def _partials(path):
+    return [p.name for p in path.iterdir() if p.name.startswith(".partial-")]
+
+
+def test_a_failing_command_leaves_out_as_it_was(tmp_path, capsys):
+    """Each failure, after sampling or before, leaves a fresh --out absent and
+    an --out holding an earlier `report` byte for byte as it was."""
+    cfg = quantum_config(tmp_path, runs=50)
+    done = tmp_path / "done"
+    assert main(["report", "--config", cfg, "--out", str(done)]) == 0
+    assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "cal")]) == 0
+    lag1 = tmp_path / "lag1.csv"
+    trace = PhotonTrace.from_csv(done / "trace.csv")
+    PhotonTrace(trace.counts, trace.kind, first_lag=1, meta=trace.meta).to_csv(lag1)
+    flat = tmp_path / "flat.json"
+    fit = json.loads((tmp_path / "cal" / "fit.json").read_text())
+    fit["params"]["n_b"] = fit["params"]["n_a"]
+    flat.write_text(json.dumps(fit))
+    equal_levels = quantum_config(tmp_path / "cal", runs=50,
+                                  readout={"n_a": 900.0, "n_b": 900.0, "repetitions": 100})
+    cases = [
+        (["report", "--config", equal_levels], 4, "DegenerateContrastError"),
+        (["lgtest", "--config", cfg, "--corr", str(tmp_path / "absent.csv")], 2, "absent.csv"),
+        (["correlate", "--config", cfg, "--trace", str(lag1)], 2, "reference measurement"),
+        (["correlate", "--config", cfg, "--trace", str(done / "trace.csv"), "--fit", str(flat)],
+         4, "DegenerateContrastError"),
+    ]
+    before = _digests(done)
+    for i, (argv, code, named) in enumerate(cases):
+        old = tmp_path / f"old{i}"
+        shutil.copytree(done, old)
+        for out in (tmp_path / f"fresh{i}", old):
+            capsys.readouterr()
+            assert main([*argv, "--out", str(out)]) == code, (argv, out)
+            err = capsys.readouterr().err
+            assert err.startswith("error[") and err.count("\n") == 1 and named in err, err
+        assert not (tmp_path / f"fresh{i}").exists(), argv
+        assert _digests(old) == before, argv
+    assert _partials(tmp_path) == []
+
+
+def test_a_successful_command_leaves_no_staging_directory(tmp_path, monkeypatch):
+    """The staging directory goes after a success too, whether --out existed,
+    is new with new parents, or is the working directory."""
+    cfg = quantum_config(tmp_path, runs=20)
+    nested = tmp_path / "a" / "b" / "c"
+    for _ in range(2):
+        assert main(["simulate", "--config", cfg, "--out", str(nested)]) == 0
+    assert sorted(_digests(nested)) == ["summary.json", "trace.csv"]
+    here = tmp_path / "here"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    assert main(["simulate", "--config", cfg, "--out", "."]) == 0
+    assert sorted(_digests(here)) == ["summary.json", "trace.csv"]
+    assert (here / "trace.csv").read_bytes() == (nested / "trace.csv").read_bytes()
+    assert _partials(tmp_path) == _partials(tmp_path / "a") == []

@@ -12,6 +12,7 @@ from spintrack.errors import InvalidArgumentError
 from spintrack.protocol import ProtocolConfig
 from spintrack.readout import (
     _CSV_BLOCK_ROWS,
+    _CSV_HEADER_MAX,
     _CSV_READ_BYTES,
     _digits,
     _index_digits,
@@ -180,6 +181,37 @@ def test_photon_trace_from_csv_allocates_little_beside_the_counts(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(back.counts, counts)
     assert peak < 1.5 * back.counts.nbytes, peak
+
+
+def test_photon_trace_from_csv_bounds_the_header_read(tmp_path):
+    """A 30 MiB file without a LF is refused after _CSV_HEADER_MAX bytes,
+    not read whole (it traced a 90 MiB peak when the header read had no bound)."""
+    path = tmp_path / "no_lf.csv"
+    path.write_bytes(b"#" + b"x" * (30 * 2**20 - 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidArgumentError, match="header line longer than") as exc:
+            PhotonTrace.from_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(path) in str(exc.value)
+    assert peak < 4 * _CSV_HEADER_MAX, peak
+
+
+def test_photon_trace_header_bound_is_shared(tmp_path):
+    """`to_csv` writes a header line of exactly _CSV_HEADER_MAX bytes, which
+    reads back, and refuses one a byte longer without creating the file."""
+    trace = PhotonTrace(counts=np.array([[3, 1]]), kind="quantum", meta={"note": ""})
+    trace.to_csv(tmp_path / "probe.csv")
+    pad = _CSV_HEADER_MAX - (tmp_path / "probe.csv").read_bytes().index(b"\n") - 1
+    trace.meta["note"] = "x" * pad
+    trace.to_csv(tmp_path / "longest.csv")
+    assert PhotonTrace.from_csv(tmp_path / "longest.csv").meta == trace.meta
+    trace.meta["note"] += "x"
+    with pytest.raises(InvalidArgumentError, match=f"above the {_CSV_HEADER_MAX}"):
+        trace.to_csv(tmp_path / "longer.csv")
+    assert not (tmp_path / "longer.csv").exists()
 
 
 def test_photon_trace_rows_straddle_read_blocks(tmp_path):
