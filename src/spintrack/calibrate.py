@@ -24,7 +24,6 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
-import numpy.ma  # noqa: F401  (np.unique loads it lazily; load it at start-up)
 
 from .correlation import CorrelationSeries, lag_products
 from .engine import modulated_drive
@@ -227,7 +226,12 @@ def _angle_groups(angles_deg, counts):
     counts = np.asarray(counts, dtype=float)
     if angles_deg.shape != counts.shape:
         raise InvalidArgumentError("angles and counts must have equal length")
-    uniq = np.unique(angles_deg)
+    # the distinct angles: sorted, each kept where it differs from its left
+    # neighbour (np.unique would load numpy.ma on its first call)
+    ordered = np.sort(angles_deg)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    uniq = ordered[first]
     if uniq.size < 4:
         raise InvalidArgumentError("need at least 4 distinct sweep angles to fit 3 parameters")
     means = np.empty(uniq.size)

@@ -67,7 +67,8 @@ __all__ = ["main", "build_parser", "read_config", "CONFIG_KEYS"]
 SCHEMA_VERSION = 1
 REQUIRED = "required"
 #: the most photon measurements (runs x record length) a config may ask
-#: for; the int64 counts alone take 800 MB at the cap
+#: for, and the most readouts of its calibration sweep (sweep samples x
+#: repetitions); the int64 counts alone take 800 MB at the cap
 MAX_MEASUREMENTS = 10**8
 
 #: every config key once: (type, default), or REQUIRED for a key that must
@@ -195,6 +196,11 @@ def read_config(args) -> dict:
         raise InvalidArgumentError(
             f"config key 'runs' gives {settings['runs']} x {length} measurements, above the "
             f"cap MAX_MEASUREMENTS = {MAX_MEASUREMENTS}")
+    reps = settings["readout"].repetitions
+    if ro.SWEEP_SAMPLES * reps > MAX_MEASUREMENTS:
+        raise InvalidArgumentError(
+            f"config key 'readout.repetitions' gives {ro.SWEEP_SAMPLES} x {reps} sweep draws, "
+            f"above the cap MAX_MEASUREMENTS = {MAX_MEASUREMENTS}")
     # a given max_lag must fit the record `report` is about to sample;
     # `correlate`'s record is the trace it reads
     command, max_lag = getattr(args, "command", None), settings["max_lag"]
@@ -325,10 +331,12 @@ def cmd_report(args, settings: dict) -> dict:
             summary.update(alpha_fit=a_hat, alpha_stderr=alpha_fit.stderr["alpha"])
         else:
             # classical drive: the strength is set, not fitted; normalise by
-            # alpha^2 so the target is the bare random-phase cos(theta k)/2
+            # alpha^2 so the target is the bare random-phase cos(theta k)/2;
+            # its gain obeys MAX_GAIN, checked without dividing (alpha may be 0)
             a_known = settings["classical"]["alpha"]
-            if a_known**2 < 1e-6:
-                raise AmplificationError("classical alpha too small to normalise by alpha^2")
+            if a_known**2 * cal.MAX_GAIN < 1.0:
+                raise AmplificationError(f"classical alpha {a_known:.3g}: gain 1/alpha^2 "
+                                         f"exceeds MAX_GAIN {cal.MAX_GAIN:.3g}")
             normalized = CorrelationSeries(
                 series.lags, series.values / a_known**2, series.stderr / a_known**2,
                 kind="zz-normalized", meta=dict(series.meta, alpha=a_known))

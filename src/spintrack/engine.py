@@ -18,17 +18,18 @@ per-cycle charge state) and `_draw_photons` (the Poisson counts).  Do not
 reorder the draws inside `_quantum`, `_cycle`, `_classical` or
 `_run_chunked`: the draw order is part of the determinism contract.
 
-The target spin follows the outcome-averaged recurrence of
-`spintrack.protocol`; readout outcomes are drawn from the presented
+The target spin follows the maps of `spintrack.protocol`: a self-polarised
+run starts from `conditioned_update`, and every cycle is the outcome-averaged
+`recurrence_step`; readout outcomes are drawn from the presented
 polarisation zeta, and (optionally) photon counts from the bright/dark
 Poisson model.  Conditioning on outcomes enters only through the
 polarising measurement of each self-polarised run — the paper-level
 correlators C_Sz(N) = E[s_0 s_N] refer to exactly that ensemble.
 
 Charge interruption: with probability 1 - p_minus a cycle happens in the
-neutral charge state — no measurement back-action (the precession still
-runs), zero presented polarisation, and photons drawn from a dark-like
-level.  A neutral polarising measurement leaves the run unpolarised.
+neutral charge state — the alpha = 0 step, which only precesses, zero
+presented polarisation, and photons drawn from a dark-like level.  A
+neutral polarising measurement leaves the run unpolarised.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily; load it at start-up)
 
 from .errors import InvalidArgumentError
-from .protocol import ProtocolConfig
+from .protocol import ProtocolConfig, conditioned_update, recurrence_step
 
 __all__ = ["CHUNK_SIZE", "RunBatch", "chunk_rng", "modulated_drive", "simulate_runs",
            "classical_runs"]
@@ -94,14 +95,15 @@ def _draw_photons(rng, outcomes, bright, dark, live=None, nv0_mean=None):
     return rng.poisson(lam).astype(np.int64, copy=False)
 
 
-def _cycle(x, y, rows, p_minus, cos_phi, sin_phi, sa, ca):
-    """One measurement cycle of every run: the charge draw, the precession by
-    phi, the outcome-averaged back-action on live runs and the outcome draw.
+def _cycle(x, y, rows, p_minus, config: ProtocolConfig):
+    """One measurement cycle of every run: the charge draw, the
+    `recurrence_step` (at alpha = 0 on neutral runs; a scalar alpha at
+    p_minus 1 spares a cosine per run) and the outcome draw.
     Returns (x, y, zeta, outcome, live)."""
     live = _draw_charge(rows, x.size, p_minus)
-    x, yr = x * cos_phi - y * sin_phi, x * sin_phi + y * cos_phi
-    zeta = np.where(live, x * sa, 0.0)
-    y = np.where(live, yr * ca, yr)
+    alpha = config.alpha if p_minus == 1.0 else np.where(live, config.alpha, 0.0)
+    x, y = recurrence_step(x, y, alpha, config.phi)
+    zeta = np.where(live, x * np.sin(config.alpha), 0.0)
     return x, y, zeta, _draw_outcomes(next(rows), zeta), live
 
 
@@ -109,8 +111,6 @@ def _quantum(chunks, runs, config: ProtocolConfig, p_minus):
     """(outcomes, zetas, live, signs) of every run.  Each chunk draws its
     uniforms cycle-major: the polarising outcome and charge, then the charge
     and the outcome of each cycle; `_cycle` then steps all runs at once."""
-    sa, ca = np.sin(config.alpha), np.cos(config.alpha)
-    trig = np.cos(config.phi), np.sin(config.phi)
     length = config.cycles + (not config.prepolarized)
     charged = p_minus < 1.0
     u = np.empty((length * (1 + charged), runs))
@@ -123,7 +123,7 @@ def _quantum(chunks, runs, config: ProtocolConfig, p_minus):
     live = np.empty((runs, length), dtype=bool) if charged else None
     if config.prepolarized:
         signs = np.ones(runs, dtype=np.int8)
-        x = np.ones(runs)
+        x, y = np.ones(runs), np.zeros(runs)
     else:
         zetas[:, 0] = 0.0
         outcomes[:, 0] = _draw_outcomes(next(rows), zetas[:, 0])
@@ -131,11 +131,10 @@ def _quantum(chunks, runs, config: ProtocolConfig, p_minus):
         if charged:
             live[:, 0] = live_0
         signs = np.where(live_0, outcomes[:, 0], 0).astype(np.int8)
-        x = signs * sa
-    y = np.zeros(runs)
+        x, y = conditioned_update(0.0, 0.0, config.alpha, signs)
 
     for j in range(length - config.cycles, length):
-        x, y, zetas[:, j], outcomes[:, j], live_j = _cycle(x, y, rows, p_minus, *trig, sa, ca)
+        x, y, zetas[:, j], outcomes[:, j], live_j = _cycle(x, y, rows, p_minus, config)
         if charged:
             live[:, j] = live_j
     return outcomes, zetas, live, signs

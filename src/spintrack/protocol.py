@@ -25,15 +25,14 @@ other in the test-suite, do not collapse them.
 On an initially mixed target the very first measurement polarises it to
 (+-sin(alpha), 0, 0) with equal probability for the two readout outcomes
 — the protocol generates its own initial state.  That state is
-`_conditioned_bloch_update(0, 0, alpha, sign)`, and `spintrack.engine`
-draws it as each run's polarising measurement.
+`conditioned_update(0, 0, alpha, sign)`.  `spintrack.engine` samples with
+these maps: that start, then `recurrence_step` on every run (at alpha = 0,
+a pure precession, on a charge-neutral cycle).
 
 `damped_cosine` is the weak-measurement approximation of the iterated
 recurrence, amplitude * cos(phi N) exp(-(N-1) alpha^2/4); it is the one
 definition of that model behind the correlation functions of
 `spintrack.correlation` and the strength fit of `spintrack.calibrate`.
-Runs are sampled by `spintrack.engine`, which iterates the same
-recurrence vectorised over runs.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ __all__ = [
     "measurement_cycle",
     "recurrence_step",
     "recurrence_matrix",
+    "conditioned_update",
     "damped_cosine",
 ]
 
@@ -93,14 +93,14 @@ class ProtocolConfig:
             raise InvalidArgumentError("cycles must be >= 1")
 
 
-def _conditioned_bloch_update(x: float, y: float, alpha: float, outcome: int) -> tuple[float, float]:
+def conditioned_update(x, y, alpha: float, outcome):
     """Target Bloch vector conditioned on a readout outcome (+1 or -1).
 
-    (x, y) is the precessed state the interaction acts on; the outcome
-    has probability (1 + outcome x sin(alpha)) / 2.  The test-suite checks
-    it against the Kraus route (sensor projectors on the composite of
-    `measurement_cycle`).  The simulation pipeline deliberately propagates
-    the outcome-averaged map (see module docstring of `spintrack.engine`).
+    Scalars or arrays.  (x, y) is the precessed state the interaction acts
+    on; the outcome has probability (1 + outcome x sin(alpha)) / 2.  The
+    test-suite checks it against the Kraus route (sensor projectors on the
+    composite of `measurement_cycle`).  The engine applies it to the
+    polarising measurement only (see the module docstring of `spintrack.engine`).
     """
     s = np.sin(alpha)
     p = 1.0 + outcome * x * s

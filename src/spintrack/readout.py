@@ -64,6 +64,8 @@ SAMPLES_PER_ANGLE = 50
 #: the sweep angle sampled ANCHOR_SAMPLES times instead of SAMPLES_PER_ANGLE
 ANCHOR_ANGLE = 90
 ANCHOR_SAMPLES = 500
+#: measurements in one sweep: 1,100, each summing `repetitions` readouts
+SWEEP_SAMPLES = SAMPLES_PER_ANGLE * (len(SWEEP_ANGLES_DEG) - 1) + ANCHOR_SAMPLES
 #: rows `PhotonTrace.to_csv` encodes at a time: about 1 MiB of working arrays
 _CSV_BLOCK_ROWS = 16384
 #: body bytes `PhotonTrace.from_csv` decodes at a time: a block's per-row

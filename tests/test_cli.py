@@ -428,9 +428,14 @@ def test_malformed_json_exits_2(tmp_path):
 
 
 def test_tiny_alpha_normalisation_exits_3(tmp_path, capsys):
-    cfg = classical_config(tmp_path, alpha=1e-5)
-    assert main(["report", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-    assert "AmplificationError" in capsys.readouterr().err
+    """The classical normalisation's gain 1/alpha^2 obeys MAX_GAIN: at alpha
+    0.01 (gain 1e4) `report` exits 3 and leaves --out as it was."""
+    for alpha in (1e-5, 0.01):
+        cfg = classical_config(tmp_path, alpha=alpha)
+        assert main(["report", "--config", cfg, "--out", str(tmp_path / "o")]) == 3, alpha
+        err = capsys.readouterr().err
+        assert "AmplificationError" in err and "exceeds MAX_GAIN" in err
+        assert not (tmp_path / "o").exists()
 
 
 def test_degenerate_contrast_exits_4(tmp_path, capsys):

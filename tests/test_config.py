@@ -206,6 +206,10 @@ PROBES = {
        for value in (-1, 0, 1000)},
     # `simulate` and `classical` rejected the other kinds after making --out
     "simulate_kind_classical": (BASE["classical"], (), "`simulate` needs kind in"),
+    # the sweep of 1,100 samples x 1e12 readouts ended in an _ArrayMemoryError, exit 1
+    **{f"{command}repetitions_1e12": (*_readme(("readout", "repetitions"), 10**12),
+                                      "'readout.repetitions'")
+       for command in ("", "calibrate_")},
 }
 
 

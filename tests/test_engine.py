@@ -11,7 +11,7 @@ from spintrack.engine import (
     simulate_runs,
 )
 from spintrack.errors import InvalidArgumentError
-from spintrack.protocol import ProtocolConfig, recurrence_step
+from spintrack.protocol import ProtocolConfig, conditioned_update, recurrence_step
 
 ALPHA = 0.18 * np.pi
 PHI = np.deg2rad(27.0)
@@ -201,13 +201,23 @@ def test_prepolarised_layout():
 
 
 def test_zeta_paths_follow_recurrence():
-    batch = simulate_runs(CFG, runs=50, seed=3)
+    """Each polarised run starts from `conditioned_update` and follows
+    `recurrence_step`, exactly.  With charge draws a zeta of 0 marks a
+    neutral cycle: it only precesses (the alpha = 0 step), and the next live
+    cycle continues from the undamped state."""
     sa = np.sin(ALPHA)
-    for r in range(50):
-        x, y = batch.signs[r] * sa, 0.0
-        for n in range(1, CFG.cycles + 1):
-            x, y = recurrence_step(x, y, ALPHA, PHI)
-            assert batch.zetas[r, n] == pytest.approx(x * sa, abs=1e-12)
+    for p_minus in (1.0, 0.7):
+        batch = simulate_runs(CFG, runs=200, seed=3, p_minus=p_minus)
+        neutral = 0
+        for r in np.flatnonzero(batch.signs):
+            x, y = conditioned_update(0.0, 0.0, ALPHA, batch.signs[r])
+            for n in range(1, CFG.cycles + 1):
+                live = batch.zetas[r, n] != 0.0
+                x, y = recurrence_step(x, y, ALPHA if live else 0.0, PHI)
+                assert batch.zetas[r, n] == (x * sa if live else 0.0), (p_minus, r, n)
+                neutral += not live
+        # the p_minus 0.7 batch must exercise neutral cycles inside polarised runs
+        assert (neutral > 0) == (p_minus < 1.0)
 
 
 def test_outcome_bias_matches_zeta():

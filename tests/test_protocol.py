@@ -11,7 +11,7 @@ from spintrack.protocol import (
     ProtocolConfig,
     _ROT_X,
     _ROT_Y,
-    _conditioned_bloch_update,
+    conditioned_update,
     damped_cosine,
     measurement_cycle,
     recurrence_matrix,
@@ -76,12 +76,12 @@ def test_initial_state_matches_conditioned_update():
     """The engine's polarising measurement is the conditioned map applied
     to the mixed state: each run starts from (sign sin(alpha), 0)."""
     for sign in (1, -1):
-        x, y = _conditioned_bloch_update(0.0, 0.0, ALPHA, sign)
+        x, y = conditioned_update(0.0, 0.0, ALPHA, sign)
         assert (x, y) == pytest.approx((sign * np.sin(ALPHA), 0.0), abs=1e-15)
     batch = simulate_runs(ProtocolConfig(alpha=ALPHA, phi=PHI, cycles=1), runs=300, seed=4)
     assert set(np.unique(batch.signs)) == {-1, 1}
     for sign in (1, -1):
-        x, y = recurrence_step(*_conditioned_bloch_update(0.0, 0.0, ALPHA, sign), ALPHA, PHI)
+        x, y = recurrence_step(*conditioned_update(0.0, 0.0, ALPHA, sign), ALPHA, PHI)
         zeta1 = batch.zetas[batch.signs == sign, 1]
         assert np.allclose(zeta1, x * np.sin(ALPHA), rtol=0, atol=1e-15)
 
@@ -97,7 +97,7 @@ def test_initial_state_sign_is_fair():
 def test_conditioned_update_matches_kraus_route(x, y):
     """Project the sensor of `measurement_cycle`'s composite onto +-z: the
     conditioned target state and the outcome probability must match
-    `_conditioned_bloch_update` on the precessed (x, y)."""
+    `conditioned_update` on the precessed (x, y)."""
     phi = np.pi / 3
     comp = tensor(S_E + S_Z, bloch_to_density([x, y, 0.0]))
     comp = bch_evolve(_ROT_Y, comp, np.pi / 2)
@@ -111,7 +111,7 @@ def test_conditioned_update_matches_kraus_route(x, y):
         prob = np.trace(target).real
         assert prob == pytest.approx((1 + outcome * xp * np.sin(ALPHA)) / 2, abs=1e-12)
         bloch = density_to_bloch(target / prob)
-        want = _conditioned_bloch_update(xp, yp, ALPHA, outcome)
+        want = conditioned_update(xp, yp, ALPHA, outcome)
         assert bloch == pytest.approx([*want, 0.0], abs=1e-12)
 
 

@@ -19,6 +19,7 @@ from spintrack.readout import (
     ChargeModel,
     PhotonTrace,
     ReadoutModel,
+    SWEEP_SAMPLES,
     modulation_trace,
     run_classical_experiment,
     run_quantum_experiment,
@@ -292,6 +293,8 @@ def test_modulation_trace_anchor_oversampling(rng):
     # the anchor angle gets extra statistics, everything else is uniform
     assert counts.max() == counts[angles == 90.0]
     assert counts[angles != 90.0].std() == 0.0
+    # the sweep size the config's MAX_MEASUREMENTS check counts
+    assert trace.counts.size == SWEEP_SAMPLES == 1100
 
 
 def test_repetition_averaging_shrinks_variance(rng):
