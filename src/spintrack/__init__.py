@@ -11,12 +11,11 @@ Every name in the `__all__` of a library module is a package name too.
 """
 
 from .calibrate import *
+from .composite import *
 from .correlation import *
 from .engine import *
 from .errors import *
 from .lg import *
-from .pauli import *
-from .propagator import *
 from .protocol import *
 from .readout import *
 

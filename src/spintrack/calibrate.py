@@ -80,8 +80,7 @@ class FitResult:
     def from_json(cls, path) -> "FitResult":
         """Read what `to_json` writes (the fit.json of `calibrate`); any
         other layout raises InvalidArgumentError naming the file and keys."""
-        with open(path) as fh:
-            d = json.load(fh)
+        d = _read_json(path)
         keys = set(d) if isinstance(d, dict) else set()
         missing = sorted(f.name for f in fields(cls) if f.name not in keys
                          and f.default is MISSING and f.default_factory is MISSING)
@@ -91,6 +90,17 @@ class FitResult:
                 f"{path} is not a fit.json as `calibrate` writes it: "
                 f"missing keys {missing}, unexpected keys {unexpected}")
         return cls(**d)
+
+
+def _read_json(path):
+    """The JSON document at `path`.  Text the parser refuses, a nesting too
+    deep for it or an integer too long for `int` raises InvalidArgumentError
+    naming `path`."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InvalidArgumentError(f"{path}: unreadable JSON: {exc}") from None
 
 
 def write_json(path, payload: dict) -> None:

@@ -116,8 +116,7 @@ def aux_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 def load_config(path: str):
     """The JSON document at `path`, as read; `read_config` checks it."""
-    with open(path) as fh:
-        return json.load(fh)
+    return cal._read_json(path)
 
 
 def _typed(kind: type, value, name: str):

@@ -122,7 +122,7 @@ class CorrelationSeries:
                 if not lags:
                     raise ValueError("no rows after the header")
                 return cls(np.array(lags), np.array(vals), np.array(errs), kind=kind)
-            except (ValueError, csv.Error) as exc:
+            except (ValueError, OverflowError, csv.Error) as exc:
                 raise InvalidArgumentError(f"{path} line {rows.line_num}: {exc}") from None
 
 

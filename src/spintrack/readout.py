@@ -37,6 +37,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -66,6 +67,9 @@ ANCHOR_ANGLE = 90
 ANCHOR_SAMPLES = 500
 #: measurements in one sweep: 1,100, each summing `repetitions` readouts
 SWEEP_SAMPLES = SAMPLES_PER_ANGLE * (len(SWEEP_ANGLES_DEG) - 1) + ANCHOR_SAMPLES
+#: bytes of float64 uniforms, and of Poisson means, `modulation_trace` draws
+#: at a time: at 200 repetitions one angle's 500 samples are a single block
+_SWEEP_BLOCK_BYTES = 1 << 22
 #: rows `PhotonTrace.to_csv` encodes at a time: about 1 MiB of working arrays
 _CSV_BLOCK_ROWS = 16384
 #: body bytes `PhotonTrace.from_csv` decodes at a time: a block's per-row
@@ -105,7 +109,7 @@ class ReadoutModel:
     repetitions: int = 200
 
     def __post_init__(self):
-        if not np.isfinite([self.n_a, self.n_b, self.phi_0]).all():
+        if not all(abs(v) <= sys.float_info.max for v in (self.n_a, self.n_b, self.phi_0)):
             raise InvalidArgumentError(f"n_a, n_b, phi_0 must be finite: {asdict(self)}")
         if self.n_b < 0 or self.n_a < self.n_b:
             # n_a == n_b is allowed so the degenerate-contrast path can be
@@ -203,7 +207,7 @@ class PhotonTrace:
                 raise InvalidArgumentError(f"{path}: missing JSON header line")
             try:
                 header = json.loads(first[1:])
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise InvalidArgumentError(f"{path}: bad JSON header line: {exc}") from None
             if not _is_trace_header(header):
                 raise InvalidArgumentError(
@@ -424,18 +428,23 @@ def modulation_trace(model: ReadoutModel, rng: np.random.Generator) -> Modulatio
     (ANCHOR_SAMPLES times at ANCHOR_ANGLE); each measurement sums
     `model.repetitions` independently re-prepared readouts, see the
     module docstring.  The per-readout bright probability at angle phi
-    is (1 + sweep_fraction(phi, phi_0)) / 2.
+    is (1 + sweep_fraction(phi, phi_0)) / 2.  Each angle draws all its
+    uniforms, then all its Poisson counts, a block of rows at a time: the
+    streams are those of drawing each whole matrix at once.
     """
     all_angles, all_counts = [], []
     reps = model.repetitions
+    step = max(1, _SWEEP_BLOCK_BYTES // (8 * reps))
     for ang in SWEEP_ANGLES_DEG:
         n = ANCHOR_SAMPLES if ang == ANCHOR_ANGLE else SAMPLES_PER_ANGLE
         p_bright = 0.5 * (1.0 + sweep_fraction(ang, model.phi_0))
-        bright = rng.random((n, reps)) < p_bright
-        lam = np.where(bright, model.n_a / reps, model.n_b / reps)
-        counts = rng.poisson(lam).sum(axis=1)
+        bright = np.empty((n, reps), dtype=bool)
+        for i in range(0, n, step):
+            bright[i:i + step] = rng.random(bright[i:i + step].shape) < p_bright
         all_angles.append(np.full(n, float(ang)))
-        all_counts.append(counts)
+        all_counts += [rng.poisson(np.where(bright[i:i + step], model.n_a / reps,
+                                            model.n_b / reps)).sum(axis=1)
+                       for i in range(0, n, step)]
     return ModulationTrace(
         angles_deg=np.concatenate(all_angles),
         counts=np.concatenate(all_counts).astype(np.int64),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spintrack.pauli import S_E, S_X, S_Y, S_Z, bloch_to_density, tensor
+from spintrack.composite import S_E, S_X, S_Y, S_Z, bloch_to_density, tensor
 
 
 @pytest.fixture

@@ -30,17 +30,18 @@ from spintrack.correlation import (
 from spintrack.engine import simulate_runs
 from spintrack.errors import InvalidArgumentError
 from spintrack.lg import lg_function, strong_additivity_check, wigner_despagnat_check
-from spintrack.pauli import (
+from spintrack.composite import (
+    bch_evolve,
     bloch_to_density,
     density_to_bloch,
+    exact_evolve,
+    measurement_cycle,
     spin_op,
     tensor,
 )
-from spintrack.propagator import bch_evolve, exact_evolve
 from spintrack.protocol import (
     ProtocolConfig,
     damped_cosine,
-    measurement_cycle,
     recurrence_step,
 )
 from spintrack.readout import ReadoutModel, modulation_trace, run_classical_experiment, run_quantum_experiment

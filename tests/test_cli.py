@@ -221,6 +221,11 @@ def _header(**changes):
     return corrupt
 
 
+def _header_nested(lines):
+    # 60,003 bytes, inside the 64 KiB header bound
+    lines[0] = b"# " + b"[" * 30000 + b"]" * 30000 + b"\n"
+
+
 def _negative_count(lines):
     lines[2] = b"0,-3\r\n"
 
@@ -263,7 +268,7 @@ def _blank_line_for_last_line_end(lines):
                                      _header(first_lag=None, meta=None), _header(kind="bogus"),
                                      _header(first_lag=7), _header(first_lag=True),
                                      _header(runs=20.0), _header(runs="20"),
-                                     _header(meta=[1]), _header(extra=1)])
+                                     _header(meta=[1]), _header(extra=1), _header_nested])
 def test_malformed_trace_exits_2(tmp_path, capsys, corrupt):
     cfg = quantum_config(tmp_path, runs=20)
     out = tmp_path / "bad"
@@ -330,9 +335,10 @@ def test_reader_edge_case_exits_2(tmp_path, capsys, corrupt):
 
 
 def test_correlate_leaves_no_out_on_bad_inputs(tmp_path, capsys):
-    """A missing or malformed trace, a max_lag above the record and a
-    levels-free fit.json each make `correlate` exit 2 with no output
-    directory left behind."""
+    """A missing or malformed trace, a max_lag above the record, a
+    levels-free fit.json, one nested too deep for the JSON parser and one
+    with a level beyond float range each make `correlate` exit 2 with no
+    output directory left behind."""
     cfg = quantum_config(tmp_path, runs=20)
     made = tmp_path / "made"
     assert main(["simulate", "--config", cfg, "--out", str(made)]) == 0
@@ -341,11 +347,23 @@ def test_correlate_leaves_no_out_on_bad_inputs(tmp_path, capsys):
     alpha_fit = fit_alpha(corr_Sz(0.5, 1.0, 10), 1.0)
     no_levels = tmp_path / "alpha.json"
     alpha_fit.to_json(no_levels)
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200000 + "]" * 200000)
+    huge = []  # a level written out as an integer beyond float range
+    for name in ("n_a", "phi_0"):
+        alpha_fit.params = dict({"n_a": 1200.0, "n_b": 600.0}, **{name: 10**400})
+        huge.append(tmp_path / f"huge_{name}.json")
+        alpha_fit.to_json(huge[-1])
     trace = str(made / "trace.csv")
     for flags, named in ((["--trace", str(tmp_path / "absent.csv")], "absent.csv"),
                          (["--trace", str(malformed)], str(malformed)),
                          (["--trace", trace, "--max-lag", "1000"], "max_lag must be in [1, 12]"),
-                         (["--trace", trace, "--fit", str(no_levels)], str(no_levels))):
+                         (["--trace", trace, "--fit", str(no_levels)], str(no_levels)),
+                         (["--trace", trace, "--fit", str(nested)],
+                          f"error[InvalidArgumentError]: {nested}"),
+                         *((["--trace", trace, "--fit", str(path)],
+                            "error[InvalidArgumentError]: n_a, n_b, phi_0 must be finite")
+                           for path in huge)):
         fresh = tmp_path / "fresh"
         assert main(["correlate", "--config", cfg, "--out", str(fresh), *flags]) == 2, flags
         err = capsys.readouterr().err
@@ -519,10 +537,11 @@ def _series_lines(tmp_path):
     lambda lines: lines.__setitem__(2, "2,0.3,-0.01,Ix\r\n"),
     lambda lines: lines.__setitem__(4, "4,0.1,0.01,Sz\r\n"),
     lambda lines: lines.__delitem__(slice(1, None)),
+    lambda lines: lines.__setitem__(6, "9" * 20 + ",0.1,0.01,Ix\r\n"),
 ], ids=["value_abc", "header_val", "row_without_kind", "float_lag", "fifth_field",
         "stderr_nope", "blank_line", "empty_file", "duplicated_lag", "decreasing_lags",
         "lag_0", "nan_value", "inf_value", "nan_stderr", "negative_stderr", "kind_changes",
-        "empty_body"])
+        "empty_body", "lag_20_digits"])
 def test_malformed_correlation_exits_2(tmp_path, capsys, corrupt):
     path, lines = _series_lines(tmp_path)
     cfg = quantum_config(tmp_path)

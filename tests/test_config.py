@@ -66,8 +66,9 @@ def _set(cfg, path, value):
 
 
 def _run(tmp_path, capsys, cfg, *flags, command="report", out="out"):
+    """Run `command` on the config `cfg`, a JSON value or the file's text."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     capsys.readouterr()
     code = main([command, "--config", str(path), "--out", str(tmp_path / out), *flags])
     return code, capsys.readouterr().err
@@ -152,6 +153,9 @@ PROBES = {
     "n_a_nan": (*_readme(("readout", "n_a"), float("nan")), "'readout.n_a'"),
     "readout_list": (*_readme(("readout",), [1]), "'readout'"),
     "top_level_list": ([1, 2], (), "JSON object"),
+    # text on which the JSON parser raised a RecursionError or a bare ValueError
+    "nested_200000": ("[" * 200000 + "]" * 200000, (), "config.json"),
+    "int_5000_digits": ('{"schema": 1, "runs": 1' + "0" * 5000 + "}", (), "config.json"),
     "flag_boxcar_nan": (README, ("--boxcar", "nan"), "'boxcar'"),
     "flag_seed_minus_1": (README, ("--seed", "-1"), "'seed'"),
     "boxcar_0": (*_readme(("boxcar",), 0), "boxcar_fraction"),

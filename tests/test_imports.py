@@ -4,9 +4,11 @@ Every module a subcommand needs is loaded by `import spintrack.cli`, so its
 cost counts as start-up and none falls inside the timed `cli.main`; scipy
 is not among them, and the subcommands run where it cannot be imported.
 Each case runs in a fresh interpreter, because this suite's own process
-has loaded scipy long before.
+has loaded scipy long before.  The last test parses, without importing,
+which package modules each pipeline module imports: never `composite`.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -102,3 +104,27 @@ def test_the_modulated_report_and_fit_decay_run_without_scipy(tmp_path):
     assert run["code"] == 0
     assert run["params"] == pytest.approx({"amplitude": 0.3, "gamma": 0.02}, abs=1e-9)
     assert json.loads((tmp_path / "out" / "summary.json").read_text())["alpha_fit"] > 0
+
+
+#: the modules the pipeline runs; `composite`, the exact 4x4 route their
+#: Bloch maps are checked against, is not among them
+PIPELINE = ("calibrate", "cli", "correlation", "engine", "errors", "lg", "protocol", "readout")
+
+
+@pytest.mark.parametrize("name", PIPELINE)
+def test_pipeline_modules_import_only_pipeline_modules(name):
+    """Parsed, not imported: the package's own imports of each pipeline module."""
+    path = os.path.join(os.path.dirname(spintrack.__file__), f"{name}.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    own, absolute = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from .x import y, from . import x
+            own |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            absolute.add(node.module)
+        elif isinstance(node, ast.Import):
+            absolute |= {a.name for a in node.names}
+    assert [m for m in absolute if m.split(".")[0] == "spintrack"] == []
+    assert "composite" not in own
+    assert own <= set(PIPELINE), own - set(PIPELINE)

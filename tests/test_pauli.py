@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spintrack.errors import InvalidArgumentError
-from spintrack.pauli import (
+from spintrack.composite import (
     GRAM_RANK_CUTOFF,
     S_E,
     S_X,
@@ -146,8 +146,7 @@ def test_gram_rank_frozen_values():
 def test_gram_rank_entangled_mid_protocol_state():
     """After the coupling pulse a mixed polarised target is entangled
     with the sensor and all six local directions move the state."""
-    from spintrack.propagator import exact_evolve
-    from spintrack.protocol import INTERACTION_H
+    from spintrack.composite import INTERACTION_H, exact_evolve
 
     rho = interaction_family_state(0.6, 0.3)
     evolved = exact_evolve(INTERACTION_H, rho, 0.18 * np.pi)

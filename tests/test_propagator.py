@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 from spintrack.errors import InvalidArgumentError, UnsupportedStateError
-from spintrack.pauli import S_E, S_X, S_Z, commutator, tensor
-from spintrack.propagator import (
+from spintrack.composite import (
+    FREE_PRECESSION_H,
+    INTERACTION_H,
+    S_E,
+    S_X,
+    S_Z,
     bch_evolve,
     check_bch_conditions,
+    commutator,
     exact_evolve,
+    tensor,
 )
-from spintrack.protocol import FREE_PRECESSION_H, INTERACTION_H
 
 from conftest import interaction_family_state, random_density
 

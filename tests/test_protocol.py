@@ -3,17 +3,24 @@ import pytest
 
 from spintrack.engine import simulate_runs
 from spintrack.errors import InvalidArgumentError
-from spintrack.pauli import S_E, S_Z, bloch_to_density, density_to_bloch, partial_trace, tensor
-from spintrack.propagator import bch_evolve
-from spintrack.protocol import (
+from spintrack.composite import (
     FREE_PRECESSION_H,
     INTERACTION_H,
-    ProtocolConfig,
+    S_E,
+    S_Z,
     _ROT_X,
     _ROT_Y,
+    bch_evolve,
+    bloch_to_density,
+    density_to_bloch,
+    measurement_cycle,
+    partial_trace,
+    tensor,
+)
+from spintrack.protocol import (
+    ProtocolConfig,
     conditioned_update,
     damped_cosine,
-    measurement_cycle,
     recurrence_matrix,
     recurrence_step,
 )
@@ -60,6 +67,14 @@ def test_recurrence_matrix_equals_step():
     m = recurrence_matrix(ALPHA, PHI)
     x, y = recurrence_step(0.25, -0.9, ALPHA, PHI)
     assert np.allclose(m @ [0.25, -0.9], [x, y], atol=1e-15)
+
+
+def test_recurrence_matrix_is_the_closed_form():
+    for alpha in (0.0, ALPHA, 1.0, np.pi / 2, np.pi):
+        for phi in (0.0, -0.0, PHI, 1.0, np.pi / 2, np.pi, -2.5):
+            c, s, ca = np.cos(phi), np.sin(phi), np.cos(alpha)
+            assert np.array_equal(recurrence_matrix(alpha, phi),
+                                  [[c, -s], [s * ca, c * ca]]), (alpha, phi)
 
 
 def test_zero_strength_cycle_is_pure_precession():

@@ -19,6 +19,10 @@ from spintrack.readout import (
     ChargeModel,
     PhotonTrace,
     ReadoutModel,
+    ANCHOR_ANGLE,
+    ANCHOR_SAMPLES,
+    SAMPLES_PER_ANGLE,
+    SWEEP_ANGLES_DEG,
     SWEEP_SAMPLES,
     modulation_trace,
     run_classical_experiment,
@@ -47,7 +51,8 @@ def test_readout_model_validation():
     with pytest.raises(InvalidArgumentError):
         ReadoutModel(n_a=50.0, n_b=100.0)
     for n_a, n_b, phi_0 in ((np.nan, 600.0, 0.0), (np.inf, 600.0, 0.0),
-                            (np.inf, np.inf, 0.0), (1200.0, 600.0, np.nan)):
+                            (np.inf, np.inf, 0.0), (1200.0, 600.0, np.nan),
+                            (10**400, 600.0, 0.0), (1200.0, 600.0, 10**400)):
         with pytest.raises(InvalidArgumentError):
             ReadoutModel(n_a=n_a, n_b=n_b, phi_0=phi_0)
     # equal levels are constructible (zero contrast is a runtime error
@@ -308,6 +313,34 @@ def test_repetition_averaging_shrinks_variance(rng):
     at_90 = t_few.angles_deg == 90.0
     assert at_90.sum() == 500
     assert t_few.counts[at_90].std() > 4 * t_many.counts[t_many.angles_deg == 90.0].std()
+
+
+def test_modulation_trace_bounds_its_working_memory():
+    """At 9,090 repetitions, each angle's whole matrices of uniforms, Poisson
+    means and counts traced a 74 MiB peak; drawn a block of rows at a time,
+    they stay near 12 MiB whatever the repetitions."""
+    model = ReadoutModel(n_a=1200.0, n_b=600.0, phi_0=0.02, repetitions=9090)
+    tracemalloc.start()
+    try:
+        modulation_trace(model, np.random.default_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
+def test_modulation_trace_blocks_keep_the_streams():
+    """The anchor angle's 500 rows take three blocks at 3,001 repetitions;
+    the counts are those of drawing each angle's matrices whole."""
+    model = ReadoutModel(n_a=1200.0, n_b=600.0, phi_0=0.02, repetitions=3001)
+    rng, whole = np.random.default_rng(9), []
+    for ang in SWEEP_ANGLES_DEG:
+        n = ANCHOR_SAMPLES if ang == ANCHOR_ANGLE else SAMPLES_PER_ANGLE
+        p_bright = 0.5 * (1.0 + sweep_fraction(ang, model.phi_0))
+        bright = rng.random((n, 3001)) < p_bright
+        whole.append(rng.poisson(np.where(bright, 1200.0 / 3001, 600.0 / 3001)).sum(axis=1))
+    blocked = modulation_trace(model, np.random.default_rng(9))
+    assert np.array_equal(blocked.counts, np.concatenate(whole))
 
 
 def test_run_quantum_experiment_shape_and_meta():
