@@ -7,16 +7,8 @@ readout outcomes and photon counts, calibrates the photon levels and
 the measurement strength back out of the record, reconstructs the spin
 correlation function and applies the Leggett-Garg bound to it.
 
-Every name in the `__all__` of a library module is a package name too.
+Each public name is imported from its module (`spintrack.calibrate`,
+`spintrack.cli`, ...); the package root defines none but `__version__`.
 """
-
-from .calibrate import *
-from .composite import *
-from .correlation import *
-from .engine import *
-from .errors import *
-from .lg import *
-from .protocol import *
-from .readout import *
 
 __version__ = "0.1.0"

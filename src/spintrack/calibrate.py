@@ -369,8 +369,8 @@ def reconstruct_Ix_corr(
     AmplificationError is raised.
     """
     s2 = np.sin(alpha) ** 2
-    if s2 < 1e-6:
-        raise AmplificationError(f"sin^2(alpha) = {s2:.2e} is too small to divide out")
+    if s2 * MAX_GAIN < 1.0:  # checked without dividing: sin(alpha) may be 0
+        raise AmplificationError(f"gain 1/sin^2({alpha:.3g}) exceeds MAX_GAIN {MAX_GAIN:.3g}")
     gain = np.full(series.lags.shape, 1.0 / s2)
     if undo_decay:
         gain *= np.exp((series.lags - 1) * alpha**2 / 4.0)

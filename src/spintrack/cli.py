@@ -185,10 +185,13 @@ def read_config(args) -> dict:
             settings["charge"] = ro.ChargeModel(**settings["charge"])
         length = settings["protocol"].cycles + 1
     else:
-        length = settings["classical"]["measurements_per_run"]
-        if length < 1:
-            raise InvalidArgumentError(
-                f"config key 'classical.measurements_per_run' must be >= 1, got {length}")
+        classical = settings["classical"]
+        length = classical["measurements_per_run"]
+        for key, ok, rule in (("alpha", 0.0 <= classical["alpha"] <= np.pi, "lie in [0, pi]"),
+                              ("measurements_per_run", length >= 1, "be >= 1")):
+            if not ok:
+                raise InvalidArgumentError(
+                    f"config key 'classical.{key}' must {rule}, got {classical[key]}")
     if settings["boxcar"] is not None:
         cal._check_boxcar_fraction(settings["boxcar"])
     if settings["runs"] * length > MAX_MEASUREMENTS:

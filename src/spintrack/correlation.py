@@ -81,7 +81,10 @@ class CorrelationSeries:
 
     def __post_init__(self):
         lags = np.asarray(self.lags)
-        self.lags = lags.astype(int)
+        try:
+            self.lags = lags.astype(int)
+        except OverflowError:  # a Python int beyond int64
+            raise InvalidArgumentError(f"lags must fit in int64, got {lags}") from None
         self.values = np.asarray(self.values, dtype=float)
         self.stderr = np.asarray(self.stderr, dtype=float)
         if not (self.lags.shape == self.values.shape == self.stderr.shape):
@@ -100,10 +103,10 @@ class CorrelationSeries:
     @classmethod
     def from_csv(cls, path) -> "CorrelationSeries":
         """Read what `to_csv` writes: the header lag,value,stderr,kind, then
-        one or more rows of an int lag, a finite value, a stderr >= 0 (inf
-        for a lag with a single product) and the first row's kind; anything
-        else raises InvalidArgumentError naming the file."""
-        lags, vals, errs = [], [], []
+        one or more rows of an int64 lag above the last (or 0), a finite value,
+        a stderr >= 0 (inf for a lag with a single product) and the first
+        row's kind; anything else raises InvalidArgumentError naming file and line."""
+        lags, vals, errs = [0], [], []  # the first lag must exceed lags[0] = 0
         with open(path, newline="") as fh:
             rows = csv.reader(fh)
             try:
@@ -113,16 +116,18 @@ class CorrelationSeries:
                     lags.append(int(lag))
                     vals.append(float(value))
                     errs.append(float(err))
+                    if not lags[-2] < lags[-1] <= np.iinfo(int).max:
+                        raise ValueError(f"lag {lag} must exceed the one before and fit in int64")
                     if not (np.isfinite(vals[-1]) and errs[-1] >= 0):  # a nan stderr fails too
                         raise ValueError(f"need a finite value and a stderr >= 0, got {value}, {err}")
-                    if len(lags) == 1:
+                    if len(vals) == 1:
                         kind = row_kind
                     if row_kind != kind:
                         raise ValueError(f"kind {row_kind!r} differs from the first row's {kind!r}")
-                if not lags:
+                if not vals:
                     raise ValueError("no rows after the header")
-                return cls(np.array(lags), np.array(vals), np.array(errs), kind=kind)
-            except (ValueError, OverflowError, csv.Error) as exc:
+                return cls(np.array(lags[1:]), np.array(vals), np.array(errs), kind=kind)
+            except (ValueError, csv.Error) as exc:
                 raise InvalidArgumentError(f"{path} line {rows.line_num}: {exc}") from None
 
 

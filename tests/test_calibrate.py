@@ -188,8 +188,9 @@ def test_reconstruct_Ix_scales_errors_with_values():
 
 def test_reconstruct_Ix_amplification_guards():
     series = corr_Sz(0.3, 0.5, 10)
-    with pytest.raises(AmplificationError):
-        reconstruct_Ix_corr(series, 1e-4)  # sin^2 below the hard floor
+    for alpha in (1e-4, 0.0, np.pi):  # the lag-independent gain 1/sin^2(alpha)
+        with pytest.raises(AmplificationError, match="exceeds MAX_GAIN"):
+            reconstruct_Ix_corr(series, alpha)
     long = corr_Sz(0.3, 0.5, 400)
     with pytest.raises(AmplificationError):
         reconstruct_Ix_corr(long, 0.3, undo_decay=True)  # tail gain explodes

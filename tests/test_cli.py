@@ -519,30 +519,38 @@ def _series_lines(tmp_path):
     return path, path.read_text().splitlines(keepends=True)
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda lines: lines.__setitem__(3, "3,abc,0.01,Ix\r\n"),
-    lambda lines: lines.__setitem__(0, "lag,val,stderr,kind\r\n"),
-    lambda lines: lines.__setitem__(2, lines[2].rsplit(",", 1)[0] + "\r\n"),
-    lambda lines: lines.__setitem__(4, "1.5" + lines[4][1:]),
-    lambda lines: lines.__setitem__(5, lines[5].rstrip() + ",extra\r\n"),
-    lambda lines: lines.__setitem__(6, "7,0.1,nope,Ix\r\n"),
-    lambda lines: lines.insert(3, "\r\n"),
-    lambda lines: lines.clear(),
-    lambda lines: lines.__setitem__(3, "2" + lines[3][1:]),
-    lambda lines: lines.__setitem__(slice(1, None), lines[:0:-1]),
-    lambda lines: lines.insert(1, "0,0.9,0.01,Ix\r\n"),
-    lambda lines: lines.__setitem__(2, "2,nan,0.01,Ix\r\n"),
-    lambda lines: lines.__setitem__(2, "2,-inf,0.01,Ix\r\n"),
-    lambda lines: lines.__setitem__(2, "2,0.3,nan,Ix\r\n"),
-    lambda lines: lines.__setitem__(2, "2,0.3,-0.01,Ix\r\n"),
-    lambda lines: lines.__setitem__(4, "4,0.1,0.01,Sz\r\n"),
-    lambda lines: lines.__delitem__(slice(1, None)),
-    lambda lines: lines.__setitem__(6, "9" * 20 + ",0.1,0.01,Ix\r\n"),
-], ids=["value_abc", "header_val", "row_without_kind", "float_lag", "fifth_field",
-        "stderr_nope", "blank_line", "empty_file", "duplicated_lag", "decreasing_lags",
-        "lag_0", "nan_value", "inf_value", "nan_stderr", "negative_stderr", "kind_changes",
-        "empty_body", "lag_20_digits"])
-def test_malformed_correlation_exits_2(tmp_path, capsys, corrupt):
+#: corruptions of a six-row series and the line each error names (the
+#: header is line 1, the rows are lines 2-7)
+CORRUPT = {
+    "value_abc": (lambda lines: lines.__setitem__(3, "3,abc,0.01,Ix\r\n"), 4),
+    "header_val": (lambda lines: lines.__setitem__(0, "lag,val,stderr,kind\r\n"), 1),
+    "row_without_kind": (lambda lines: lines.__setitem__(2, lines[2].rsplit(",", 1)[0] + "\r\n"),
+                         3),
+    "float_lag": (lambda lines: lines.__setitem__(4, "1.5" + lines[4][1:]), 5),
+    "fifth_field": (lambda lines: lines.__setitem__(5, lines[5].rstrip() + ",extra\r\n"), 6),
+    "stderr_nope": (lambda lines: lines.__setitem__(6, "7,0.1,nope,Ix\r\n"), 7),
+    "blank_line": (lambda lines: lines.insert(3, "\r\n"), 4),
+    "empty_file": (lambda lines: lines.clear(), 0),
+    "duplicated_lag": (lambda lines: lines.__setitem__(3, "2" + lines[3][1:]), 4),
+    "decreasing_lags": (lambda lines: lines.__setitem__(slice(1, None), lines[:0:-1]), 3),
+    "lag_0": (lambda lines: lines.insert(1, "0,0.9,0.01,Ix\r\n"), 2),
+    "nan_value": (lambda lines: lines.__setitem__(2, "2,nan,0.01,Ix\r\n"), 3),
+    "inf_value": (lambda lines: lines.__setitem__(2, "2,-inf,0.01,Ix\r\n"), 3),
+    "nan_stderr": (lambda lines: lines.__setitem__(2, "2,0.3,nan,Ix\r\n"), 3),
+    "negative_stderr": (lambda lines: lines.__setitem__(2, "2,0.3,-0.01,Ix\r\n"), 3),
+    "kind_changes": (lambda lines: lines.__setitem__(4, "4,0.1,0.01,Sz\r\n"), 5),
+    "empty_body": (lambda lines: lines.__delitem__(slice(1, None)), 1),
+    "lag_20_digits": (lambda lines: lines.__setitem__(6, "9" * 20 + ",0.1,0.01,Ix\r\n"), 7),
+    # these named the last line, where the series was built, not their own
+    "lag_20_digits_line_3": (lambda lines: lines.__setitem__(2, "9" * 20 + ",0.1,0.01,Ix\r\n"),
+                             3),
+    "lag_down_line_3": (lambda lines: lines.__setitem__(1, "5" + lines[1][1:]), 3),
+}
+
+
+@pytest.mark.parametrize("name", CORRUPT)
+def test_malformed_correlation_exits_2(tmp_path, capsys, name):
+    corrupt, line = CORRUPT[name]
     path, lines = _series_lines(tmp_path)
     cfg = quantum_config(tmp_path)
     out = str(tmp_path / "lg")
@@ -553,7 +561,7 @@ def test_malformed_correlation_exits_2(tmp_path, capsys, corrupt):
     assert main(["lgtest", "--config", cfg, "--out", out, "--corr", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error[InvalidArgumentError]") and err.count("\n") == 1
-    assert str(path) in err
+    assert f"{path} line {line}: " in err, err
 
 
 def test_overflowing_lg_exits_2_and_writes_nothing(tmp_path, capsys):

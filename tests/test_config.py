@@ -179,6 +179,11 @@ PROBES = {
     "n_b_above_n_a": (*_readme(("readout", "n_b"), 1300.0), "n_a >= n_b"),
     "protocol_alpha_4": (*_readme(("protocol", "alpha"), 4.0), "alpha must lie in"),
     "cycles_minus_1": (*_readme(("protocol", "cycles"), -1), "cycles must be >= 1"),
+    # a classical strength of 1e200 overflowed `report`'s gain check (exit 1);
+    # one outside protocol.alpha's range [0, pi] was sampled
+    **{f"{kind}_alpha_{value}": (_set(BASE[kind], ("classical", "alpha"), value), (),
+                                 "'classical.alpha' must lie in [0, pi]")
+       for kind in ("classical", "classical-modulated") for value in (1e200, -0.1)},
     "measurements_per_run_0": (_set(BASE["classical"], ("classical", "measurements_per_run"), 0),
                                (), "'classical.measurements_per_run'"),
     # levels above numpy's Poisson limit ended in "lam value too large", exit 1;

@@ -178,6 +178,8 @@ def test_series_value_at_and_validation():
     for lags in ([1, 2, 2], [3, 2, 1], [0, 1, 2], [-1, 1, 2], [1.0, 1.5, 2.0], [[1, 2, 3]]):
         with pytest.raises(InvalidArgumentError, match="strictly increasing"):
             CorrelationSeries(np.array(lags), np.zeros(np.shape(lags)), np.zeros(np.shape(lags)))
+    with pytest.raises(InvalidArgumentError, match="int64"):
+        CorrelationSeries(np.array([10**20]), [0.1], [0.01])
 
 
 def test_series_csv_roundtrip(tmp_path):

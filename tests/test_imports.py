@@ -4,8 +4,10 @@ Every module a subcommand needs is loaded by `import spintrack.cli`, so its
 cost counts as start-up and none falls inside the timed `cli.main`; scipy
 is not among them, and the subcommands run where it cannot be imported.
 Each case runs in a fresh interpreter, because this suite's own process
-has loaded scipy long before.  The last test parses, without importing,
-which package modules each pipeline module imports: never `composite`.
+has loaded scipy long before.  In a fresh interpreter too, `import
+spintrack.cli` loads the pipeline modules and no other package module.  The
+last test parses, without importing, which package modules each pipeline
+module imports: never `composite`.
 """
 
 import ast
@@ -109,6 +111,24 @@ def test_the_modulated_report_and_fit_decay_run_without_scipy(tmp_path):
 #: the modules the pipeline runs; `composite`, the exact 4x4 route their
 #: Bloch maps are checked against, is not among them
 PIPELINE = ("calibrate", "cli", "correlation", "engine", "errors", "lg", "protocol", "readout")
+
+
+#: imports the module named on argv and prints the package modules loaded
+_IMPORT = """\
+import importlib, json, sys
+importlib.import_module(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "spintrack")))
+"""
+
+#: the package modules each import loads besides the root, which imports
+#: nothing: for the CLI, the pipeline and not composite
+LOADS = {"cli": PIPELINE, "protocol": ("errors", "protocol")}
+
+
+@pytest.mark.parametrize("name", sorted(LOADS))
+def test_import_loads_only_the_modules_it_needs(name):
+    loaded = _run(f"spintrack.{name}", child=_IMPORT)
+    assert loaded == ["spintrack"] + sorted(f"spintrack.{m}" for m in LOADS[name])
 
 
 @pytest.mark.parametrize("name", PIPELINE)
