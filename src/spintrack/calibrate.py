@@ -41,7 +41,6 @@ __all__ = [
     "fit_na_nb",
     "reconstruct_Sz_corr",
     "fit_alpha",
-    "fit_decay",
     "fit_alpha_modulated",
     "reconstruct_Ix_corr",
     "write_json",
@@ -387,10 +386,10 @@ def reconstruct_Ix_corr(
 # measurement-strength fits
 
 
-def _gauss_newton_stderr(jac, w, scale: float = 1.0) -> np.ndarray:
-    """Parameter standard errors sqrt(diag((J^T W J / scale)^-1)), inf if singular."""
+def _gauss_newton_stderr(jac, w) -> np.ndarray:
+    """Parameter standard errors sqrt(diag((J^T W J)^-1)), inf if singular."""
     try:
-        cov = np.linalg.inv(jac.T @ (w[:, None] * jac) / scale)
+        cov = np.linalg.inv(jac.T @ (w[:, None] * jac))
     except np.linalg.LinAlgError:
         return np.full(jac.shape[1], np.inf)
     return np.sqrt(np.maximum(np.diag(cov), 0.0))
@@ -475,45 +474,6 @@ def fit_alpha(
     )
 
 
-#: search interval of the per-lag decay rate Gamma and its tolerance: the
-#: measurement-induced rate alpha^2/4 is below 0.62 on ALPHA_BOUNDS, a neutral
-#: charge fraction only slows it, and a Gamma below 0 is a growth, not a decay
-GAMMA_BOUNDS = (0.0, 1.0)
-GAMMA_XATOL = 1e-12
-
-
-def fit_decay(lags, values, phi: float) -> FitResult:
-    """Damped-oscillation fit  A cos(phi N) e^{-Gamma (N-1)}  over lags N.
-
-    Works on any mean-signal or correlation series (arrays, not
-    CorrelationSeries, so run-averaged zeta paths can be fitted too).
-    A is profiled over Gamma on GAMMA_BOUNDS.  Unweighted; the stderr is
-    scaled by the residual variance.
-    """
-    n = np.asarray(lags, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if n.shape != v.shape or n.size < 3:
-        raise InvalidArgumentError("need matching lags/values with at least 3 points")
-
-    def design(gam):
-        return (np.cos(phi * n) * np.exp(-gam * (n - 1)))[:, None]
-
-    gam, solve = _profile_fit(design, v, np.ones_like(v), GAMMA_BOUNDS, GAMMA_XATOL, "gamma")
-    residual, (amp,), _ = solve(gam)
-    env, amp = design(gam)[:, 0], float(amp)
-    scale = residual / max(n.size - 2, 1) if residual > 0 else 1.0
-    jac = np.column_stack([env, -amp * (n - 1) * env])
-    errs = _gauss_newton_stderr(jac, np.ones_like(v), scale)
-    return FitResult(
-        params={"amplitude": amp, "gamma": gam},
-        stderr={"amplitude": float(errs[0]), "gamma": float(errs[1])},
-        residual=residual,
-        n_points=int(n.size),
-        **_at_bound("gamma", gam, GAMMA_BOUNDS),
-        meta={"phi": phi},
-    )
-
-
 def fit_alpha_modulated(trace: PhotonTrace, phi_s: float = 1.0) -> FitResult:
     """Joint (n_a, n_b, alpha) fit on a phase-modulated classical record.
 
@@ -535,6 +495,8 @@ def fit_alpha_modulated(trace: PhotonTrace, phi_s: float = 1.0) -> FitResult:
     runs, length = counts.shape
     if runs < 2:
         raise InvalidArgumentError("need at least 2 runs to estimate the mean path")
+    if length < 4:
+        raise InvalidArgumentError("need at least 4 positions per run to fit 3 parameters")
     mean_path = counts.mean(axis=0)
     se = counts.std(axis=0, ddof=1) / np.sqrt(runs)
     se = np.maximum(se, 1e-9 * max(1.0, np.abs(mean_path).max()))

@@ -81,8 +81,9 @@ class CorrelationSeries:
 
     def __post_init__(self):
         lags = np.asarray(self.lags)
-        try:
-            self.lags = lags.astype(int)
+        try:  # a float that is no int64 casts to junk, which the check below refuses
+            with np.errstate(invalid="ignore"):
+                self.lags = lags.astype(int)
         except OverflowError:  # a Python int beyond int64
             raise InvalidArgumentError(f"lags must fit in int64, got {lags}") from None
         self.values = np.asarray(self.values, dtype=float)

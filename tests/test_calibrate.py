@@ -10,7 +10,6 @@ from spintrack.calibrate import (
     _bounded_search,
     fit_alpha,
     fit_alpha_modulated,
-    fit_decay,
     fit_na_nb,
     reconstruct_Ix_corr,
     reconstruct_Sz_corr,
@@ -292,17 +291,6 @@ def test_fit_alpha_closed_loop_on_outcomes():
     assert fit["alpha"] == pytest.approx(alpha, rel=0.05)
 
 
-def test_fit_decay_on_exact_signal():
-    phi, amp, gamma = 0.47, 0.31, 0.0247
-    n = np.arange(1, 80)
-    values = amp * np.cos(phi * n) * np.exp(-gamma * (n - 1))
-    fit = fit_decay(n, values, phi)
-    assert fit["amplitude"] == pytest.approx(amp, abs=1e-7)
-    assert fit["gamma"] == pytest.approx(gamma, abs=1e-7)
-    with pytest.raises(InvalidArgumentError):
-        fit_decay(n[:2], values[:2], phi)
-
-
 def test_fit_alpha_modulated_closed_loop():
     alpha = 0.35
     trace = run_classical_experiment(
@@ -319,10 +307,19 @@ def test_fit_alpha_modulated_validation():
     single = run_classical_experiment(0.3, 0.5, 16, MODEL, runs=1, seed=1, modulated=True)
     with pytest.raises(InvalidArgumentError):
         fit_alpha_modulated(single)
+    for length in (1, 2, 3):  # fewer mean positions than the 3 parameters need
+        short = run_classical_experiment(0.3, 0.5, length, MODEL, runs=20, seed=1, modulated=True)
+        with pytest.raises(InvalidArgumentError, match="at least 4 positions"):
+            fit_alpha_modulated(short)
+    # a mean path that is the pattern inverted puts the bright level below the dark one
+    m = np.sin(modulated_drive(np.arange(16), 0.3, 1.0)[0])
+    inverted = PhotonTrace(np.rint(900.0 - 300.0 * m) + np.array([[0], [2]]), kind="classical")
+    with pytest.raises(DegenerateContrastError, match="no positive bright/dark contrast"):
+        fit_alpha_modulated(inverted)
 
 
 # ---------------------------------------------------------------------------
-# the profiled fits against a joint Nelder-Mead reference
+# the profiled modulated fit against a joint Nelder-Mead reference
 
 
 def _nelder_mead(sse, x0, xatol, fatol):
@@ -351,14 +348,6 @@ def _modulated_reference(trace, phi_s):
     return dict(zip(("n_a", "n_b", "alpha"), x)), fun
 
 
-def _decay_reference(lags, values, phi):
-    def sse(p):
-        return float(np.sum((values - p[0] * np.cos(phi * lags) * np.exp(-p[1] * (lags - 1))) ** 2))
-
-    x, fun = _nelder_mead(sse, [np.abs(values).max(), 0.01], 1e-13, 1e-15)
-    return dict(zip(("amplitude", "gamma"), x)), fun
-
-
 def _assert_matches_reference(fit, ref):
     params, residual = ref
     for name, value in params.items():
@@ -382,15 +371,6 @@ def test_fit_alpha_modulated_flags_alpha_outside_the_bounds(alpha):
     trace = run_classical_experiment(alpha, 0.5, 64, MODEL, runs=200, seed=8, modulated=True)
     fit = fit_alpha_modulated(trace)
     assert fit.boundary and fit.message == "alpha estimate at search bound"
-
-
-@pytest.mark.parametrize("seed,p_minus", [(11, 1.0), (12, 1.0), (13, 0.7), (14, 0.7)])
-def test_fit_decay_matches_nelder_mead(seed, p_minus):
-    phi = np.deg2rad(27.0)
-    cfg = ProtocolConfig(alpha=0.1 * np.pi, phi=phi, cycles=100, prepolarized=True)
-    lags = np.arange(1.0, 101.0)
-    values = simulate_runs(cfg, runs=300, seed=seed, p_minus=p_minus).zetas.mean(axis=0)
-    _assert_matches_reference(fit_decay(lags, values, phi), _decay_reference(lags, values, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -448,5 +428,3 @@ def test_scalar_fits_reject_a_nan_objective():
     counts[4] = np.nan
     with pytest.raises(FitFailureError, match="^phi_0 search failed"):
         fit_na_nb(ModulationTrace(angles, counts))
-    with pytest.raises(FitFailureError, match="^gamma search failed"):
-        fit_decay(np.arange(1.0, 21.0), series.values, 0.6)

@@ -226,6 +226,16 @@ def _header_nested(lines):
     lines[0] = b"# " + b"[" * 30000 + b"]" * 30000 + b"\n"
 
 
+def _header_without_hash(lines):
+    lines[0] = lines[0][1:]
+
+
+def _long_row_without_lf(lines):
+    # more bytes than the longest row can hold and no LF, in a body as long
+    # as the header's rows need
+    lines[2:] = [b"0," + b"1" * sum(map(len, lines[2:])) + b"\r"]
+
+
 def _negative_count(lines):
     lines[2] = b"0,-3\r\n"
 
@@ -268,7 +278,8 @@ def _blank_line_for_last_line_end(lines):
                                      _header(first_lag=None, meta=None), _header(kind="bogus"),
                                      _header(first_lag=7), _header(first_lag=True),
                                      _header(runs=20.0), _header(runs="20"),
-                                     _header(meta=[1]), _header(extra=1), _header_nested])
+                                     _header(meta=[1]), _header(extra=1), _header_nested,
+                                     _header_without_hash, _long_row_without_lf])
 def test_malformed_trace_exits_2(tmp_path, capsys, corrupt):
     cfg = quantum_config(tmp_path, runs=20)
     out = tmp_path / "bad"

@@ -200,6 +200,12 @@ PROBES = {
     "quantum_runs_1": (*_readme(("runs",), 1), "at least 2 runs for an ensemble estimate"),
     "modulated_runs_1": (_set(BASE["classical-modulated"], ("runs",), 1), (),
                          "at least 2 runs to estimate the mean path"),
+    # a modulated record of 1 position ended in a LinAlgError traceback (exit 1),
+    # one of 2 or 3 fitted 3 parameters to as many means or fewer (exit 0)
+    **{f"modulated_measurements_per_run_{m}": (
+        _set(_set(BASE["classical-modulated"], ("classical", "measurements_per_run"), m),
+             ("max_lag",), DROP), (), "at least 4 positions per run to fit 3 parameters")
+       for m in (1, 2, 3)},
     "max_lag_0": (*_readme(("max_lag",), 0), "max_lag must be in [1, 24], got 0"),
     "max_lag_minus_1": (*_readme(("max_lag",), -1), "max_lag must be in [1, 24], got -1"),
     "flag_max_lag_25": (README, ("--max-lag", "25"), "max_lag must be in [1, 24], got 25"),

@@ -49,6 +49,8 @@ def test_model_series_identities():
     assert np.allclose(sz.values, np.sin(alpha) ** 2 * norm, atol=1e-15)
     assert np.allclose(sz.values, np.sin(alpha) * ix, atol=1e-15)
     assert np.allclose(ix, np.sin(alpha) * norm, atol=1e-15)
+    with pytest.raises(InvalidArgumentError, match="max_lag must be >= 1"):
+        corr_Sz(alpha, phi, 0)
 
 
 def test_model_series_first_lag_undamped():
@@ -180,6 +182,10 @@ def test_series_value_at_and_validation():
             CorrelationSeries(np.array(lags), np.zeros(np.shape(lags)), np.zeros(np.shape(lags)))
     with pytest.raises(InvalidArgumentError, match="int64"):
         CorrelationSeries(np.array([10**20]), [0.1], [0.01])
+    # a float lag that is no int64 is refused without a cast warning
+    for lag in (np.nan, np.inf, 1e30):
+        with pytest.raises(InvalidArgumentError, match="strictly increasing"):
+            CorrelationSeries(np.array([lag]), [0.1], [0.01])
 
 
 def test_series_csv_roundtrip(tmp_path):

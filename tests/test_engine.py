@@ -287,6 +287,8 @@ def test_simulate_validation():
         simulate_runs(CFG, runs=10, seed=1, p_minus=1.5)
     with pytest.raises(InvalidArgumentError):
         simulate_runs(CFG, runs=10, seed=1, bright=100.0)
+    with pytest.raises(InvalidArgumentError, match="runs must be >= 1"):
+        simulate_runs(CFG, 0, 1)
 
 
 def test_classical_random_phase_statistics():

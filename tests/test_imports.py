@@ -80,7 +80,7 @@ def test_report_loads_no_module_inside_main(tmp_path, kind):
 
 
 #: the same with scipy unimportable: `import scipy` raises ImportError, then
-#: the CLI runs on argv and `fit_decay` on an exact damped cosine
+#: the CLI runs on argv
 _NO_SCIPY = """\
 import json, sys
 sys.modules["scipy"] = None
@@ -90,21 +90,15 @@ except ImportError:
     pass
 else:
     raise SystemExit("scipy was importable")
-import numpy as np
 import spintrack.cli as cli
-from spintrack.calibrate import fit_decay
-code = cli.main(sys.argv[1:])
-n = np.arange(1.0, 40.0)
-fit = fit_decay(n, 0.3 * np.cos(0.5 * n) * np.exp(-0.02 * (n - 1)), 0.5)
-print(json.dumps({"code": code, "params": fit.params}))
+print(json.dumps({"code": cli.main(sys.argv[1:])}))
 """
 
 
-def test_the_modulated_report_and_fit_decay_run_without_scipy(tmp_path):
+def test_the_modulated_report_runs_without_scipy(tmp_path):
     cfg = _config(tmp_path, "classical-modulated")
     run = _run("report", "--config", cfg, "--out", str(tmp_path / "out"), child=_NO_SCIPY)
     assert run["code"] == 0
-    assert run["params"] == pytest.approx({"amplitude": 0.3, "gamma": 0.02}, abs=1e-9)
     assert json.loads((tmp_path / "out" / "summary.json").read_text())["alpha_fit"] > 0
 
 

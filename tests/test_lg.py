@@ -148,6 +148,8 @@ def test_wigner_input_validation():
         wigner_despagnat_check(bad)
     with pytest.raises(InvalidArgumentError):
         wigner_despagnat_check(np.full((2, 2, 2), 0.2))  # sums to 1.6
+    with pytest.raises(InvalidArgumentError, match="set masks"):
+        strong_additivity_check(np.full((2, 2, 2), 0.125), set_a=np.ones((2, 2), dtype=bool))
 
 
 def test_strong_additivity_default_sets():

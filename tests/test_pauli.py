@@ -86,6 +86,8 @@ def test_bloch_roundtrip_property(v):
 def test_bloch_rejects_overlong_vector():
     with pytest.raises(InvalidArgumentError):
         bloch_to_density([0.8, 0.8, 0.0])
+    with pytest.raises(InvalidArgumentError, match="3 components"):
+        bloch_to_density([0.1, 0.2])
 
 
 def test_check_density_matrix_rejects_bad_inputs():
@@ -97,6 +99,14 @@ def test_check_density_matrix_rejects_bad_inputs():
         check_density_matrix(np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(InvalidArgumentError):
         check_density_matrix(np.eye(4) / 4.0, dim=2)
+    with pytest.raises(InvalidArgumentError, match="must be square"):
+        check_density_matrix(np.full((2, 3), 0.25))
+
+
+def test_two_qubit_maps_reject_a_matrix_that_is_not_4x4():
+    for func in (lambda rho: partial_trace(rho, "sensor"), gram_matrix):
+        with pytest.raises(InvalidArgumentError, match="expected a 4x4 matrix"):
+            func(np.eye(2) / 2.0)
 
 
 def test_partial_trace_of_product_state(rng):
