@@ -326,6 +326,7 @@ def reconstruct_Sz_corr(
     products inside each run ('time-average').  `meta["estimator"]`
     names the one used.  Standard errors are those of the product means
     scaled by 4/(n_a - n_b)^2; calibration uncertainty is not propagated.
+    The int64 counts go to `lag_products` as they are, with no float copy.
     """
     contrast = model.contrast
     if contrast <= 0:
@@ -335,10 +336,9 @@ def reconstruct_Sz_corr(
         raise InvalidArgumentError(
             "ensemble estimator needs the reference measurement in column 0 "
             "(self-polarised records)")
-    counts = trace.counts.astype(float)
     if max_lag is None:  # every lag of the ensemble, half the record of the time-average
         max_lag = trace.length - 1 if estimator == "ensemble" else trace.length // 2
-    mean, std, count = lag_products(counts, max_lag, estimator)
+    mean, std, count = lag_products(trace.counts, max_lag, estimator)
     scale = 4.0 / contrast**2
     vals = scale * (mean - model.n_av**2)
     errs = scale * std / np.sqrt(count)
@@ -491,7 +491,7 @@ def fit_alpha_modulated(trace: PhotonTrace, phi_s: float = 1.0) -> FitResult:
     alpha on ALPHA_BOUNDS, weighted by the per-position standard errors
     of the mean.
     """
-    counts = trace.counts.astype(float)
+    counts = trace.counts  # int64: mean and std accumulate in float64, as on a float copy
     runs, length = counts.shape
     if runs < 2:
         raise InvalidArgumentError("need at least 2 runs to estimate the mean path")

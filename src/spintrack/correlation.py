@@ -205,7 +205,10 @@ def lag_products(records, max_lag: int, estimator: str):
     (count = runs); 'time-average' pools the products s_i s_{i+N} inside
     every run (count = runs * (length - N)).  A single product has no
     spread estimate: its std is inf, so every standard error built on it
-    is inf too.
+    is inf too.  Integer records are read as they are, with no float
+    copy: the ensemble multiplies them into one float64 products array (no
+    int64 wrap) and takes np.mean's and np.std(ddof=1)'s operations, in
+    their order, in place on it; the time-average casts a block of runs.
 
     The time-average takes the per-lag sums S1 of s_i s_{i+N} and S2 of
     their squares from the autocorrelations of s and of s^2: each run is
@@ -221,8 +224,11 @@ def lag_products(records, max_lag: int, estimator: str):
     runs, length = m.shape
     _check_lag_products(max_lag, estimator, runs, length)
     if estimator == "ensemble":
-        prod = m[:, :1] * m[:, 1 : max_lag + 1]
-        return prod.mean(axis=0), prod.std(axis=0, ddof=1), np.full(max_lag, runs)
+        prod = np.multiply(m[:, :1], m[:, 1 : max_lag + 1], dtype=float)
+        mean = prod.sum(axis=0) / runs
+        prod -= mean
+        prod *= prod
+        return mean, np.sqrt(prod.sum(axis=0) / (runs - 1)), np.full(max_lag, runs)
     if estimator != "time-average":
         raise InvalidArgumentError(f"unknown estimator {estimator!r}")
     nfft = _fft_len(length + max_lag)
@@ -245,9 +251,10 @@ def ensemble_corr(records: np.ndarray, max_lag: int | None = None) -> Correlatio
 
     `records` has shape (runs, length); column 0 is the reference
     measurement of each run (the polarising measurement for self-polarised
-    data).  stderr is the standard error over runs.
+    data).  stderr is the standard error over runs.  Integer records
+    pass to `lag_products` without a float copy.
     """
-    m = np.atleast_2d(np.asarray(records, dtype=float))
+    m = np.atleast_2d(records)
     if max_lag is None:
         max_lag = m.shape[1] - 1
     mean, std, count = lag_products(m, max_lag, "ensemble")

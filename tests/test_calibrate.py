@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from spintrack.calibrate import (
     write_json,
 )
 from spintrack.correlation import CorrelationSeries, corr_Sz, ensemble_corr
-from spintrack.engine import modulated_drive, simulate_runs
+from spintrack.engine import CHUNK_SIZE, modulated_drive, simulate_runs
 from spintrack.errors import (
     AmplificationError,
     DegenerateContrastError,
@@ -30,6 +31,7 @@ from spintrack.readout import (
     ReadoutModel,
     modulation_trace,
     run_classical_experiment,
+    run_quantum_experiment,
     sweep_fraction,
 )
 
@@ -141,6 +143,36 @@ def test_reconstruct_ensemble_equals_outcome_estimator():
     assert np.all(got.stderr > want.stderr)
     assert got.kind == "Sz-reconstructed"
     assert got.meta["estimator"] == "ensemble"
+
+
+def _traced_peak(fn, *args):
+    """The tracemalloc peak while fn(*args) runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reconstruct_reads_the_counts_in_place():
+    """The ensemble reduction of a quantum trace holds one float products
+    array and no float copy of the counts: its traced peak is about 1.09
+    times the counts.  A float copy of the counts reads about 3."""
+    cfg = ProtocolConfig(alpha=0.18 * np.pi, phi=np.pi / 3, cycles=24)
+    trace = run_quantum_experiment(cfg, MODEL, runs=20 * CHUNK_SIZE, seed=31)
+    peak = _traced_peak(reconstruct_Sz_corr, trace, MODEL)
+    assert peak < 1.2 * trace.counts.nbytes, (peak, trace.counts.nbytes)
+
+
+def test_fit_alpha_modulated_reads_the_counts_in_place():
+    """The mean path and its spread come from the int64 counts as they are:
+    the traced peak is about 1.05 times the counts (np.std's one centred
+    copy).  A float copy of the counts reads about 2."""
+    trace = run_classical_experiment(0.3, 0.5, 64, MODEL, runs=20 * CHUNK_SIZE, seed=97,
+                                     modulated=True)
+    peak = _traced_peak(fit_alpha_modulated, trace)
+    assert peak < 1.2 * trace.counts.nbytes, (peak, trace.counts.nbytes)
 
 
 def test_reconstruct_time_average_exact_alternation():

@@ -399,6 +399,27 @@ def test_stage_chain_matches_report(tmp_path):
         assert (stages / name).read_bytes() == (report / name).read_bytes(), name
 
 
+def test_correlate_on_counts_near_4e9_does_not_wrap(tmp_path):
+    """A hand-written trace whose lag products pass 2^63: `correlate` reads
+    the int64 counts without a float copy and must still write the bytes of
+    float products, pinned here from the float-copy version."""
+    counts = [4_000_000_000, 4_000_000_123, 3_999_999_877, 4_000_000_042,
+              3_999_999_990, 4_000_000_456, 4_000_000_021, 3_999_999_999,
+              4_000_000_007, 3_999_999_950, 4_000_000_300, 4_000_000_100]
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(
+        b'# {"first_lag": 0, "kind": "quantum", "length": 4, "meta": {}, "runs": 3}\n'
+        b"index,count\r\n" + b"".join(b"%d,%d\r\n" % (i, c) for i, c in enumerate(counts)))
+    cfg = quantum_config(tmp_path, runs=3, max_lag=3,
+                         readout={"n_a": 4.1e9, "n_b": 3.9e9, "phi_0": 0.0, "repetitions": 200})
+    assert main(["correlate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "corr_sz.csv").read_bytes() == (
+        b"lag,value,stderr,kind\r\n"
+        b"1,7.01333331968e-05,5.7426745479167656e-05,Sz-reconstructed\r\n"
+        b"2,2.6e-05,5.081312172993849e-05,Sz-reconstructed\r\n"
+        b"3,1.84000002048e-05,1.3648931582117825e-05,Sz-reconstructed\r\n")
+
+
 def test_single_product_lag_has_inf_stderr(tmp_path):
     """One 20-measurement classical run: lag 19 has a single product, so
     its standard error is inf in both series, with no numpy warning."""

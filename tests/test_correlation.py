@@ -154,6 +154,45 @@ def test_lag_products_match_loop_reference(rng):
         lag_products(m[:1], 3, "ensemble")
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (200, 64), (25_000, 25)])
+def test_ensemble_moments_equal_numpys_bit_for_bit(rng, shape):
+    """The ensemble branch takes its moments in place on one products array;
+    they must be the very floats of np.mean and np.std(ddof=1) of the float
+    products.  25,000 runs tell numpy's pairwise summation from a sequential
+    one, so a numpy that reorders its variance fails here first."""
+    records = {
+        "int8 outcomes": rng.choice(np.array([-1, 1], dtype=np.int8), size=shape),
+        "int64 counts": rng.poisson(900, size=shape).astype(np.int64),
+        "float64": rng.normal(size=shape),
+    }
+    max_lag = shape[1] - 1
+    for name, m in records.items():
+        f = m.astype(float)
+        prod = f[:, :1] * f[:, 1:]
+        mean, std, count = lag_products(m, max_lag, "ensemble")
+        assert np.array_equal(mean, np.mean(prod, axis=0)), name
+        assert np.array_equal(std, np.std(prod, axis=0, ddof=1)), name
+        assert np.array_equal(count, np.full(max_lag, shape[0])), name
+
+
+def test_integer_records_do_not_wrap():
+    """Counts near 4e9 have products beyond 2^63: an int64 record must give
+    the floats of its float64 copy, not wrapped integer products."""
+    counts = np.array([[4_000_000_000, 4_000_000_123, 3_999_999_877, 4_000_000_042],
+                       [3_999_999_990, 4_000_000_456, 4_000_000_021, 3_999_999_999],
+                       [4_000_000_007, 3_999_999_950, 4_000_000_300, 4_000_000_100]])
+    assert counts.dtype == np.int64
+    for estimator in ("ensemble", "time-average"):
+        got = lag_products(counts, 3, estimator)
+        want = lag_products(counts.astype(float), 3, estimator)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), estimator
+    assert np.all(lag_products(counts, 3, "ensemble")[0] > 1.5e19)
+    as_int, as_float = ensemble_corr(counts), ensemble_corr(counts.astype(float))
+    assert np.array_equal(as_int.values, as_float.values)
+    assert np.array_equal(as_int.stderr, as_float.stderr)
+
+
 def test_fft_len_is_scipys_next_fast_len():
     assert [_fft_len(n) for n in range(1, 30_001)] == [
         next_fast_len(n, real=True) for n in range(1, 30_001)]
