@@ -73,30 +73,24 @@ _SWEEP_BLOCK_BYTES = 1 << 22
 #: rows `PhotonTrace.to_csv` encodes at a time: about 1 MiB of working arrays
 _CSV_BLOCK_ROWS = 16384
 #: body bytes `PhotonTrace.from_csv` decodes at a time: a block's per-row
-#: arrays and 8-byte windows stay in cache, and its short-lived arrays stay
-#: small enough that freeing them hands their memory back
+#: arrays stay in cache, and its short-lived arrays stay small enough that
+#: freeing them hands their memory back
 _CSV_READ_BYTES = 1 << 16
-#: the longest row `to_csv` writes: a 19-digit index and count, ',' and CRLF
-_CSV_ROW_MAX = 19 + 1 + 19 + 2
-#: zero bytes in front of each decoded block, so every 8-byte window a field
-#: ends in starts inside the buffer
-_CSV_PAD = 8
+#: the longest row `to_csv` writes: a 19-digit count and CRLF
+_CSV_ROW_MAX = 19 + 2
 #: the longest header line, LF included, that `to_csv` writes and `from_csv` reads
 _CSV_HEADER_MAX = 1 << 16
-_CSV_COLUMNS = b"index,count\r\n"
+_CSV_COLUMNS = b"count\r\n"
 _TRACE_KINDS = ("quantum", "classical", "classical-modulated")
+#: what `_is_trace_header` holds a header to
+_HEADER_RULE = (f"the header must hold exactly runs and length (ints >= 1), first_lag (0 or 1), "
+                f"kind (one of {', '.join(_TRACE_KINDS)}) and meta (an object)")
 #: the largest mean numpy's Poisson sampler accepts (numpy's POISSON_LAM_MAX)
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 #: the four ASCII digits of 0 .. 9999, zero-padded, as one uint32 each
 _DIGIT_TABLE = (np.arange(10000, dtype=np.uint16)[:, None]
                 // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
                 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-#: for a field of w = 0 .. 8 digits that ends an 8-byte little-endian window,
-#: the mask keeping the low nibble of each of its bytes (the digit's value)
-_FIELD_MASKS = np.array([0x0F0F0F0F0F0F0F0F & -(1 << 8 * (8 - w)) for w in range(9)],
-                        dtype=np.uint64)
-#: the least value of a w-digit field without a leading zero, w = 0 .. 19
-_FIELD_FLOORS = np.array([0, 0] + [10**(w - 1) for w in range(2, 20)], dtype=np.uint64)
 
 
 @dataclass
@@ -153,12 +147,13 @@ class PhotonTrace:
     polarising measurement of each run, 1 when records start at cycle 1).
 
     CSV layout, byte for byte: ``# `` + the header as JSON with sorted keys
-    + ``\n``, then ``index,count\r\n``, then one ``i,c\r\n`` row per count
-    in row-major order, i = 0 .. runs * length - 1.  `from_csv` rejects a
-    file that departs from it with an `InvalidArgumentError` naming the file.
-    Both directions work in numpy, a block at a time: `to_csv` builds the
-    bytes of a block of rows, `from_csv` checks and decodes a block of bytes
-    (8-byte windows combined by integer arithmetic) into the counts.
+    + ``\n``, then ``count\r\n``, then one ``c\r\n`` row per count in
+    row-major order: what `csv.writer` writes for one column.  `from_csv`
+    rejects a file that departs from it with an `InvalidArgumentError`
+    naming the file.  Both directions work in numpy, a block at a time:
+    `to_csv` builds the bytes of a block of rows, `from_csv` checks a block
+    of bytes and decodes it into the counts, adding each row's digits from
+    its CR back, one digit position at a time.
     """
 
     counts: np.ndarray
@@ -183,18 +178,16 @@ class PhotonTrace:
         flat = self.counts.ravel()
         if flat.min(initial=0) < 0:
             raise InvalidArgumentError("counts must be non-negative")
+        if not _is_trace_header(header):
+            raise InvalidArgumentError(f"trace not written: {_HEADER_RULE}")
         line = ("# " + json.dumps(header, sort_keys=True) + "\n").encode()
         if len(line) > _CSV_HEADER_MAX:
             raise InvalidArgumentError(
                 f"trace header is {len(line)} bytes, above the {_CSV_HEADER_MAX} `from_csv` reads")
         with open(path, "wb") as fh:
             fh.write(line + _CSV_COLUMNS)
-            start = 0
-            while start < flat.size:
-                # a block never crosses a power of 10, so its indices share one width
-                stop = min(start + _CSV_BLOCK_ROWS, flat.size, 10 ** len(str(start)))
-                fh.write(_encode_rows(start, flat[start:stop]))
-                start = stop
+            for start in range(0, flat.size, _CSV_BLOCK_ROWS):
+                fh.write(_encode_rows(flat[start:start + _CSV_BLOCK_ROWS]))
 
     @classmethod
     def from_csv(cls, path) -> "PhotonTrace":
@@ -210,20 +203,17 @@ class PhotonTrace:
             except (ValueError, RecursionError) as exc:
                 raise InvalidArgumentError(f"{path}: bad JSON header line: {exc}") from None
             if not _is_trace_header(header):
-                raise InvalidArgumentError(
-                    f"{path}: the header must hold exactly runs and length (ints >= 1), "
-                    f"first_lag (0 or 1), kind (one of {', '.join(_TRACE_KINDS)}) and meta "
-                    "(an object)")
+                raise InvalidArgumentError(f"{path}: {_HEADER_RULE}")
             runs, length = header["runs"], header["length"]
             if first != b"# " + json.dumps(header, sort_keys=True).encode() + b"\n":
                 raise InvalidArgumentError(f"{path}: header must be '# ' + sorted-key JSON + LF")
             if fh.readline(len(_CSV_COLUMNS)) != _CSV_COLUMNS:
-                raise InvalidArgumentError(f"{path}: second line must be 'index,count\\r\\n'")
-            # each row takes at least its index digits and 4 bytes, 'i,0\r\n': a
-            # header promising more rows than the rest of the file can hold is
-            # refused before the counts are allocated
+                raise InvalidArgumentError(f"{path}: second line must be 'count\\r\\n'")
+            # each row takes at least 3 bytes, '0\r\n': a header promising more
+            # rows than the rest of the file can hold is refused before the
+            # counts are allocated
             n, body = runs * length, os.fstat(fh.fileno()).st_size - fh.tell()
-            if body < _index_digits(n) + 4 * n:
+            if body < 3 * n:
                 raise InvalidArgumentError(
                     f"{path}: header promises {runs} x {length} = {n} counts, "
                     f"more than the {body} bytes of rows can hold")
@@ -254,17 +244,6 @@ def _digits(values: np.ndarray) -> np.ndarray:
     return digits
 
 
-def _index_digits(n: int) -> int:
-    """Total decimal digits of the indices 0 .. n - 1, which `_digits` would
-    sum: n, plus n - 10^d for each power 10^d < n (sum_d d (min(n, 10^d) - 10^(d-1)),
-    the index 0 counted among the one-digit ones)."""
-    total, power = n, 10
-    while power < n:
-        total += n - power
-        power *= 10
-    return total
-
-
 def _padded_digits(values: np.ndarray, digits: int) -> np.ndarray:
     """ASCII digits of non-negative `values` of at most `digits` digits, zero-padded
     to a multiple of 4: one uint8 row per value, one table lookup per base-10^4 limb."""
@@ -275,97 +254,78 @@ def _padded_digits(values: np.ndarray, digits: int) -> np.ndarray:
     return limbs.view(np.uint8)
 
 
-def _encode_rows(start: int, counts: np.ndarray) -> bytes:
-    """The rows ``i,c\\r\\n`` for i = start .. start + counts.size - 1, all
-    with as many index digits as `start`."""
-    index_width = len(str(start))
-    index = _padded_digits(np.arange(start, start + counts.size, dtype=np.int64), index_width)
+def _encode_rows(counts: np.ndarray) -> bytes:
+    """The rows ``c\\r\\n`` of `counts`."""
     ndigits = _digits(counts)
-    count = _padded_digits(counts, int(ndigits.max()))
-    count_width = count.shape[1]
-    # fixed-width rows: index | ',' | count, zero-padded | '\r\n'; numpy copies
-    # narrow rows slowly, so the matrix is filled one column at a time
-    columns = [*index.T[-index_width:], ord(","), *count.T, ord("\r"), ord("\n")]
+    digits = _padded_digits(counts, int(ndigits.max()))
+    width = digits.shape[1]
+    # fixed-width rows: count, zero-padded | '\r\n'; numpy copies narrow rows
+    # slowly, so the matrix is filled one column at a time
+    columns = [*digits.T, ord("\r"), ord("\n")]
     rows = np.empty((counts.size, len(columns)), dtype=np.uint8)
     for j, column in enumerate(columns):
         rows[:, j] = column
     # keep[d] drops the padding zeros in front of a d-digit count; taking its
     # rows as whole items is 4x faster than the fancy index keep[ndigits]
-    keep = np.ones((count_width + 1, len(columns)), dtype=bool)
-    for d in range(1, count_width):
-        keep[d, index_width + 1:index_width + 1 + count_width - d] = False
+    keep = np.ones((width + 1, len(columns)), dtype=bool)
+    for d in range(1, width):
+        keep[d, :width - d] = False
     mask = keep.view(np.dtype((np.void, len(columns)))).take(ndigits).view(bool)
     return rows.ravel()[mask].tobytes()
 
 
 def _decode_rows(fh, counts: np.ndarray, path) -> int:
-    """Decode the rows ``i,c\\r\\n`` left in `fh` into `counts`, a block at a
+    """Decode the rows ``c\\r\\n`` left in `fh` into `counts`, a block at a
     time, and return how many there were (at most ``counts.size``; one more
     raises).  A block's partial last row is carried to the front of the next."""
-    buf = np.zeros(_CSV_PAD + _CSV_ROW_MAX + _CSV_READ_BYTES, dtype=np.uint8)
-    # the 8-byte windows of a block, copied out of `buf` (see `_decode_block`)
-    windows = np.empty(buf.size - 7, dtype=np.uint64)
+    buf = np.empty(_CSV_ROW_MAX + _CSV_READ_BYTES, dtype=np.uint8)
     free = memoryview(buf)
     row = carry = 0
-    while got := fh.readinto(free[_CSV_PAD + carry:_CSV_PAD + carry + _CSV_READ_BYTES]):
-        end = _CSV_PAD + carry + got
-        rows, stop = _decode_block(buf[:end], windows, counts, row, path)
+    while got := fh.readinto(free[carry:carry + _CSV_READ_BYTES]):
+        end = carry + got
+        rows, stop = _decode_block(buf[:end], counts, row, path)
         row += rows
         carry = end - stop
         if carry >= _CSV_ROW_MAX:
             raise _malformed(path)
-        buf[_CSV_PAD:_CSV_PAD + carry] = buf[stop:end]
+        buf[:carry] = buf[stop:end]
     if carry:
         raise _malformed(path)
     return row
 
 
-def _decode_block(buf: np.ndarray, windows: np.ndarray, counts: np.ndarray, row: int,
-                  path) -> tuple[int, int]:
-    """Check the whole rows in ``buf[_CSV_PAD:]`` and decode them into
-    ``counts[row:]``; returns their number and the offset after the last.
-    Each row must be exactly what `to_csv` writes: its index, row + 0, 1, ...,
-    in as many digits as it has, one ',', a count of 1 to 19 digits without
-    a leading zero and at most 2^63 - 1, then CRLF."""
-    lf = np.flatnonzero(buf[_CSV_PAD:] == ord("\n"))
+def _decode_block(buf: np.ndarray, counts: np.ndarray, row: int, path) -> tuple[int, int]:
+    """Check the whole rows in `buf` and decode them into ``counts[row:]``;
+    returns their number and the offset after the last.  Each row must be
+    exactly what `to_csv` writes: a count of 1 to 19 digits without a
+    leading zero and at most 2^63 - 1, then CRLF."""
+    lf = np.flatnonzero(buf == ord("\n"))
     if not lf.size:
-        return 0, _CSV_PAD
-    lf += _CSV_PAD
+        return 0, 0
     rows, stop = lf.size, int(lf[-1]) + 1
     if row + rows > counts.size:
         raise InvalidArgumentError(f"{path}: header promises {counts.size} counts, found more rows")
-    # the index of row i takes as many digits as i has
-    width = np.full(rows, len(str(row)), dtype=np.int64)
-    power = 10 ** len(str(row))
-    while power < row + rows:
-        width[power - row:] += 1
-        power *= 10
-    # a row starts after the LF before it, the first one at the pad
-    comma = np.empty(rows, dtype=np.int64)
-    comma[0], comma[1:] = _CSV_PAD, lf[:-1] + 1
-    comma += width
+    # a row starts after the LF before it, the first one at 0
+    first = np.concatenate(([0], lf[:-1] + 1))
     cr = lf - 1
-    count_width = cr - comma - 1
-    widest = count_width.max()
-    # a ',' and a CR where `to_csv` puts them, and no other non-digit besides
-    # the LFs: then every other byte of the rows is a digit
-    body = buf[_CSV_PAD:stop]
-    if (count_width.min() < 1 or widest > 19
-            or not (buf.take(comma) == ord(",")).all()
+    width = cr - first
+    widest = int(width.max())
+    # a CR where `to_csv` puts it, and no other non-digit besides the LFs:
+    # then every other byte of the rows is a digit
+    body = buf[:stop]
+    if (width.min() < 1 or widest > 19
             or not (buf.take(cr) == ord("\r")).all()
-            or body.size - np.count_nonzero((body - ord("0")) < 10) != 3 * rows):
+            or body.size - np.count_nonzero((body - ord("0")) < 10) != 2 * rows
+            or ((buf.take(first) == ord("0")) & (width > 1)).any()):
         raise _malformed(path)
-    # windows[j] holds the 8 bytes from j on, little-endian; `take` on the
-    # strided view would copy all of it for each gather, so it is copied once
-    np.copyto(windows[:stop - 7],
-              np.ndarray((stop - 7,), dtype="<u8", buffer=buf, strides=(1,)))
-    if not np.array_equal(_decode_fields(windows, comma, width),
-                          np.arange(row, row + rows, dtype=np.uint64)):
-        raise InvalidArgumentError(f"{path}: the index column must run 0 .. {counts.size - 1}")
-    values = _decode_fields(windows, cr, count_width)
-    # a count below the floor of its width has a leading zero
-    if (values < _FIELD_FLOORS.take(count_width)).any():
-        raise _malformed(path)
+    # digit j of each row, counted from its CR back, times 10^j; rows narrower
+    # than j + 1 digits add nothing (their byte there belongs to a row before,
+    # or is clipped to the block's first)
+    values = np.zeros(rows, dtype=np.uint64)
+    for j in range(widest):
+        digit = buf.take(cr - 1 - j, mode="clip") - ord("0")
+        digit *= width > j
+        values += digit * np.uint64(10**j)
     if widest == 19 and values.max() > np.iinfo(np.int64).max:
         raise InvalidArgumentError(
             f"{path}: counts must be at most 2^63 - 1 = {np.iinfo(np.int64).max}")
@@ -374,29 +334,7 @@ def _decode_block(buf: np.ndarray, windows: np.ndarray, counts: np.ndarray, row:
 
 
 def _malformed(path) -> InvalidArgumentError:
-    return InvalidArgumentError(f"{path}: every row must read 'i,c\\r\\n' in plain decimal digits")
-
-
-def _decode_fields(windows: np.ndarray, end: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """The values, as uint64, of the decimal fields of `width` (1 .. 19) digits
-    that end before the bytes `end`; ``windows[j]`` holds the 8 bytes from j on,
-    little-endian.  The last 8 digits of each field are combined in three
-    steps (SWAR): digit pairs, then fours, then the eight, one multiply each;
-    wider fields add the digits in front of those, times 10^8."""
-    value = windows.take(end - 8)
-    value &= _FIELD_MASKS.take(width, mode="clip")
-    value *= 10 << 8 | 1
-    value >>= 8
-    value &= 0x00FF00FF00FF00FF
-    value *= 100 << 16 | 1
-    value >>= 16
-    value &= 0x0000FFFF0000FFFF
-    value *= 10000 << 32 | 1
-    value >>= 32
-    if width.max() > 8:
-        wide = np.flatnonzero(width > 8)
-        value[wide] += _decode_fields(windows, end[wide] - 8, width[wide] - 8) * 10**8
-    return value
+    return InvalidArgumentError(f"{path}: every row must read 'c\\r\\n', c in plain decimal digits")
 
 
 @dataclass

@@ -187,15 +187,11 @@ def test_truncated_trace_exits_2(tmp_path, capsys):
 
 
 def _corrupt_count(lines):
-    lines[12] = b"10,12x\r\n"
+    lines[12] = b"12x\r\n"
 
 
 def _corrupt_columns(lines):
-    lines[1] = b"index,counts\r\n"
-
-
-def _corrupt_index(lines):
-    lines[7] = b"6" + lines[7][1:]
+    lines[1] = b"counts\r\n"
 
 
 def _corrupt_last_row(lines):
@@ -233,23 +229,23 @@ def _header_without_hash(lines):
 def _long_row_without_lf(lines):
     # more bytes than the longest row can hold and no LF, in a body as long
     # as the header's rows need
-    lines[2:] = [b"0," + b"1" * sum(map(len, lines[2:])) + b"\r"]
+    lines[2:] = [b"1" * sum(map(len, lines[2:])) + b"\r"]
 
 
 def _negative_count(lines):
-    lines[2] = b"0,-3\r\n"
+    lines[2] = b"-3\r\n"
 
 
 def _space_before_count(lines):
-    lines[2] = lines[2].replace(b",", b", ")
+    lines[2] = b" " + lines[2]
 
 
 def _plus_sign(lines):
-    lines[2] = lines[2].replace(b",", b",+")
+    lines[2] = b"+" + lines[2]
 
 
 def _leading_zero(lines):
-    lines[2] = lines[2].replace(b",", b",0")
+    lines[2] = b"0" + lines[2]
 
 
 def _row_ends_in_lf(lines):
@@ -257,7 +253,7 @@ def _row_ends_in_lf(lines):
 
 
 def _columns_end_in_lf(lines):
-    lines[1] = b"index,count\n"
+    lines[1] = b"count\n"
 
 
 def _blank_line(lines):
@@ -270,8 +266,8 @@ def _blank_line_for_last_line_end(lines):
     lines[-1] = lines[-1][:-2]
 
 
-@pytest.mark.parametrize("corrupt", [_corrupt_count, _corrupt_columns, _corrupt_index,
-                                     _corrupt_last_row, _drop_every_row, _negative_count,
+@pytest.mark.parametrize("corrupt", [_corrupt_count, _corrupt_columns, _corrupt_last_row,
+                                     _drop_every_row, _negative_count,
                                      _space_before_count, _plus_sign, _leading_zero,
                                      _row_ends_in_lf, _columns_end_in_lf, _blank_line,
                                      _blank_line_for_last_line_end, _header_spacing,
@@ -313,36 +309,42 @@ def test_correlate_fit_needs_the_levels(tmp_path, capsys):
         assert str(fit) in err and named in err
 
 
-#: rows the reader must refuse, most of them in place of the first (index 0)
+#: rows the reader must refuse, most of them in place of the first
 READER_EDGES = {
-    "count_2_pow_63": lambda lines: lines.__setitem__(2, b"0,9223372036854775808\r\n"),
-    "count_20_digits": lambda lines: lines.__setitem__(2, b"0,12345678901234567890\r\n"),
-    "count_1e3": lambda lines: lines.__setitem__(2, b"0,1e3\r\n"),
-    "count_9_0": lambda lines: lines.__setitem__(2, b"0,9.0\r\n"),
-    "count_1_0_underscore": lambda lines: lines.__setitem__(2, b"0,1_0\r\n"),
-    "nul_byte": lambda lines: lines.__setitem__(2, b"0,1\x002\r\n"),
-    "ff_byte": lambda lines: lines.__setitem__(2, b"0,\xff12\r\n"),
-    "empty_count": lambda lines: lines.__setitem__(2, b"0,\r\n"),
-    "three_fields": lambda lines: lines.__setitem__(2, b"0,5,6\r\n"),
+    "count_2_pow_63": lambda lines: lines.__setitem__(2, b"9223372036854775808\r\n"),
+    "count_20_digits": lambda lines: lines.__setitem__(2, b"12345678901234567890\r\n"),
+    "count_1e3": lambda lines: lines.__setitem__(2, b"1e3\r\n"),
+    "count_9_0": lambda lines: lines.__setitem__(2, b"9.0\r\n"),
+    "count_1_0_underscore": lambda lines: lines.__setitem__(2, b"1_0\r\n"),
+    "nul_byte": lambda lines: lines.__setitem__(2, b"1\x002\r\n"),
+    "ff_byte": lambda lines: lines.__setitem__(2, b"\xff12\r\n"),
+    "empty_count": lambda lines: lines.__setitem__(2, b"\r\n"),
+    "three_fields": lambda lines: lines.__setitem__(2, b"4,5,6\r\n"),
     "last_row_ends_in_cr": lambda lines: lines.__setitem__(-1, lines[-1][:-1]),
     "bytes_after_last_row": lambda lines: lines.append(b"7"),
+    # only the header's row count tells these from a written trace
+    "split_row": lambda lines: lines.__setitem__(2, lines[2][:1] + b"\r\n" + lines[2][1:]),
+    "joined_rows": lambda lines: lines.__setitem__(slice(2, 4), [lines[2][:-2] + lines[3]]),
 }
+#: the reason an edge must name, where the edge alone decides it
+READER_REASONS = {"count_2_pow_63": "at most 2^63 - 1", "split_row": "found more rows",
+                  "joined_rows": "found 259 rows"}
 
 
-@pytest.mark.parametrize("corrupt", READER_EDGES.values(), ids=READER_EDGES)
-def test_reader_edge_case_exits_2(tmp_path, capsys, corrupt):
+@pytest.mark.parametrize("name", READER_EDGES)
+def test_reader_edge_case_exits_2(tmp_path, capsys, name):
     cfg = quantum_config(tmp_path, runs=20)
     out = tmp_path / "edge"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     trace = out / "trace.csv"
     lines = trace.read_bytes().splitlines(keepends=True)
-    corrupt(lines)
+    READER_EDGES[name](lines)
     trace.write_bytes(b"".join(lines))
     capsys.readouterr()
     assert main(["correlate", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error[InvalidArgumentError]") and err.count("\n") == 1
-    assert str(trace) in err
+    assert str(trace) in err and READER_REASONS.get(name, "") in err, err
 
 
 def test_correlate_leaves_no_out_on_bad_inputs(tmp_path, capsys):
@@ -354,7 +356,8 @@ def test_correlate_leaves_no_out_on_bad_inputs(tmp_path, capsys):
     made = tmp_path / "made"
     assert main(["simulate", "--config", cfg, "--out", str(made)]) == 0
     malformed = tmp_path / "malformed.csv"
-    malformed.write_bytes((made / "trace.csv").read_bytes().replace(b"\r\n1,", b"\r\n1,x", 1))
+    malformed.write_bytes(
+        (made / "trace.csv").read_bytes().replace(b"\ncount\r\n", b"\ncount\r\nx", 1))
     alpha_fit = fit_alpha(corr_Sz(0.5, 1.0, 10), 1.0)
     no_levels = tmp_path / "alpha.json"
     alpha_fit.to_json(no_levels)
@@ -409,7 +412,7 @@ def test_correlate_on_counts_near_4e9_does_not_wrap(tmp_path):
     trace = tmp_path / "trace.csv"
     trace.write_bytes(
         b'# {"first_lag": 0, "kind": "quantum", "length": 4, "meta": {}, "runs": 3}\n'
-        b"index,count\r\n" + b"".join(b"%d,%d\r\n" % (i, c) for i, c in enumerate(counts)))
+        b"count\r\n" + b"".join(b"%d\r\n" % c for c in counts))
     cfg = quantum_config(tmp_path, runs=3, max_lag=3,
                          readout={"n_a": 4.1e9, "n_b": 3.9e9, "phi_0": 0.0, "repetitions": 200})
     assert main(["correlate", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -54,7 +54,7 @@ GOLDEN = {
         "lg.csv": "6156be6bca539331910c2187fd2e03ddabb3fb1630301f109f3ebc7253893eca",
         "modulation.csv": "fd1d367645e44e0bdc58c227b5a238b64e724bb5cca8c78c9012041a254f6d69",
         "summary.json": "ba28a3c4332883e0868339160bc1b1e3134f8af37a166e957292a601535e3c86",
-        "trace.csv": "58f1d1c76bc4c74562a4fc7710fefe339c62a19a22c50bb9fa9ef8efae5ba67e",
+        "trace.csv": "347a9600ed3658b1b5c9bbd9d6d70a299bf369c13011182cbd74552a0d5e8a69",
     },
     "classical": {
         "corr_ix.csv": "d8297e7c205ca0855f2e0cac316a3e4ecb9e3e177d611c10534577b33754807b",
@@ -63,13 +63,13 @@ GOLDEN = {
         "lg.csv": "445a7b72f32ade7286b057158547784e38423f4cad14d1b796980209688eed10",
         "modulation.csv": "ae71a6a4645a5cf559683ae0884f2bf63b1e094aed6e312c7d608fb23e39a0e3",
         "summary.json": "5d95f565d8dfe1a5100bc9408d11c05d5acf58aa58847423082726eb1787ef57",
-        "trace.csv": "5f1acc1051a3c6baddb544a48b8e9a6412dfd2ae8d0dfb492f869bb945ed7fda",
+        "trace.csv": "b8ceb1c0a04ba0c81950f39d19a490b783d2964ba006ed638eccdf97f484a261",
     },
     "classical-modulated": {
         "fit.json": "5d5d1602ccc9a3d898e4ad74f3ad9efb275f3c52892fc95cd91d3383ada20897",
         "modulation.csv": "b094a3bf8785b060c4dffa4dafb6afb89a26c3d040c71221b2b7d10d1105d468",
         "summary.json": "c77bdb6033ee35af21a3bba17dde501ea2dd64fcd17e63e1de42a085a25ef80d",
-        "trace.csv": "fe8c16630415dc8dbe128cba0edcf850f47939a69dd32ec3245d8d7e9fd79198",
+        "trace.csv": "34a23a37c24ccacff8e5f524b72b23bbee99f8e49aed3c3d0790dd24067e790b",
     },
 }
 

@@ -14,8 +14,6 @@ from spintrack.readout import (
     _CSV_BLOCK_ROWS,
     _CSV_HEADER_MAX,
     _CSV_READ_BYTES,
-    _digits,
-    _index_digits,
     ChargeModel,
     PhotonTrace,
     ReadoutModel,
@@ -100,14 +98,14 @@ def _csv_writer_reference(trace, path):
     with open(path, "w", newline="") as fh:
         fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
         w = csv.writer(fh)
-        w.writerow(["index", "count"])
-        for i, cval in enumerate(trace.counts.ravel()):
-            w.writerow([i, int(cval)])
+        w.writerow(["count"])
+        for cval in trace.counts.ravel():
+            w.writerow([int(cval)])
 
 
 @pytest.mark.parametrize("shape", [
     (1, 1), (1, 4095), (1, 4096), (1, 4097), (3, 5), (2, 8193),
-    # across the encoder's block size, then where the index gains a digit
+    # across the encoder's block size, then around 10, 10^5 and 10^6 counts
     (1, _CSV_BLOCK_ROWS - 1), (1, _CSV_BLOCK_ROWS), (1, _CSV_BLOCK_ROWS + 1),
     (1, 10), (1, 11), (11, 9091), (101, 9901),
 ])
@@ -205,6 +203,38 @@ def test_photon_trace_from_csv_bounds_the_header_read(tmp_path):
     assert peak < 4 * _CSV_HEADER_MAX, peak
 
 
+@pytest.mark.parametrize("shape, kind, first_lag", [
+    ((0, 3), "quantum", 0), ((1, 0), "quantum", 0), ((1, 2), "bogus", 0), ((1, 2), "quantum", 2),
+])
+def test_photon_trace_to_csv_refuses_a_header_from_csv_refuses(tmp_path, shape, kind, first_lag):
+    """`to_csv` holds its header to the rule `from_csv` reads with, before
+    the file is made."""
+    trace = PhotonTrace(counts=np.zeros(shape, dtype=np.int64), kind=kind, first_lag=first_lag)
+    with pytest.raises(InvalidArgumentError, match="the header must hold exactly"):
+        trace.to_csv(tmp_path / "trace.csv")
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_photon_trace_csv_is_plain_csv(tmp_path):
+    """Past its two header lines the trace is one integer a line, as a
+    generic CSV reader takes it."""
+    counts = np.random.default_rng(5).integers(0, 10**12, size=(7, 13))
+    PhotonTrace(counts=counts, kind="classical", meta={"seed": 5}).to_csv(tmp_path / "trace.csv")
+    read = np.loadtxt(tmp_path / "trace.csv", dtype=np.int64, skiprows=2).reshape(7, 13)
+    assert np.array_equal(read, counts)
+
+
+def test_photon_trace_from_csv_bounds_the_rows_before_allocating(tmp_path):
+    """Rows take at least 3 bytes, '0\\r\\n': a body of exactly that reads,
+    and one a row short is refused by its size, before the row count."""
+    trace = PhotonTrace(counts=np.zeros((4, 5), dtype=np.int64), kind="quantum")
+    trace.to_csv(tmp_path / "zeros.csv")
+    assert np.array_equal(PhotonTrace.from_csv(tmp_path / "zeros.csv").counts, trace.counts)
+    (tmp_path / "short.csv").write_bytes((tmp_path / "zeros.csv").read_bytes()[:-3])
+    with pytest.raises(InvalidArgumentError, match="more than the 57 bytes of rows can hold"):
+        PhotonTrace.from_csv(tmp_path / "short.csv")
+
+
 def test_photon_trace_header_bound_is_shared(tmp_path):
     """`to_csv` writes a header line of exactly _CSV_HEADER_MAX bytes, which
     reads back, and refuses one a byte longer without creating the file."""
@@ -230,7 +260,7 @@ def test_photon_trace_rows_straddle_read_blocks(tmp_path):
         counts[0, 0] = 10**shift
         PhotonTrace(counts=counts, kind="classical", meta={}).to_csv(tmp_path / "trace.csv")
         data = (tmp_path / "trace.csv").read_bytes()
-        body = data[data.index(b"index,count\r\n") + len(b"index,count\r\n"):]
+        body = data[data.index(b"\ncount\r\n") + len(b"\ncount\r\n"):]
         assert len(body) > 2 * _CSV_READ_BYTES
         start = body.rindex(b"\n", 0, _CSV_READ_BYTES) + 1
         offsets.add(_CSV_READ_BYTES - start)
@@ -257,7 +287,7 @@ def test_photon_trace_reader_fuzz(tmp_path_factory, runs, length, seed, data):
     counts = counts.astype(np.int64) - 1
     PhotonTrace(counts=counts, kind="quantum", meta={"seed": 2}).to_csv(path / "trace.csv")
     edited = bytearray((path / "trace.csv").read_bytes())
-    body = edited.index(b"index,count\r\n") + len(b"index,count\r\n")
+    body = edited.index(b"\ncount\r\n") + len(b"\ncount\r\n")
     for _ in range(data.draw(st.integers(1, 3))):
         op = data.draw(st.sampled_from(["insert", "delete", "substitute", "crlf"]))
         last = len(edited) - (op in ("delete", "substitute"))
@@ -371,8 +401,3 @@ def test_run_classical_experiment_kinds():
     mod = run_classical_experiment(0.3, 0.5, 30, MODEL, runs=20, seed=3, modulated=True)
     assert mod.kind == "classical-modulated"
 
-
-@pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 12345, 100_000,
-                               625_001])
-def test_index_digit_total_matches_digits(n):
-    assert _index_digits(n) == int(_digits(np.arange(n)).sum())
