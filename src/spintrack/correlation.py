@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -98,8 +99,9 @@ class CorrelationSeries:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["lag", "value", "stderr", "kind"])
-            for lag, v, s in zip(self.lags, self.values, self.stderr):
-                w.writerow([int(lag), repr(float(v)), repr(float(s)), self.kind])
+            # csv writes a float as its repr and an int as its str
+            w.writerows(zip(self.lags.tolist(), self.values.tolist(), self.stderr.tolist(),
+                            repeat(self.kind)))
 
     @classmethod
     def from_csv(cls, path) -> "CorrelationSeries":
@@ -179,6 +181,10 @@ def _fft_len(n: int) -> int:
     return best
 
 
+#: products the ensemble forms at a time, `_PRODUCT_BLOCK // max_lag` runs:
+#: 256 KiB of float64
+_PRODUCT_BLOCK = 2**15
+
 #: about this many complex values per rfft block of the time-average
 #: reduction, which takes `_FFT_BLOCK // bins` runs at a time, so the FFT's
 #: working memory stays small next to the record
@@ -197,6 +203,28 @@ def _check_lag_products(max_lag: int, estimator: str | None, runs: int | None = 
         raise InvalidArgumentError("need at least 2 runs for an ensemble estimate")
 
 
+def _ensemble_sum(m, max_lag: int, mean=None) -> np.ndarray:
+    """Per-lag sum over runs of the products m[:, 0] m[:, N], or, given
+    their mean, of the squared deviations from it: numpy's own axis-0 sum
+    of the whole products array, bit for bit, one block of runs at a time.
+    numpy sums axis 0 of a C-contiguous array row by row, so each block
+    goes into rows 1.. of a buffer whose row 0 carries the sum so far.  A
+    single lag's column numpy sums pairwise instead, so max_lag 1 takes
+    all runs as one block (its products are one float per run)."""
+    runs = len(m)
+    block = runs if max_lag == 1 else max(1, _PRODUCT_BLOCK // max_lag)
+    buf = np.empty((min(block, runs) + 1, max_lag))
+    for start in range(0, runs, block):
+        rows = m[start : start + block]
+        prod = buf[1 : len(rows) + 1]
+        np.multiply(rows[:, :1], rows[:, 1 : max_lag + 1], out=prod, dtype=float)
+        if mean is not None:
+            prod -= mean
+            prod *= prod
+        buf[0] = total = buf[int(start == 0) : len(rows) + 1].sum(axis=0)
+    return total
+
+
 def lag_products(records, max_lag: int, estimator: str):
     """Per-lag (mean, std with ddof=1, count) of the lag-N products, N = 1..max_lag.
 
@@ -206,9 +234,10 @@ def lag_products(records, max_lag: int, estimator: str):
     every run (count = runs * (length - N)).  A single product has no
     spread estimate: its std is inf, so every standard error built on it
     is inf too.  Integer records are read as they are, with no float
-    copy: the ensemble multiplies them into one float64 products array (no
-    int64 wrap) and takes np.mean's and np.std(ddof=1)'s operations, in
-    their order, in place on it; the time-average casts a block of runs.
+    copy: the ensemble multiplies them into float64 products (no int64
+    wrap) a block of runs at a time, in two passes (`_ensemble_sum`), and
+    its mean and std are np.mean's and np.std(ddof=1)'s, bit for bit; the
+    time-average copies a block of runs to float.
 
     The time-average takes the per-lag sums S1 of s_i s_{i+N} and S2 of
     their squares from the autocorrelations of s and of s^2: each run is
@@ -224,21 +253,25 @@ def lag_products(records, max_lag: int, estimator: str):
     runs, length = m.shape
     _check_lag_products(max_lag, estimator, runs, length)
     if estimator == "ensemble":
-        prod = np.multiply(m[:, :1], m[:, 1 : max_lag + 1], dtype=float)
-        mean = prod.sum(axis=0) / runs
-        prod -= mean
-        prod *= prod
-        return mean, np.sqrt(prod.sum(axis=0) / (runs - 1)), np.full(max_lag, runs)
+        mean = _ensemble_sum(m, max_lag) / runs
+        std = np.sqrt(_ensemble_sum(m, max_lag, mean) / (runs - 1))
+        return mean, std, np.full(max_lag, runs)
     if estimator != "time-average":
         raise InvalidArgumentError(f"unknown estimator {estimator!r}")
     nfft = _fft_len(length + max_lag)
     block = max(1, _FFT_BLOCK // (nfft // 2 + 1))
     power = np.zeros((2, nfft // 2 + 1))
     for start in range(0, runs, block):
-        rows = np.asarray(m[start : start + block], dtype=float)
-        for k, x in enumerate((rows, rows * rows)):
-            spec = rfft(x, n=nfft, axis=1)
-            power[k] += (spec.real**2 + spec.imag**2).sum(axis=0)
+        rows = np.array(m[start : start + block], dtype=float)
+        for k in range(2):
+            if k:
+                rows *= rows
+            spec = rfft(rows, n=nfft, axis=1)
+            # |spec|^2 in spec's own memory: re^2 + im^2 into the real parts
+            np.square(spec.real, out=spec.real)
+            np.square(spec.imag, out=spec.imag)
+            spec.real += spec.imag
+            power[k] += spec.real.sum(axis=0)
     s1, s2 = irfft(power, n=nfft, axis=1)[:, 1 : max_lag + 1]
     count = runs * (length - _lag_array(max_lag))
     mean = s1 / count

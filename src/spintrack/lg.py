@@ -62,8 +62,10 @@ class LgSeries:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["tau_index", "lg", "stderr", "violated"])
-            for t, v, s, flag in zip(self.taus, self.lg, self.stderr, self.violated):
-                w.writerow([int(t), repr(float(v)), repr(float(s)), int(flag)])
+            # csv writes a float as its repr, an int as its str and a bool
+            # as True/False, so the flags go as ints
+            w.writerows(zip(self.taus.tolist(), self.lg.tolist(), self.stderr.tolist(),
+                            self.violated.astype(int).tolist()))
 
 
 def lg_function(series: CorrelationSeries) -> LgSeries:

@@ -350,8 +350,9 @@ class ModulationTrace:
             fh.write("# " + json.dumps({"meta": self.meta}, sort_keys=True) + "\n")
             w = csv.writer(fh)
             w.writerow(["angle_deg", "count"])
-            for a, cval in zip(self.angles_deg, self.counts):
-                w.writerow([repr(float(a)), int(cval)])
+            # csv writes a float as its repr and an int as its str
+            w.writerows(zip(np.asarray(self.angles_deg, dtype=float).tolist(),
+                            np.asarray(self.counts, dtype=np.int64).tolist()))
 
 
 def sweep_fraction(angle_deg, phi_0: float):
@@ -399,21 +400,21 @@ def run_quantum_experiment(
     charge: ChargeModel | None = None,
     workers: int = 1,
 ) -> PhotonTrace:
-    """Simulate the full photon record of a multi-run protocol experiment.
+    """Simulate the full photon record of a multi-run protocol experiment:
+    the counts of `engine.simulate_runs`, without its outcomes and zetas.
 
     `workers` is accepted and ignored: sampling runs in one process.
     """
-    p_minus = 1.0 if charge is None else charge.p_minus
-    nv0 = None if charge is None else charge.nv0_mean
-    batch = engine.simulate_runs(config, runs, seed, p_minus=p_minus,
-                                 bright=model.n_a, dark=model.n_b, nv0_mean=nv0)
+    sampler = engine.Sampler.quantum(config, 1.0 if charge is None else charge.p_minus)
+    counts = sampler.counts(runs, seed, model.n_a, model.n_b,
+                            None if charge is None else charge.nv0_mean)
     meta = {
         "seed": seed,
         "protocol": asdict(config),
         "readout": asdict(model),
         "charge": None if charge is None else asdict(charge),
     }
-    return PhotonTrace(batch.counts, kind="quantum", first_lag=batch.first_lag, meta=meta)
+    return PhotonTrace(counts, kind="quantum", first_lag=sampler.first_lag, meta=meta)
 
 
 def run_classical_experiment(
@@ -430,12 +431,12 @@ def run_classical_experiment(
     """Simulate the classical control experiment's photon record.
 
     theta_step is the field phase advance per measurement (omega * t_s).
-    See `spintrack.engine.classical_runs` for the signal model; `workers`
-    is accepted and ignored: sampling runs in one process.
+    See `spintrack.engine.classical_runs` for the signal model, whose
+    counts this is, without its outcomes and zetas; `workers` is accepted
+    and ignored: sampling runs in one process.
     """
-    batch = engine.classical_runs(alpha, theta_step, measurements_per_run, runs, seed,
-                                  modulated=modulated, phi_s=phi_s,
-                                  bright=model.n_a, dark=model.n_b)
+    counts = engine.Sampler.classical(alpha, theta_step, measurements_per_run, modulated,
+                                      phi_s).counts(runs, seed, model.n_a, model.n_b)
     meta = {
         "seed": seed,
         "classical": {"alpha": alpha, "theta_step": theta_step,
@@ -444,4 +445,4 @@ def run_classical_experiment(
         "readout": asdict(model),
     }
     kind = "classical-modulated" if modulated else "classical"
-    return PhotonTrace(batch.counts, kind=kind, first_lag=0, meta=meta)
+    return PhotonTrace(counts, kind=kind, first_lag=0, meta=meta)

@@ -5,6 +5,7 @@ import pytest
 
 from spintrack.engine import (
     CHUNK_SIZE,
+    Sampler,
     chunk_rng,
     classical_runs,
     modulated_drive,
@@ -148,9 +149,10 @@ def test_first_chunks_of_a_batch_are_the_smaller_batch(setup):
 
 def test_simulate_runs_holds_no_second_copy_of_the_batch():
     """Outcomes, zetas and counts go straight into the batch's arrays.  At
-    25 measurements a run the traced peak is about 1.17 times the batch;
-    concatenating per-chunk counts reads 1.48 and stacking every per-chunk
-    array about 2, so the bound sits between them."""
+    25 measurements a run the traced peak is about 1.15 times the batch;
+    copying each block into the batch read 1.67, concatenating per-chunk
+    counts 1.48 and stacking every per-chunk array about 2, so the bound
+    sits between them."""
     cfg = ProtocolConfig(alpha=ALPHA, phi=PHI, cycles=24)
     tracemalloc.start()
     try:
@@ -160,6 +162,25 @@ def test_simulate_runs_holds_no_second_copy_of_the_batch():
         tracemalloc.stop()
     size = sum(getattr(batch, name).nbytes for name in BATCH_ARRAYS)
     assert peak < 1.3 * size, (peak, size)
+
+
+@pytest.mark.parametrize("setup", ["self-polarised", "p_minus_0.7", "classical", "long classical",
+                                   "long modulated"])
+def test_counts_are_the_batch_counts(setup):
+    """`Sampler.counts` gives the counts of `Sampler.batch` bit for bit, over
+    several blocks: of whole chunks, and of 32 runs inside a chunk."""
+    if setup in QUANTUM_SETUPS:
+        cfg, p_minus, nv0_mean = QUANTUM_SETUPS[setup]
+        sampler, photons = Sampler.quantum(cfg, p_minus), (90.0, 30.0, nv0_mean)
+    else:
+        length = 40 if setup == "classical" else 600
+        sampler, photons = Sampler.classical(0.3, 0.5, length, setup == "long modulated"), (90.0, 30.0)
+    runs = 2 * sampler.block + 17 if sampler.block >= CHUNK_SIZE else CHUNK_SIZE + 17
+    counts = sampler.counts(runs, 31, *photons)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, sampler.batch(runs, 31, *photons).counts)
+    with pytest.raises(InvalidArgumentError, match="bright and dark"):
+        sampler.counts(runs, 31, None, None)
 
 
 def test_chunking_is_invisible():

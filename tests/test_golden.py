@@ -1,5 +1,6 @@
 """Golden sha256 digests of every `report` artifact for three small configs,
-and of the engine's raw streams for five sampler setups.
+and of the engine's raw streams for five sampler setups, each also at a
+size that spans several of the engine's blocks.
 
 The refactors this package goes through must keep every artifact byte-
 identical for a fixed seed; this pins the bytes themselves, not only
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from spintrack.cli import main
-from spintrack.engine import CHUNK_SIZE, classical_runs, simulate_runs
+from spintrack.engine import CHUNK_SIZE, Sampler, classical_runs, simulate_runs
 from spintrack.protocol import ProtocolConfig
 
 READOUT = {"n_a": 1200.0, "n_b": 600.0, "phi_0": 0.02, "repetitions": 200}
@@ -77,6 +78,11 @@ GOLDEN = {
 STREAM_RUNS = 3 * CHUNK_SIZE + 17
 _QUANTUM = {"alpha": 0.18 * np.pi, "phi": np.deg2rad(27.0), "cycles": 10}
 PHOTONS = {"bright": 90.0, "dark": 30.0}
+# about 2.5 blocks of whole chunks and 17 runs at 11 measurements a run
+BLOCK_RUNS = 7057
+# long classical runs: blocks of 32 runs inside each of two chunks and a
+# 17-run one
+LONG_LENGTH, LONG_RUNS = 600, 2 * CHUNK_SIZE + 17
 
 SETUPS = {
     "self-polarised": lambda: simulate_runs(
@@ -90,6 +96,16 @@ SETUPS = {
         0.3, 0.5, length=40, runs=STREAM_RUNS, seed=12, **PHOTONS),
     "classical-modulated": lambda: classical_runs(
         0.35, 0.5, length=40, runs=STREAM_RUNS, seed=13, modulated=True, **PHOTONS),
+    "self-polarised-blocks": lambda: simulate_runs(
+        ProtocolConfig(**_QUANTUM), BLOCK_RUNS, seed=7, **PHOTONS),
+    "prepolarised-blocks": lambda: simulate_runs(
+        ProtocolConfig(**_QUANTUM, prepolarized=True), BLOCK_RUNS, seed=8, **PHOTONS),
+    "charge-blocks": lambda: simulate_runs(
+        ProtocolConfig(**_QUANTUM), BLOCK_RUNS, seed=9, p_minus=0.7, nv0_mean=5.0, **PHOTONS),
+    "classical-blocks": lambda: classical_runs(
+        0.3, 0.5, length=LONG_LENGTH, runs=LONG_RUNS, seed=12, **PHOTONS),
+    "classical-modulated-blocks": lambda: classical_runs(
+        0.35, 0.5, length=LONG_LENGTH, runs=LONG_RUNS, seed=13, modulated=True, **PHOTONS),
 }
 
 STREAMS = {
@@ -122,6 +138,36 @@ STREAMS = {
         "outcomes": "f621b8d30c3195942f90b355a5ddff8b183d1b54ff58884d375b3af4dadc25a0",
         "signs": "4b64b4d0a73d364d1543cd58c9b386e2f40e59e46677ba666df31af82d40a874",
         "zetas": "b32e3ebc41ca58c5fc292435e54fbf1e068fb6631b2bb0e29054cd91b478d870",
+    },
+    "self-polarised-blocks": {
+        "counts": "61b5aacca18e83d07058be92345828e079e9e21e510fd370e6b8368a5d6f0ef5",
+        "outcomes": "4fdd86dee18966fa5cee086393347ca556a5871e610e7ad893c1a8ebd5d87835",
+        "signs": "d29b609a272b973763f8e4e2ed4a80dcb4cc705070ca06cc46f775586bc68674",
+        "zetas": "56c684ed2548dc363b3c5cbaa8758e043e32188f72eaa283a386fb4983613394",
+    },
+    "prepolarised-blocks": {
+        "counts": "31f5e49d948583335634ccdccf4648b5e3bf9dbc82c2a01f633102cffbac292b",
+        "outcomes": "92019094ca922d8b2cceaf89e8961e40f95b2c5f187139f23cbf5344be3f16d6",
+        "signs": "aa4e1c298f79b6493160fb55a7681b6d470eec0059458e2592c5914ef9fbcd2a",
+        "zetas": "726adc85844bdf75b954c93d5cf17716cb3ce119030981ad5c100931b9473515",
+    },
+    "charge-blocks": {
+        "counts": "ee9f706443b05789245dfc571080fa36ae50ecc76fb0f4d72f6b65411c11cb4d",
+        "outcomes": "86e59dae3a68e2bc4565d9f6635b644fdf7d2abd1bd545f4316e364cc7644829",
+        "signs": "ee5b0dac898ccc496619a3b0bd121ff3d35d3c9238fd3bd5c82abfa25d73529b",
+        "zetas": "9ab698221d4bb204efb18e31aa0fbaa5ad1c02aa32f1518b9f1e392d316e1751",
+    },
+    "classical-blocks": {
+        "counts": "b955c7145c6ace78cf28d8946bc907e3ac2a71e13dd01bc336a5ea6bc883eb47",
+        "outcomes": "e26695cac3448eee396393bd4c04da617881bace393d4da39f8f78a201369ead",
+        "signs": "dc07de5ede0cf9c6965b9e65f69f5e77e5a2953bf1f9a4dc9e8b53d7fa63f333",
+        "zetas": "9beed7305f5cb2955997a0d286ec72101d93dd99f0c73304c9e5c3fd0f4e1364",
+    },
+    "classical-modulated-blocks": {
+        "counts": "5be0152063cd180bd528220c886b799f00b17ddd6f93bb9bb8a5313fc1d24885",
+        "outcomes": "1329353a9afe780973b85aac6fd0e87eff3bfd024e84f880564c9ab89a4798e3",
+        "signs": "dc07de5ede0cf9c6965b9e65f69f5e77e5a2953bf1f9a4dc9e8b53d7fa63f333",
+        "zetas": "0266dbebb2dd62cc62b2ed68088ee25cf043f25201ee85e5662d827a3142b2f8",
     },
 }
 
@@ -156,6 +202,17 @@ def test_report_artifact_digests(kind, tmp_path):
 @pytest.mark.parametrize("setup", sorted(SETUPS))
 def test_engine_stream_digests(setup):
     assert stream_digests(setup) == STREAMS[setup]
+
+
+def test_block_setups_span_several_blocks():
+    """The `-blocks` setups cross the engine's block boundaries: quantum
+    blocks of whole chunks, and classical blocks inside a chunk."""
+    for prepolarized in (False, True):
+        block = Sampler.quantum(ProtocolConfig(**_QUANTUM, prepolarized=prepolarized)).block
+        assert block % CHUNK_SIZE == 0 and BLOCK_RUNS > 2 * block and BLOCK_RUNS % block
+    for modulated in (False, True):
+        block = Sampler.classical(0.3, 0.5, LONG_LENGTH, modulated).block
+        assert CHUNK_SIZE % block == 0 and block < CHUNK_SIZE < LONG_RUNS
 
 
 def _layout(name: str, table: dict) -> str:

@@ -80,6 +80,19 @@ def test_lg_function_violation_flag_is_three_sigma():
     assert not loose.violated.any()
 
 
+def test_lg_csv_writes_each_row_as_the_per_row_writer_did(tmp_path):
+    """One `writerows` call gives the bytes of the per-row writer it
+    replaced: reprs of the floats, and the flags as 0/1, not True/False."""
+    lags = np.arange(1, 5)
+    lgs = lg_function(CorrelationSeries(lags, np.array([0.9, 0.4, 0.0, 0.0]), np.full(4, 0.01)))
+    lgs.to_csv(tmp_path / "lg.csv")
+    want = "tau_index,lg,stderr,violated\r\n" + "".join(
+        f"{int(t)},{float(v)!r},{float(e)!r},{int(f)}\r\n"
+        for t, v, e, f in zip(lgs.taus, lgs.lg, lgs.stderr, lgs.violated))
+    assert lgs.violated.tolist() == [True, False]
+    assert (tmp_path / "lg.csv").read_bytes() == want.encode()
+
+
 def test_lg_function_needs_a_doubled_lag():
     with pytest.raises(InvalidArgumentError):
         lg_function(CorrelationSeries(np.array([1]), np.array([0.5]), np.array([0.01])))
