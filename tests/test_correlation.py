@@ -203,7 +203,7 @@ def test_lag_products_match_loop_reference(rng):
 
 @pytest.mark.parametrize("shape", [(2, 3), (200, 64), (25_000, 25)])
 def test_ensemble_moments_equal_numpys_bit_for_bit(rng, shape):
-    """The ensemble branch takes its moments in place on one products array;
+    """The ensemble branch takes its moments a block of runs at a time;
     they must be the very floats of np.mean and np.std(ddof=1) of the float
     products.  25,000 runs tell numpy's pairwise summation from a sequential
     one, so a numpy that reorders its variance fails here first."""
