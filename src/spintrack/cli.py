@@ -184,6 +184,7 @@ def read_config(args) -> dict:
         if settings["charge"] is not None:
             settings["charge"] = ro.ChargeModel(**settings["charge"])
         length = settings["protocol"].cycles + 1
+        key, phase = "protocol.phi", settings["protocol"].phi * (length - 1)
     else:
         classical = settings["classical"]
         length = classical["measurements_per_run"]
@@ -192,6 +193,15 @@ def read_config(args) -> dict:
             if not ok:
                 raise InvalidArgumentError(
                     f"config key 'classical.{key}' must {rule}, got {classical[key]}")
+        if kind == "classical":
+            key, phase = "classical.theta_step", classical["theta_step"] * (length - 1)
+        else:
+            key, phase = "classical.phi_s", (length - 1) * classical["phi_s"] * np.pi / 4.0
+    # the phase of the record's last measurement, as the engine (theta_step,
+    # phi_s) or the fitted model (phi, phi_s) evaluates it, must be finite
+    if not np.isfinite(phase):
+        raise InvalidArgumentError(
+            f"config key '{key}' overflows the phase of measurement {length - 1}")
     if settings["boxcar"] is not None:
         cal._check_boxcar_fraction(settings["boxcar"])
     if settings["runs"] * length > MAX_MEASUREMENTS:

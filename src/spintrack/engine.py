@@ -7,24 +7,24 @@ depends only on (seed, i // CHUNK_SIZE) and a batch equals its chunks
 sampled one after another and stacked.  A chunk's stream holds its
 uniforms, in the order its runs consume them (quantum: one matrix,
 cycle-major; classical: the phases, then the outcome uniforms run by run),
-then its photons.  Each kind of draw has one helper: `_draw_outcomes` (the
-+-1 readout), `_draw_charge` (the per-cycle charge state) and
-`_draw_photons` (the Poisson counts).  Do not reorder the draws of
-`_Quantum`, `_Classical` or `Sampler._sample`: the draw order is part of
-the determinism contract.
+then its photons in row order.  Do not reorder the draws of the `_blocks`
+generators or of `Sampler._sample`: the draw order is part of the
+determinism contract.
 
-`Sampler._sample` is one loop over blocks of about `_BLOCK` measurements:
-whole chunks, whose recurrence the quantum sampler steps together, or,
-for long classical runs, a power-of-two share of one chunk.  Each block
-draws its uniforms, writes its outcomes and zetas straight into the rows
-it is handed and draws its photons, so `Sampler.counts` holds the counts
-and one block of scratch, never the uniforms, outcomes or zetas of the
-whole batch.  PCG64 spends one 64-bit word per double, so a chunk's
-photons start at a known word: each chunk draws them, in row order, from
-a second generator advanced past its uniforms (`PCG64.advance`), and a
-block may end inside a chunk.  One call for k n uniforms gives the
-numbers of k calls for n, and elementwise IEEE arithmetic does not depend
-on the array width: the streams are those of the chunk-by-chunk sampler.
+Each kind's `_blocks` keeps that kind's draw order.  It draws a block of
+about `_BLOCK` measurements at a time, writes its outcomes and zetas
+straight into the rows it is handed and yields the generator each part of
+the block draws its photons from, so `Sampler.counts` holds the counts and
+one block of scratch, never the whole batch's uniforms, outcomes or zetas.
+A quantum block is whole chunks, whose recurrence steps together; each
+chunk's photons come from its own generator straight after its uniforms.
+A classical block never crosses a chunk: it is the chunk or, for runs
+longer than `_BLOCK // CHUNK_SIZE`, a power-of-two share of it, and only
+then do the photons come from a second generator advanced past the chunk's
+uniforms (PCG64 spends one 64-bit word per double).  One call for k n
+uniforms gives the numbers of k calls for n, and elementwise IEEE
+arithmetic does not depend on the array width: the streams are those of
+the chunk-by-chunk sampler.
 
 The target spin follows the maps of `spintrack.protocol`: a self-polarised
 run starts from `conditioned_update`, and every cycle is the outcome-averaged
@@ -43,7 +43,6 @@ neutral polarising measurement leaves the run unpolarised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily; load it at start-up)
@@ -89,12 +88,6 @@ def _draw_outcomes(u, zetas) -> np.ndarray:
     return np.where(u < (1.0 + zetas) / 2.0, np.int8(1), np.int8(-1))
 
 
-def _draw_charge(rows, p_minus: float) -> np.ndarray:
-    """Charge state of one cycle per run, True when active, from the next row
-    of uniforms in the iterator `rows`; drawn only when p_minus < 1."""
-    return next(rows) < p_minus
-
-
 def _draw_photons(rng, outcomes, bright, dark, live=None, nv0_mean=None):
     """Poisson counts at the bright/dark level of each outcome, or at
     nv0_mean where `live` is False."""
@@ -102,17 +95,6 @@ def _draw_photons(rng, outcomes, bright, dark, live=None, nv0_mean=None):
     if live is not None:
         lam = np.where(live, lam, nv0_mean)
     return rng.poisson(lam).astype(np.int64, copy=False)
-
-
-class _Chunk(NamedTuple):
-    """One chunk in flight: the generator of its uniforms, the one of its
-    photons (advanced past the uniforms), its rows among all runs and what
-    its runs draw before their first block (the classical phases)."""
-
-    draws: np.random.Generator
-    photons: np.random.Generator
-    rows: slice
-    prefix: np.ndarray | None
 
 
 class Sampler:
@@ -123,15 +105,15 @@ class Sampler:
 
     length     measurements per run
     first_lag  lag carried by column 0 (see `RunBatch`)
-    uniforms   uniforms one run draws before its chunk's photons
     block      runs per block
 
-    and defines `_prefix` and `_draw`.
+    and defines `_blocks`, which keeps its kind's draw order: a quantum
+    chunk's photons come from its own generator, a classical chunk's from
+    a second one advanced past its uniforms when it spans several blocks.
     """
 
     length: int
     first_lag: int
-    uniforms: int
     block: int
 
     @staticmethod
@@ -169,49 +151,24 @@ class Sampler:
                                           zetas[:rows.stop - rows.start]))[1]
 
     def _sample(self, runs, seed, bright, dark, nv0_mean, dest):
-        """The block loop: block `rows` writes its outcomes and zetas into
-        the arrays `dest(rows)` returns, its signs and counts into the
-        returned (signs, counts); counts is None without bright and dark.
-        A block that starts a chunk opens it; a chunk's later blocks use
-        the generators it opened with."""
+        """(signs, counts) of `runs` runs, each block's outcomes and zetas
+        written into the arrays `dest(rows)` returns; counts is None
+        without bright and dark."""
         signs = np.empty(runs, dtype=np.int8)
         counts = None if bright is None else np.empty((runs, self.length), dtype=np.int64)
         nv0_mean = dark if nv0_mean is None else nv0_mean
-        for start in range(0, runs, self.block):
-            rows = slice(start, min(start + self.block, runs))
-            if start % CHUNK_SIZE == 0:
-                chunks = [self._open(seed, c, runs)
-                          for c in range(start // CHUNK_SIZE, -(-rows.stop // CHUNK_SIZE))]
-            pieces = []  # (chunk, its rows in the block, the same rows in the chunk)
-            for ch in chunks:
-                lo, hi = max(ch.rows.start, start), min(ch.rows.stop, rows.stop)
-                pieces.append((ch, slice(lo - start, hi - start),
-                               slice(lo - ch.rows.start, hi - ch.rows.start)))
-            outcomes, zetas = dest(rows)
-            live = self._draw(pieces, outcomes, zetas, signs[rows])
-            if counts is not None:
-                for ch, local, _ in pieces:
-                    counts[rows][local] = _draw_photons(ch.photons, outcomes[local], bright, dark,
-                                                        None if live is None else live[local],
-                                                        nv0_mean)
+        for rows, outcomes, live, photons in self._blocks(runs, seed, signs, dest):
+            if counts is None:
+                continue
+            for rng, part in photons:
+                counts[rows][part] = _draw_photons(rng, outcomes[part], bright, dark,
+                                                   None if live is None else live[part], nv0_mean)
         return signs, counts
 
-    def _open(self, seed, c, runs) -> _Chunk:
-        rows = slice(c * CHUNK_SIZE, min((c + 1) * CHUNK_SIZE, runs))
-        n = rows.stop - rows.start
-        photons = chunk_rng(seed, c)
-        photons.bit_generator.advance(n * self.uniforms)
-        draws = chunk_rng(seed, c)
-        return _Chunk(draws, photons, rows, self._prefix(draws, n))
-
-    def _prefix(self, draws, n):
-        """What a chunk of n runs draws before its first block, or None."""
-        return None
-
-    def _draw(self, pieces, outcomes, zetas, signs):
-        """Fill one block's outcomes, zetas and signs from the uniforms of
-        its pieces; return its (rows, length) charge states, or None when
-        every cycle is active."""
+    def _blocks(self, runs, seed, signs, dest):
+        """Fill the outcomes and zetas of each block in `dest(rows)` and its
+        `signs[rows]`; yield (rows, outcomes, charge states or None when
+        every cycle is active, [(photon generator, its rows of the block)])."""
         raise NotImplementedError
 
 
@@ -222,18 +179,10 @@ def _check_runs(runs, bright, dark) -> None:
         raise InvalidArgumentError("bright and dark must be provided together")
 
 
-def _block_runs(length: int) -> int:
-    """Runs in a block of about `_BLOCK` measurements: whole chunks, or, for
-    runs longer than `_BLOCK // CHUNK_SIZE`, a power of two dividing CHUNK_SIZE."""
-    rows = max(1, _BLOCK // length)
-    return rows - rows % CHUNK_SIZE if rows >= CHUNK_SIZE else 1 << (rows.bit_length() - 1)
-
-
 class _Quantum(Sampler):
     """Each chunk draws its uniforms cycle-major: the polarising outcome
-    and charge, then the charge and the outcome of each cycle; the
-    recurrence then steps all runs of the block at once.  Its uniforms
-    are one matrix per chunk, so a block holds whole chunks."""
+    and charge, then the charge and the outcome of each cycle; then its
+    photons.  A block holds whole chunks, whose recurrence steps together."""
 
     def __init__(self, config: ProtocolConfig, p_minus: float):
         if not (0.0 <= p_minus <= 1.0):
@@ -241,41 +190,49 @@ class _Quantum(Sampler):
         self.config, self.p_minus = config, p_minus
         self.length = config.cycles + (not config.prepolarized)
         self.first_lag = 1 if config.prepolarized else 0
-        self.uniforms = self.length * (1 + (p_minus < 1.0))
-        self.block = max(CHUNK_SIZE, _block_runs(self.length))
+        self.block = max(1, _BLOCK // self.length // CHUNK_SIZE) * CHUNK_SIZE
 
-    def _draw(self, pieces, outcomes, zetas, signs):
+    def _blocks(self, runs, seed, signs, dest):
         config, p_minus = self.config, self.p_minus
-        u = np.empty((self.uniforms, len(outcomes)))
-        for ch, local, _ in pieces:
-            u[:, local] = ch.draws.random((len(u), local.stop - local.start))
-        rows = iter(u)
-        live = np.empty(outcomes.shape, dtype=bool) if p_minus < 1.0 else None
-        if config.prepolarized:
-            signs[:] = 1
-            x, y = np.ones(len(signs)), np.zeros(len(signs))
-        else:
-            zetas[:, 0] = 0.0
-            outcomes[:, 0] = _draw_outcomes(next(rows), zetas[:, 0])
-            signs[:] = outcomes[:, 0]
-            if live is not None:
-                live[:, 0] = _draw_charge(rows, p_minus)
-                signs[~live[:, 0]] = 0
-            x, y = conditioned_update(0.0, 0.0, config.alpha, signs)
-
-        # a cycle at alpha 0 on neutral runs; at p_minus 1 a scalar alpha
-        # spares a cosine per run
+        uniforms = self.length * (1 + (p_minus < 1.0))
         sin_alpha = np.sin(config.alpha)
-        for j in range(self.length - config.cycles, self.length):
-            if live is None:
-                x, y = recurrence_step(x, y, config.alpha, config.phi)
-                np.multiply(x, sin_alpha, out=zetas[:, j])
+        for start in range(0, runs, self.block):
+            rows = slice(start, min(start + self.block, runs))
+            outcomes, zetas = dest(rows)
+            sign = signs[rows]
+            chunks = [(chunk_rng(seed, lo // CHUNK_SIZE),
+                       slice(lo - start, min(lo + CHUNK_SIZE, rows.stop) - start))
+                      for lo in range(start, rows.stop, CHUNK_SIZE)]
+            u = np.empty((uniforms, len(sign)))
+            for rng, part in chunks:
+                u[:, part] = rng.random((uniforms, part.stop - part.start))
+            draw = iter(u)
+            live = np.empty(outcomes.shape, dtype=bool) if p_minus < 1.0 else None
+            if config.prepolarized:
+                sign[:] = 1
+                x, y = np.ones(len(sign)), np.zeros(len(sign))
             else:
-                live[:, j] = _draw_charge(rows, p_minus)
-                x, y = recurrence_step(x, y, np.where(live[:, j], config.alpha, 0.0), config.phi)
-                zetas[:, j] = np.where(live[:, j], x * sin_alpha, 0.0)
-            outcomes[:, j] = _draw_outcomes(next(rows), zetas[:, j])
-        return live
+                zetas[:, 0] = 0.0
+                outcomes[:, 0] = _draw_outcomes(next(draw), zetas[:, 0])
+                sign[:] = outcomes[:, 0]
+                if live is not None:
+                    live[:, 0] = next(draw) < p_minus
+                    sign[~live[:, 0]] = 0
+                x, y = conditioned_update(0.0, 0.0, config.alpha, sign)
+            # a cycle at alpha 0 on neutral runs; at p_minus 1 a scalar alpha
+            # spares a cosine per run
+            for j in range(self.length - config.cycles, self.length):
+                if live is None:
+                    x, y = recurrence_step(x, y, config.alpha, config.phi)
+                    np.multiply(x, sin_alpha, out=zetas[:, j])
+                else:
+                    live[:, j] = next(draw) < p_minus
+                    x, y = recurrence_step(x, y, np.where(live[:, j], config.alpha, 0.0),
+                                           config.phi)
+                    zetas[:, j] = np.where(live[:, j], x * sin_alpha, 0.0)
+                outcomes[:, j] = _draw_outcomes(next(draw), zetas[:, j])
+            del u, draw, x, y  # the photons are drawn without the block's scratch
+            yield rows, outcomes, live, chunks
 
 
 def modulated_drive(k: np.ndarray, alpha: float, phi_s: float):
@@ -291,38 +248,41 @@ def modulated_drive(k: np.ndarray, alpha: float, phi_s: float):
 
 class _Classical(Sampler):
     """Each chunk draws run-major: one phase per run (unmodulated only),
-    when it opens, then the outcome uniforms of its runs in row order, so
-    a block of long runs may hold part of a chunk."""
+    then the outcome uniforms of its runs in row order, then its photons.
+    A block is the chunk, or a power-of-two share of it for long runs."""
 
     def __init__(self, alpha, theta_step, length, modulated, phi_s):
         if length < 1:
             raise InvalidArgumentError("length must be >= 1")
         self.alpha, self.theta_step, self.modulated = alpha, theta_step, modulated
         self.length, self.first_lag = length, 0
-        self.uniforms = length + (not modulated)
-        self.block = _block_runs(length)
+        self.block = min(CHUNK_SIZE, 1 << (max(1, _BLOCK // length).bit_length() - 1))
         self.k = np.arange(length)
         if modulated:
             self.zeta_row = np.sin(modulated_drive(self.k, alpha, phi_s)[0])
 
-    def _prefix(self, draws, n):
-        return None if self.modulated else draws.random(n) * 2 * np.pi
-
-    def _draw(self, pieces, outcomes, zetas, signs):
-        u = np.empty(outcomes.shape)
-        for ch, local, _ in pieces:
-            ch.draws.random(out=u[local])
-        if self.modulated:
-            zetas[:] = self.zeta_row
-        else:  # sin(alpha sin(theta_step k + phase)), in place
-            phase = np.concatenate([ch.prefix[within] for ch, _, within in pieces])
-            np.add(self.theta_step * self.k, phase[:, None], out=zetas)
-            np.sin(zetas, out=zetas)
-            zetas *= self.alpha
-            np.sin(zetas, out=zetas)
-        outcomes[:] = _draw_outcomes(u, zetas)
+    def _blocks(self, runs, seed, signs, dest):
         signs[:] = 1
-        return None
+        for lo in range(0, runs, CHUNK_SIZE):
+            hi = min(lo + CHUNK_SIZE, runs)
+            draws = photons = chunk_rng(seed, lo // CHUNK_SIZE)
+            phase = None if self.modulated else draws.random(hi - lo) * 2 * np.pi
+            if hi - lo > self.block:  # the photons follow the last block's uniforms
+                photons = chunk_rng(seed, lo // CHUNK_SIZE)
+                photons.bit_generator.advance((hi - lo) * (self.length + (not self.modulated)))
+            for start in range(lo, hi, self.block):
+                rows = slice(start, min(start + self.block, hi))
+                outcomes, zetas = dest(rows)
+                if self.modulated:
+                    zetas[:] = self.zeta_row
+                else:  # sin(alpha sin(theta_step k + phase)), in place
+                    np.add(self.theta_step * self.k, phase[start - lo:rows.stop - lo, None],
+                           out=zetas)
+                    np.sin(zetas, out=zetas)
+                    zetas *= self.alpha
+                    np.sin(zetas, out=zetas)
+                outcomes[:] = _draw_outcomes(draws.random(outcomes.shape), zetas)
+                yield rows, outcomes, None, [(photons, slice(None))]
 
 
 def simulate_runs(

@@ -221,6 +221,13 @@ PROBES = {
        for value in (-1, 0, 1000)},
     # `simulate` and `classical` rejected the other kinds after making --out
     "simulate_kind_classical": (BASE["classical"], (), "`simulate` needs kind in"),
+    # a phase beyond float range at the record's last measurement gave NaN
+    # zetas (exit 0) or a failed fit (exit 3), after overflow warnings
+    "theta_step_1e308": (_set(BASE["classical"], ("classical", "theta_step"), 1e308), (),
+                         "'classical.theta_step' overflows"),
+    "phi_s_1e308": (_set(BASE["classical-modulated"], ("classical", "phi_s"), 1e308), (),
+                    "'classical.phi_s' overflows"),
+    "phi_1e308": (*_readme(("protocol", "phi"), 1e308), "'protocol.phi' overflows"),
     # the sweep of 1,100 samples x 1e12 readouts ended in an _ArrayMemoryError, exit 1
     **{f"{command}repetitions_1e12": (*_readme(("readout", "repetitions"), 10**12),
                                       "'readout.repetitions'")
@@ -270,3 +277,19 @@ def test_the_cap_counts_runs_times_record_length(tmp_path, cfg, length):
     assert read_config(argparse.Namespace(config=str(path), runs=runs))["runs"] == runs
     with pytest.raises(InvalidArgumentError, match="MAX_MEASUREMENTS"):
         read_config(argparse.Namespace(config=str(path), runs=runs + 1))
+
+
+@pytest.mark.parametrize("cfg,key,length_key", [
+    (README, ("protocol", "phi"), ("protocol", "cycles")),
+    (BASE["classical"], ("classical", "theta_step"), ("classical", "measurements_per_run")),
+    (BASE["classical-modulated"], ("classical", "phi_s"), ("classical", "measurements_per_run"))])
+def test_the_phase_is_checked_at_the_records_last_measurement(tmp_path, cfg, key, length_key):
+    """2e307 rad a step leaves the phase of measurement 1 finite and
+    overflows that of the base record's last measurement."""
+    path = tmp_path / "config.json"
+    cfg = _set(cfg, key, 2e307)
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(InvalidArgumentError, match=f"'{'.'.join(key)}' overflows"):
+        read_config(argparse.Namespace(config=str(path)))
+    path.write_text(json.dumps(_set(cfg, length_key, 1 if length_key[-1] == "cycles" else 2)))
+    assert read_config(argparse.Namespace(config=str(path)))["seed"] == cfg["seed"]

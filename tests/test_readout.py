@@ -179,6 +179,20 @@ def test_run_quantum_experiment_holds_the_counts_and_one_block():
     assert scratch[1] < 1.1 * scratch[0], scratch
 
 
+@pytest.mark.parametrize("runs,length", [(100, 4000), (5120, 40)])
+def test_run_classical_experiment_holds_the_counts_and_one_block(runs, length):
+    """The classical driver keeps the counts and one block: 8 runs of a
+    chunk at 4,000 measurements (about 1.34 times the counts), one whole
+    chunk at 40 (about 1.22; a block of three chunks read 1.64)."""
+    tracemalloc.start()
+    try:
+        trace = run_classical_experiment(0.3, 0.5, length, MODEL, runs, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4 * trace.counts.nbytes, (peak, trace.counts.nbytes)
+
+
 def test_photon_trace_to_csv_streams_in_blocks(tmp_path):
     """Encoding the whole 2e6-count record as one block traces about 67 MB;
     block by block, the peak stays near 1 MiB whatever the record's size."""
