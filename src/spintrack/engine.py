@@ -19,8 +19,8 @@ one block of scratch, never the whole batch's uniforms, outcomes or zetas.
 A quantum block is whole chunks, whose recurrence steps together; each
 chunk's photons come from its own generator straight after its uniforms.
 A classical block never crosses a chunk: it is the chunk or, for runs
-longer than `_BLOCK // CHUNK_SIZE`, a power-of-two share of it, and only
-then do the photons come from a second generator advanced past the chunk's
+longer than `_BLOCK // CHUNK_SIZE`, a power-of-two share of it; its
+chunk's photons come from a second generator advanced past the chunk's
 uniforms (PCG64 spends one 64-bit word per double).  One call for k n
 uniforms gives the numbers of k calls for n, and elementwise IEEE
 arithmetic does not depend on the array width: the streams are those of
@@ -109,7 +109,7 @@ class Sampler:
 
     and defines `_blocks`, which keeps its kind's draw order: a quantum
     chunk's photons come from its own generator, a classical chunk's from
-    a second one advanced past its uniforms when it spans several blocks.
+    a second one advanced past its uniforms.
     """
 
     length: int
@@ -265,11 +265,10 @@ class _Classical(Sampler):
         signs[:] = 1
         for lo in range(0, runs, CHUNK_SIZE):
             hi = min(lo + CHUNK_SIZE, runs)
-            draws = photons = chunk_rng(seed, lo // CHUNK_SIZE)
+            draws = chunk_rng(seed, lo // CHUNK_SIZE)
+            photons = chunk_rng(seed, lo // CHUNK_SIZE)
+            photons.bit_generator.advance((hi - lo) * (self.length + (not self.modulated)))
             phase = None if self.modulated else draws.random(hi - lo) * 2 * np.pi
-            if hi - lo > self.block:  # the photons follow the last block's uniforms
-                photons = chunk_rng(seed, lo // CHUNK_SIZE)
-                photons.bit_generator.advance((hi - lo) * (self.length + (not self.modulated)))
             for start in range(lo, hi, self.block):
                 rows = slice(start, min(start + self.block, hi))
                 outcomes, zetas = dest(rows)
