@@ -272,6 +272,7 @@ def lag_products(records, max_lag: int, estimator: str):
             np.square(spec.imag, out=spec.imag)
             spec.real += spec.imag
             power[k] += spec.real.sum(axis=0)
+            del spec  # the next spectrum is built without this one alive
     s1, s2 = irfft(power, n=nfft, axis=1)[:, 1 : max_lag + 1]
     count = runs * (length - _lag_array(max_lag))
     mean = s1 / count

@@ -68,8 +68,9 @@ ANCHOR_SAMPLES = 500
 #: measurements in one sweep: 1,100, each summing `repetitions` readouts
 SWEEP_SAMPLES = SAMPLES_PER_ANGLE * (len(SWEEP_ANGLES_DEG) - 1) + ANCHOR_SAMPLES
 #: bytes of float64 uniforms, and of Poisson means, `modulation_trace` draws
-#: at a time: at 200 repetitions one angle's 500 samples are a single block
-_SWEEP_BLOCK_BYTES = 1 << 22
+#: at a time: at 200 repetitions a block is 163 samples, so an angle's 50
+#: samples are one block and the anchor's 500 are four
+_SWEEP_BLOCK_BYTES = 1 << 18
 #: rows `PhotonTrace.to_csv` encodes at a time: about 1 MiB of working arrays
 _CSV_BLOCK_ROWS = 16384
 #: body bytes `PhotonTrace.from_csv` decodes at a time: a block's per-row

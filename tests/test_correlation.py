@@ -129,6 +129,20 @@ def test_ensemble_scratch_is_a_block():
         assert peak < 0.15 * counts.nbytes, (max_lag, peak)
 
 
+def test_time_average_scratch_is_one_spectrum():
+    """The time-average frees each spectrum before it builds the next: at
+    100 runs of 4,000 counts and max_lag 2,000 its traced peak is about 1.1
+    times the counts, where two live spectra made it 1.74 times."""
+    counts = np.random.default_rng(5).poisson(900.0, size=(100, 4000))
+    tracemalloc.start()
+    try:
+        lag_products(counts, 2000, "time-average")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * counts.nbytes, peak
+
+
 def test_empirical_corr_alternating_record():
     s = np.tile([1, -1], 50)
     mean, std, count = lag_products(s, 6, "time-average")

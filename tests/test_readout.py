@@ -382,8 +382,9 @@ def test_repetition_averaging_shrinks_variance(rng):
 
 def test_modulation_trace_bounds_its_working_memory():
     """At 9,090 repetitions, each angle's whole matrices of uniforms, Poisson
-    means and counts traced a 74 MiB peak; drawn a block of rows at a time,
-    they stay near 12 MiB whatever the repetitions."""
+    means and counts traced a 74 MiB peak; drawn 256 KiB of rows at a time
+    they trace 4.8 MiB, most of it the anchor angle's bright/dark matrix
+    (12.3 MiB with 4 MiB blocks)."""
     model = ReadoutModel(n_a=1200.0, n_b=600.0, phi_0=0.02, repetitions=9090)
     tracemalloc.start()
     try:
@@ -391,12 +392,13 @@ def test_modulation_trace_bounds_its_working_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20, peak
+    assert peak < 8 * 2**20, peak
 
 
 def test_modulation_trace_blocks_keep_the_streams():
-    """The anchor angle's 500 rows take three blocks at 3,001 repetitions;
-    the counts are those of drawing each angle's matrices whole."""
+    """At 3,001 repetitions a block is 10 rows, so every angle takes several
+    (the anchor's 500 rows fifty); the counts are those of drawing each
+    angle's matrices whole."""
     model = ReadoutModel(n_a=1200.0, n_b=600.0, phi_0=0.02, repetitions=3001)
     rng, whole = np.random.default_rng(9), []
     for ang in SWEEP_ANGLES_DEG:
