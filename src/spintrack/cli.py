@@ -76,7 +76,7 @@ SCHEMA_VERSION = 1
 REQUIRED = "required"
 #: the most photon measurements (runs x record length) a config may ask
 #: for, and the most readouts of its calibration sweep (sweep samples x
-#: repetitions); the int64 counts alone take 800 MB at the cap
+#: repetitions); the int32 counts alone take 400 MB at the cap
 MAX_MEASUREMENTS = 10**8
 
 #: every config key once: (type, default), or REQUIRED for a key that must

@@ -45,8 +45,8 @@ lag-by-lag loop to rounding on the scale of the lag-0 sums of x^2 and x^4.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -96,12 +96,15 @@ class CorrelationSeries:
             raise InvalidArgumentError("lags must be strictly increasing integers >= 1")
 
     def to_csv(self, path) -> None:
+        # the bytes of csv.writer, which writes a float as its repr and an
+        # int as its str; it quotes the kind once, as the last of a row's fields
+        tail = io.StringIO()
+        csv.writer(tail).writerow(["", self.kind])
+        end = tail.getvalue()  # ',' + the kind as csv writes it + '\r\n'
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lag", "value", "stderr", "kind"])
-            # csv writes a float as its repr and an int as its str
-            w.writerows(zip(self.lags.tolist(), self.values.tolist(), self.stderr.tolist(),
-                            repeat(self.kind)))
+            fh.write("lag,value,stderr,kind\r\n" + "".join(
+                f"{lag},{value!r},{err!r}{end}" for lag, value, err
+                in zip(self.lags.tolist(), self.values.tolist(), self.stderr.tolist())))
 
     @classmethod
     def from_csv(cls, path) -> "CorrelationSeries":
@@ -185,10 +188,13 @@ def _fft_len(n: int) -> int:
 #: 256 KiB of float64
 _PRODUCT_BLOCK = 2**15
 
-#: about this many complex values per rfft block of the time-average
-#: reduction, which takes `_FFT_BLOCK // bins` runs at a time, so the FFT's
-#: working memory stays small next to the record
+#: the time-average sums its power spectra over groups of
+#: `_FFT_BLOCK // bins` runs, then adds each group's sum to the total; the
+#: grouping fixes the rounding of the sums
 _FFT_BLOCK = 2**17
+#: about this many complex values of spectra the time-average builds at a
+#: time, `_SPECTRA_BLOCK // bins` runs of a group: 256 KiB
+_SPECTRA_BLOCK = 2**14
 
 
 def _check_lag_products(max_lag: int, estimator: str | None, runs: int | None = None,
@@ -203,14 +209,22 @@ def _check_lag_products(max_lag: int, estimator: str | None, runs: int | None = 
         raise InvalidArgumentError("need at least 2 runs for an ensemble estimate")
 
 
+def _carry(buf: np.ndarray, rows: int, first: bool) -> np.ndarray:
+    """Add rows 1..rows of `buf` to the sum that its row 0 carries (none
+    when `first`) and return the new sum, in row 0.  numpy sums axis 0 of a
+    C-contiguous array row by row, so block after block this is numpy's
+    axis-0 sum of all the rows at once, bit for bit, while the rows are
+    wider than one value (a single column numpy sums pairwise)."""
+    buf[0] = buf[int(first) : rows + 1].sum(axis=0)
+    return buf[0]
+
+
 def _ensemble_sum(m, max_lag: int, mean=None) -> np.ndarray:
     """Per-lag sum over runs of the products m[:, 0] m[:, N], or, given
     their mean, of the squared deviations from it: numpy's own axis-0 sum
-    of the whole products array, bit for bit, one block of runs at a time.
-    numpy sums axis 0 of a C-contiguous array row by row, so each block
-    goes into rows 1.. of a buffer whose row 0 carries the sum so far.  A
-    single lag's column numpy sums pairwise instead, so max_lag 1 takes
-    all runs as one block (its products are one float per run)."""
+    of the whole products array, bit for bit, one block of runs at a time
+    (`_carry`).  max_lag 1 takes all runs as one block (its products are
+    one float per run), as numpy sums a single column pairwise."""
     runs = len(m)
     block = runs if max_lag == 1 else max(1, _PRODUCT_BLOCK // max_lag)
     buf = np.empty((min(block, runs) + 1, max_lag))
@@ -221,8 +235,37 @@ def _ensemble_sum(m, max_lag: int, mean=None) -> np.ndarray:
         if mean is not None:
             prod -= mean
             prod *= prod
-        buf[0] = total = buf[int(start == 0) : len(rows) + 1].sum(axis=0)
+        total = _carry(buf, len(rows), start == 0)
     return total
+
+
+def _power_sums(m, nfft: int) -> np.ndarray:
+    """The power spectra |rfft(s, nfft)|^2 of every run s of `m` and of its
+    square, summed over runs: shape (2, nfft // 2 + 1).  The runs go in
+    groups of `_FFT_BLOCK // bins`, whose sums add up to the total; inside
+    a group `_carry` sums the spectra of `_SPECTRA_BLOCK // bins` runs at a
+    time, as numpy's axis-0 sum of the whole group's spectra."""
+    runs, bins = len(m), nfft // 2 + 1
+    group = max(1, _FFT_BLOCK // bins)
+    step = min(max(1, _SPECTRA_BLOCK // bins), group, runs)
+    buf = np.empty((step + 1, 2, bins))  # row i + 1: run i's two spectra
+    power = np.zeros((2, bins))
+    for lo in range(0, runs, group):
+        hi = min(lo + group, runs)
+        for start in range(lo, hi, step):
+            rows = np.array(m[start : min(start + step, hi)], dtype=float)
+            for k in range(2):
+                if k:
+                    rows *= rows
+                spec = rfft(rows, n=nfft, axis=1)
+                # |spec|^2 = re^2 + im^2, squared in spec's own memory
+                np.square(spec.real, out=spec.real)
+                np.square(spec.imag, out=spec.imag)
+                np.add(spec.real, spec.imag, out=buf[1 : len(rows) + 1, k])
+                del spec  # the next spectrum is built without this one alive
+            total = _carry(buf, len(rows), start == lo)
+        power += total
+    return power
 
 
 def lag_products(records, max_lag: int, estimator: str):
@@ -233,17 +276,19 @@ def lag_products(records, max_lag: int, estimator: str):
     (count = runs); 'time-average' pools the products s_i s_{i+N} inside
     every run (count = runs * (length - N)).  A single product has no
     spread estimate: its std is inf, so every standard error built on it
-    is inf too.  Integer records are read as they are, with no float
-    copy: the ensemble multiplies them into float64 products (no int64
-    wrap) a block of runs at a time, in two passes (`_ensemble_sum`), and
-    its mean and std are np.mean's and np.std(ddof=1)'s, bit for bit; the
-    time-average copies a block of runs to float.
+    is inf too.  Integer records (the int32 or int64 photon counts) are
+    read as they are, with no float copy: the ensemble multiplies them into
+    float64 products (no integer wrap) a block of runs at a time, in two
+    passes (`_ensemble_sum`), and its mean and std are np.mean's and
+    np.std(ddof=1)'s, bit for bit; the time-average copies a few runs at a
+    time to float.  Each count becomes a float64 before any arithmetic,
+    so int32 counts and their int64 copy give the same floats.
 
     The time-average takes the per-lag sums S1 of s_i s_{i+N} and S2 of
     their squares from the autocorrelations of s and of s^2: each run is
     zero-padded to at least `length + max_lag`, so no lag wraps around,
-    the power spectra are summed over blocks of runs and one inverse FFT
-    gives each sum.  mean = S1 / count and the variance is
+    the power spectra are summed over runs (`_power_sums`) and one inverse
+    FFT gives each sum.  mean = S1 / count and the variance is
     (S2 - S1 mean) / (count - 1), clipped at 0.  Rounding sets the error
     against a lag-by-lag loop: count |d mean| and (count - 1) |d std^2|
     stay near 1e-15 times the lag-0 sums of x^2 and of x^4 (the tests hold
@@ -259,21 +304,7 @@ def lag_products(records, max_lag: int, estimator: str):
     if estimator != "time-average":
         raise InvalidArgumentError(f"unknown estimator {estimator!r}")
     nfft = _fft_len(length + max_lag)
-    block = max(1, _FFT_BLOCK // (nfft // 2 + 1))
-    power = np.zeros((2, nfft // 2 + 1))
-    for start in range(0, runs, block):
-        rows = np.array(m[start : start + block], dtype=float)
-        for k in range(2):
-            if k:
-                rows *= rows
-            spec = rfft(rows, n=nfft, axis=1)
-            # |spec|^2 in spec's own memory: re^2 + im^2 into the real parts
-            np.square(spec.real, out=spec.real)
-            np.square(spec.imag, out=spec.imag)
-            spec.real += spec.imag
-            power[k] += spec.real.sum(axis=0)
-            del spec  # the next spectrum is built without this one alive
-    s1, s2 = irfft(power, n=nfft, axis=1)[:, 1 : max_lag + 1]
+    s1, s2 = irfft(_power_sums(m, nfft), n=nfft, axis=1)[:, 1 : max_lag + 1]
     count = runs * (length - _lag_array(max_lag))
     mean = s1 / count
     var = np.maximum(s2 - s1 * mean, 0.0) / np.maximum(count - 1, 1)

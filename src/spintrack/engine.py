@@ -26,6 +26,11 @@ uniforms gives the numbers of k calls for n, and elementwise IEEE
 arithmetic does not depend on the array width: the streams are those of
 the chunk-by-chunk sampler.
 
+A photon record holds its counts as int32 while they fit: `_Record` is
+the one rule, which `Sampler.counts` and `readout.PhotonTrace.from_csv`
+fill block by block, widening the record once to int64 the first time a
+block holds a count above 2^31 - 1.  `Sampler.batch` keeps int64 counts.
+
 The target spin follows the maps of `spintrack.protocol`: a self-polarised
 run starts from `conditioned_update`, and every cycle is the outcome-averaged
 `recurrence_step`; readout outcomes are drawn from the presented
@@ -97,6 +102,32 @@ def _draw_photons(rng, outcomes, bright, dark, live=None, nv0_mean=None):
     return rng.poisson(lam).astype(np.int64, copy=False)
 
 
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+class _Record:
+    """Photon counts of `shape` stored in row-major order, a block at a
+    time: int32 while every count fits, and copied once to int64 (the
+    counts stored so far) when a block holds one above 2^31 - 1.  A record
+    built with dtype int64 starts wide."""
+
+    def __init__(self, shape, dtype=np.int32):
+        self.counts = np.empty(shape, dtype=dtype)
+        self.stored = 0
+
+    def append(self, values: np.ndarray, top: int | None = None) -> None:
+        """Store the non-negative `values` after the counts so far; `top`,
+        when given, bounds them from above and spares their max."""
+        if (self.counts.dtype == np.int32 and (top is None or top > _INT32_MAX)
+                and values.max(initial=0) > _INT32_MAX):
+            wide = np.empty(self.counts.shape, dtype=np.int64)
+            wide.reshape(-1)[:self.stored] = self.counts.reshape(-1)[:self.stored]
+            self.counts = wide
+        end = self.stored + values.size
+        self.counts.reshape(-1)[self.stored:end] = values.reshape(-1)
+        self.stored = end
+
+
 class Sampler:
     """How one kind of run is drawn, a block of runs at a time (see the
     module docstring).  Build one with `Sampler.quantum` or
@@ -129,46 +160,51 @@ class Sampler:
 
     def batch(self, runs: int, seed: int, bright: float | None = None,
               dark: float | None = None, nv0_mean: float | None = None) -> RunBatch:
-        """Every array of `runs` runs; photon counts only with bright and dark."""
+        """Every array of `runs` runs; int64 photon counts only with bright and dark."""
         _check_runs(runs, bright, dark)
         outcomes = np.empty((runs, self.length), dtype=np.int8)
         zetas = np.empty((runs, self.length))
-        signs, counts = self._sample(runs, seed, bright, dark, nv0_mean,
-                                     lambda rows: (outcomes[rows], zetas[rows]))
-        return RunBatch(outcomes, zetas, counts, signs, self.first_lag)
+        record = None if bright is None else _Record(outcomes.shape, np.int64)
+        signs = self._sample(runs, seed, bright, dark, nv0_mean,
+                             lambda rows: (outcomes[rows], zetas[rows]), record)
+        return RunBatch(outcomes, zetas, None if record is None else record.counts, signs,
+                        self.first_lag)
 
     def counts(self, runs: int, seed: int, bright: float, dark: float,
                nv0_mean: float | None = None) -> np.ndarray:
-        """The (runs, length) int64 photon counts of `batch`, bit for bit,
-        with one block of outcomes and zetas that every block overwrites."""
+        """The (runs, length) photon counts of `batch`, bit for bit: int32
+        unless one exceeds 2^31 - 1 (`_Record`), with one block of outcomes
+        and zetas that every block overwrites."""
         if bright is None or dark is None:
             raise InvalidArgumentError("counts need bright and dark")
         _check_runs(runs, bright, dark)
         outcomes = np.empty((min(self.block, runs), self.length), dtype=np.int8)
         zetas = np.empty(outcomes.shape)
-        return self._sample(runs, seed, bright, dark, nv0_mean,
-                            lambda rows: (outcomes[:rows.stop - rows.start],
-                                          zetas[:rows.stop - rows.start]))[1]
+        record = _Record((runs, self.length))
+        self._sample(runs, seed, bright, dark, nv0_mean,
+                     lambda rows: (outcomes[:rows.stop - rows.start],
+                                   zetas[:rows.stop - rows.start]), record)
+        return record.counts
 
-    def _sample(self, runs, seed, bright, dark, nv0_mean, dest):
-        """(signs, counts) of `runs` runs, each block's outcomes and zetas
-        written into the arrays `dest(rows)` returns; counts is None
-        without bright and dark."""
+    def _sample(self, runs, seed, bright, dark, nv0_mean, dest, record):
+        """The signs of `runs` runs, each block's outcomes and zetas written
+        into the arrays `dest(rows)` returns and its photons appended to
+        `record` (None without bright and dark)."""
         signs = np.empty(runs, dtype=np.int8)
-        counts = None if bright is None else np.empty((runs, self.length), dtype=np.int64)
         nv0_mean = dark if nv0_mean is None else nv0_mean
-        for rows, outcomes, live, photons in self._blocks(runs, seed, signs, dest):
-            if counts is None:
+        for outcomes, live, photons in self._blocks(runs, seed, signs, dest):
+            if record is None:
                 continue
             for rng, part in photons:
-                counts[rows][part] = _draw_photons(rng, outcomes[part], bright, dark,
-                                                   None if live is None else live[part], nv0_mean)
-        return signs, counts
+                record.append(_draw_photons(rng, outcomes[part], bright, dark,
+                                            None if live is None else live[part], nv0_mean))
+        return signs
 
     def _blocks(self, runs, seed, signs, dest):
         """Fill the outcomes and zetas of each block in `dest(rows)` and its
-        `signs[rows]`; yield (rows, outcomes, charge states or None when
-        every cycle is active, [(photon generator, its rows of the block)])."""
+        `signs[rows]`; yield (outcomes, charge states or None when every
+        cycle is active, [(photon generator, its rows of the block)]), the
+        blocks in row order and each block's parts in order."""
         raise NotImplementedError
 
 
@@ -232,7 +268,7 @@ class _Quantum(Sampler):
                     zetas[:, j] = np.where(live[:, j], x * sin_alpha, 0.0)
                 outcomes[:, j] = _draw_outcomes(next(draw), zetas[:, j])
             del u, draw, x, y  # the photons are drawn without the block's scratch
-            yield rows, outcomes, live, chunks
+            yield outcomes, live, chunks
 
 
 def modulated_drive(k: np.ndarray, alpha: float, phi_s: float):
@@ -281,7 +317,7 @@ class _Classical(Sampler):
                     zetas *= self.alpha
                     np.sin(zetas, out=zetas)
                 outcomes[:] = _draw_outcomes(draws.random(outcomes.shape), zetas)
-                yield rows, outcomes, None, [(photons, slice(None))]
+                yield outcomes, None, [(photons, slice(None))]
 
 
 def simulate_runs(

@@ -19,7 +19,6 @@ which is why a violation in the temporal data rules such a joint out.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,13 +58,13 @@ class LgSeries:
         return float(self.lg.max())
 
     def to_csv(self, path) -> None:
+        # the bytes of csv.writer, which writes a float as its repr and an
+        # int as its str; the flags go as ints 0 and 1
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["tau_index", "lg", "stderr", "violated"])
-            # csv writes a float as its repr, an int as its str and a bool
-            # as True/False, so the flags go as ints
-            w.writerows(zip(self.taus.tolist(), self.lg.tolist(), self.stderr.tolist(),
-                            self.violated.astype(int).tolist()))
+            fh.write("tau_index,lg,stderr,violated\r\n" + "".join(
+                f"{tau},{lg!r},{err!r},{flag}\r\n" for tau, lg, err, flag
+                in zip(self.taus.tolist(), self.lg.tolist(), self.stderr.tolist(),
+                       self.violated.astype(int).tolist())))
 
 
 def lg_function(series: CorrelationSeries) -> LgSeries:

@@ -34,7 +34,6 @@ photons at a dark-like level (`nv0_mean`, default n_b).
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import sys
@@ -155,6 +154,10 @@ class PhotonTrace:
     `to_csv` builds the bytes of a block of rows, `from_csv` checks a block
     of bytes and decodes it into the counts, adding each row's digits from
     its CR back, one digit position at a time.
+
+    `counts` keeps an int32 or int64 array as given and holds any other
+    input as int64.  The simulators and `from_csv` give int32 counts
+    unless one exceeds 2^31 - 1 (`engine._Record`).
     """
 
     counts: np.ndarray
@@ -163,7 +166,10 @@ class PhotonTrace:
     meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.counts = np.atleast_2d(np.asarray(self.counts, dtype=np.int64))
+        counts = np.asarray(self.counts)
+        if counts.dtype not in (np.int32, np.int64):
+            counts = counts.astype(np.int64)
+        self.counts = np.atleast_2d(counts)
 
     @property
     def runs(self) -> int:
@@ -218,12 +224,13 @@ class PhotonTrace:
                 raise InvalidArgumentError(
                     f"{path}: header promises {runs} x {length} = {n} counts, "
                     f"more than the {body} bytes of rows can hold")
-            counts = np.empty(n, dtype=np.int64)
-            rows = _decode_rows(fh, counts, path)
-        if rows != n:
+            record = engine._Record(n)
+            _decode_rows(fh, record, path)
+        if record.stored != n:
             raise InvalidArgumentError(
-                f"{path}: header promises {runs} x {length} = {n} counts, found {rows} rows")
-        return cls(counts.reshape(runs, length), kind=header["kind"],
+                f"{path}: header promises {runs} x {length} = {n} counts, "
+                f"found {record.stored} rows")
+        return cls(record.counts.reshape(runs, length), kind=header["kind"],
                    first_lag=header["first_lag"], meta=header["meta"])
 
 
@@ -275,37 +282,36 @@ def _encode_rows(counts: np.ndarray) -> bytes:
     return rows.ravel()[mask].tobytes()
 
 
-def _decode_rows(fh, counts: np.ndarray, path) -> int:
-    """Decode the rows ``c\\r\\n`` left in `fh` into `counts`, a block at a
-    time, and return how many there were (at most ``counts.size``; one more
-    raises).  A block's partial last row is carried to the front of the next."""
+def _decode_rows(fh, record, path) -> None:
+    """Decode the rows ``c\\r\\n`` left in `fh` into the `engine._Record`
+    `record`, a block at a time (at most its size; one more row raises).
+    A block's partial last row is carried to the front of the next."""
     buf = np.empty(_CSV_ROW_MAX + _CSV_READ_BYTES, dtype=np.uint8)
     free = memoryview(buf)
-    row = carry = 0
+    carry = 0
     while got := fh.readinto(free[carry:carry + _CSV_READ_BYTES]):
         end = carry + got
-        rows, stop = _decode_block(buf[:end], counts, row, path)
-        row += rows
+        stop = _decode_block(buf[:end], record, path)
         carry = end - stop
         if carry >= _CSV_ROW_MAX:
             raise _malformed(path)
         buf[:carry] = buf[stop:end]
     if carry:
         raise _malformed(path)
-    return row
 
 
-def _decode_block(buf: np.ndarray, counts: np.ndarray, row: int, path) -> tuple[int, int]:
-    """Check the whole rows in `buf` and decode them into ``counts[row:]``;
-    returns their number and the offset after the last.  Each row must be
-    exactly what `to_csv` writes: a count of 1 to 19 digits without a
-    leading zero and at most 2^63 - 1, then CRLF."""
+def _decode_block(buf: np.ndarray, record, path) -> int:
+    """Check the whole rows in `buf` and append them to `record`; returns
+    the offset after the last.  Each row must be exactly what `to_csv`
+    writes: a count of 1 to 19 digits without a leading zero and at most
+    2^63 - 1, then CRLF."""
     lf = np.flatnonzero(buf == ord("\n"))
     if not lf.size:
-        return 0, 0
+        return 0
     rows, stop = lf.size, int(lf[-1]) + 1
-    if row + rows > counts.size:
-        raise InvalidArgumentError(f"{path}: header promises {counts.size} counts, found more rows")
+    size = record.counts.size
+    if record.stored + rows > size:
+        raise InvalidArgumentError(f"{path}: header promises {size} counts, found more rows")
     # a row starts after the LF before it, the first one at 0
     first = np.concatenate(([0], lf[:-1] + 1))
     cr = lf - 1
@@ -330,8 +336,9 @@ def _decode_block(buf: np.ndarray, counts: np.ndarray, row: int, path) -> tuple[
     if widest == 19 and values.max() > np.iinfo(np.int64).max:
         raise InvalidArgumentError(
             f"{path}: counts must be at most 2^63 - 1 = {np.iinfo(np.int64).max}")
-    counts[row:row + rows] = values.view(np.int64)
-    return rows, stop
+    # fewer than 10 digits fit in int32, so only wider rows need their max
+    record.append(values.view(np.int64), top=10**widest - 1)
+    return stop
 
 
 def _malformed(path) -> InvalidArgumentError:
@@ -347,13 +354,14 @@ class ModulationTrace:
     meta: dict = field(default_factory=dict, repr=False)
 
     def to_csv(self, path) -> None:
+        # the bytes of csv.writer, which writes a float as its repr and an
+        # int as its str
         with open(path, "w", newline="") as fh:
-            fh.write("# " + json.dumps({"meta": self.meta}, sort_keys=True) + "\n")
-            w = csv.writer(fh)
-            w.writerow(["angle_deg", "count"])
-            # csv writes a float as its repr and an int as its str
-            w.writerows(zip(np.asarray(self.angles_deg, dtype=float).tolist(),
-                            np.asarray(self.counts, dtype=np.int64).tolist()))
+            fh.write("# " + json.dumps({"meta": self.meta}, sort_keys=True) + "\n"
+                     + "angle_deg,count\r\n" + "".join(
+                         f"{angle!r},{count}\r\n" for angle, count
+                         in zip(np.asarray(self.angles_deg, dtype=float).tolist(),
+                                np.asarray(self.counts, dtype=np.int64).tolist())))
 
 
 def sweep_fraction(angle_deg, phi_0: float):

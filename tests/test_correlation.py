@@ -1,14 +1,18 @@
+import csv
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from numpy.fft import irfft, rfft
 from scipy.fft import next_fast_len
 
 from spintrack.correlation import (
     _FFT_BLOCK,
     _PRODUCT_BLOCK,
+    _SPECTRA_BLOCK,
     CorrelationSeries,
     _fft_len,
     corr_Sz,
@@ -19,7 +23,9 @@ from spintrack.correlation import (
     relative_entropy,
 )
 from spintrack.errors import InvalidArgumentError
+from spintrack.lg import LgSeries
 from spintrack.protocol import damped_cosine
+from spintrack.readout import ModulationTrace
 
 
 def test_joint_distribution_marginals():
@@ -130,9 +136,11 @@ def test_ensemble_scratch_is_a_block():
 
 
 def test_time_average_scratch_is_one_spectrum():
-    """The time-average frees each spectrum before it builds the next: at
-    100 runs of 4,000 counts and max_lag 2,000 its traced peak is about 1.1
-    times the counts, where two live spectra made it 1.74 times."""
+    """The time-average builds the spectra of a few runs at a time and
+    frees each before it builds the next: at 100 runs of 4,000 counts and
+    max_lag 2,000 its traced peak is about 0.25 times the int64 counts.
+    Spectra of a whole group of runs made it 1.1 times, and two live
+    spectra of a group 1.74 times."""
     counts = np.random.default_rng(5).poisson(900.0, size=(100, 4000))
     tracemalloc.start()
     try:
@@ -140,7 +148,45 @@ def test_time_average_scratch_is_one_spectrum():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * counts.nbytes, peak
+    assert peak < 0.4 * counts.nbytes, peak
+
+
+def _one_block_time_average(m, max_lag):
+    """The time-average as one block of `_FFT_BLOCK // bins` runs at a time
+    computed it: each block's spectra built at once and summed over runs."""
+    runs, length = m.shape
+    nfft = _fft_len(length + max_lag)
+    block = max(1, _FFT_BLOCK // (nfft // 2 + 1))
+    power = np.zeros((2, nfft // 2 + 1))
+    for start in range(0, runs, block):
+        rows = np.array(m[start : start + block], dtype=float)
+        for k in range(2):
+            if k:
+                rows *= rows
+            spec = rfft(rows, n=nfft, axis=1)
+            power[k] += (np.square(spec.real) + np.square(spec.imag)).sum(axis=0)
+    s1, s2 = irfft(power, n=nfft, axis=1)[:, 1 : max_lag + 1]
+    count = runs * (length - np.arange(1, max_lag + 1))
+    mean = s1 / count
+    var = np.maximum(s2 - s1 * mean, 0.0) / np.maximum(count - 1, 1)
+    return mean, np.where(count > 1, np.sqrt(var), np.inf), count
+
+
+def test_time_average_is_the_one_block_loop_bit_for_bit(rng):
+    """Spectra built a few runs at a time and carried through each group's
+    sum give the floats of building a whole group's spectra at once: for
+    one run, around the sub-block and the group, one group exactly, and
+    three groups and a partial one."""
+    length, max_lag = 600, 300
+    bins = _fft_len(length + max_lag) // 2 + 1
+    group, step = _FFT_BLOCK // bins, _SPECTRA_BLOCK // bins
+    assert 1 < step < group
+    for runs in (1, step - 1, step, step + 1, group - 1, group, group + 1, 3 * group + 17):
+        counts = rng.poisson(900, size=(runs, length))
+        for m in (counts, counts.astype(np.int32), rng.normal(size=(runs, length))):
+            got = lag_products(m, max_lag, "time-average")
+            for a, b in zip(got, _one_block_time_average(m, max_lag)):
+                assert np.array_equal(a, b), (runs, m.dtype)
 
 
 def test_empirical_corr_alternating_record():
@@ -304,6 +350,49 @@ def test_series_csv_roundtrip(tmp_path):
     assert np.array_equal(back.values, series.values)
     assert np.array_equal(back.stderr, series.stderr)
     assert back.kind == "ensemble"
+
+
+#: floats whose text is special: csv writes each as its repr
+EDGE_FLOATS = [np.inf, np.nan, -0.0, 5e-324, -np.inf, 1 / 3]
+
+
+def _csv_writer_bytes(path, header, rows, comment=""):
+    """What `csv.writer` writes for `header` and `rows`, after `comment`."""
+    with open(path, "w", newline="") as fh:
+        fh.write(comment)
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["", "a,b", 'q"x', "line\nbreak", " sp", "Sz-reconstructed"])
+def test_small_csvs_are_csv_writers_bytes(tmp_path, kind):
+    """The correlation, LG and sweep files, each written as one string, hold
+    the bytes `csv.writer` writes for their rows, for every special float
+    and for a kind that csv must quote or leave bare."""
+    n = len(EDGE_FLOATS)
+    values, errs = np.array(EDGE_FLOATS), np.array(EDGE_FLOATS[::-1])
+    series = CorrelationSeries(np.arange(1, n + 1) ** 2, values, errs, kind=kind)
+    series.to_csv(tmp_path / "series.csv")
+    assert (tmp_path / "series.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "ref.csv", ["lag", "value", "stderr", "kind"],
+        zip(series.lags.tolist(), values.tolist(), errs.tolist(), [kind] * n))
+
+    lgs = LgSeries(np.arange(1, n + 1), values, np.array([0.0, 0.1, np.inf, np.nan, 1.0, 0.0]))
+    lgs.to_csv(tmp_path / "lg.csv")
+    assert lgs.violated.any() and not lgs.violated.all()
+    assert (tmp_path / "lg.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "ref.csv", ["tau_index", "lg", "stderr", "violated"],
+        zip(lgs.taus.tolist(), values.tolist(), lgs.stderr.tolist(),
+            lgs.violated.astype(int).tolist()))
+
+    sweep = ModulationTrace(values, np.array([0, 7, 2**40, 1, 0, 65]), meta={"kind": kind})
+    sweep.to_csv(tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "ref.csv", ["angle_deg", "count"],
+        zip(values.tolist(), sweep.counts.tolist()),
+        "# " + json.dumps({"meta": {"kind": kind}}, sort_keys=True) + "\n")
 
 
 def test_relative_entropy_basics():

@@ -6,6 +6,7 @@ import pytest
 from spintrack.engine import (
     CHUNK_SIZE,
     Sampler,
+    _Record,
     chunk_rng,
     classical_runs,
     modulated_drive,
@@ -168,7 +169,8 @@ def test_simulate_runs_holds_no_second_copy_of_the_batch():
                                    "long modulated"])
 def test_counts_are_the_batch_counts(setup):
     """`Sampler.counts` gives the counts of `Sampler.batch` bit for bit, over
-    several blocks: of whole chunks, and of 32 runs inside a chunk."""
+    several blocks: of whole chunks, and of 32 runs inside a chunk.  At
+    these levels they fit int32, which `counts` holds them in."""
     if setup in QUANTUM_SETUPS:
         cfg, p_minus, nv0_mean = QUANTUM_SETUPS[setup]
         sampler, photons = Sampler.quantum(cfg, p_minus), (90.0, 30.0, nv0_mean)
@@ -177,10 +179,39 @@ def test_counts_are_the_batch_counts(setup):
         sampler, photons = Sampler.classical(0.3, 0.5, length, setup == "long modulated"), (90.0, 30.0)
     runs = 2 * sampler.block + 17 if sampler.block >= CHUNK_SIZE else CHUNK_SIZE + 17
     counts = sampler.counts(runs, 31, *photons)
-    assert counts.dtype == np.int64
+    assert counts.dtype == np.int32
     assert np.array_equal(counts, sampler.batch(runs, 31, *photons).counts)
     with pytest.raises(InvalidArgumentError, match="bright and dark"):
         sampler.counts(runs, 31, None, None)
+
+
+@pytest.mark.parametrize("bright,dtype", [(1200.0, np.int32), (3e9, np.int64)])
+def test_counts_widen_to_int64_beyond_int32(bright, dtype):
+    """At the README levels the counts are int32; a bright level of 3e9
+    puts counts above 2^31 - 1 in the first block, and the record is int64
+    from there on.  Either way the counts are `batch`'s, bit for bit."""
+    for sampler in (Sampler.quantum(ProtocolConfig(alpha=ALPHA, phi=PHI, cycles=24)),
+                    Sampler.classical(0.3, 0.5, 600)):
+        runs = 2 * sampler.block + 17
+        counts = sampler.counts(runs, 5, bright, 600.0)
+        want = sampler.batch(runs, 5, bright, 600.0).counts
+        assert want.dtype == np.int64
+        assert counts.dtype == dtype
+        assert np.array_equal(counts, want)
+        assert (counts.max() > np.iinfo(np.int32).max) == (dtype == np.int64)
+
+
+def test_record_widens_once_keeping_the_rows_stored():
+    """The first block with a count above 2^31 - 1 widens the record to
+    int64, copying the rows stored before it; later blocks go in as int64."""
+    record = _Record((3, 4))
+    record.append(np.arange(4))
+    assert record.counts.dtype == np.int32
+    record.append(np.array([0, 2**31, 1, 2]))
+    assert record.counts.dtype == np.int64
+    record.append(np.array([5, 6, 7, 8]), top=9)
+    assert record.stored == 12
+    assert np.array_equal(record.counts, [[0, 1, 2, 3], [0, 2**31, 1, 2], [5, 6, 7, 8]])
 
 
 def test_chunking_is_invisible():

@@ -153,6 +153,35 @@ def test_photon_trace_csv_property(tmp_path_factory, counts):
     assert np.array_equal(PhotonTrace.from_csv(path / "block.csv").counts, counts)
 
 
+def test_photon_trace_from_csv_reads_int32_until_a_count_exceeds_it(tmp_path):
+    """Counts that fit int32 read back as int32.  A 2^31 in the second
+    block of bytes, after a first block of small counts, widens the record
+    to int64 and keeps the counts read before it."""
+    small = np.random.default_rng(2).integers(0, 2000, size=(7, 13), dtype=np.int64)
+    small[-1, -1] = 2**31 - 1
+    PhotonTrace(counts=small, kind="quantum").to_csv(tmp_path / "small.csv")
+    back = PhotonTrace.from_csv(tmp_path / "small.csv")
+    assert back.counts.dtype == np.int32 and np.array_equal(back.counts, small)
+    wide = np.random.default_rng(3).integers(0, 10, size=(4, _CSV_READ_BYTES // 3), dtype=np.int64)
+    wide[-1, -1] = 2**31
+    PhotonTrace(counts=wide, kind="classical").to_csv(tmp_path / "wide.csv")
+    body = (tmp_path / "wide.csv").read_bytes().split(b"count\r\n", 1)[1]
+    assert b"2147483648" not in body[:_CSV_READ_BYTES]
+    back = PhotonTrace.from_csv(tmp_path / "wide.csv")
+    assert back.counts.dtype == np.int64 and np.array_equal(back.counts, wide)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_photon_trace_keeps_int32_and_int64_counts(dtype):
+    counts = np.arange(12, dtype=dtype).reshape(3, 4)
+    trace = PhotonTrace(counts=counts, kind="quantum")
+    assert trace.counts is counts
+    assert PhotonTrace(counts=counts[0], kind="quantum").counts.dtype == dtype
+    # anything else is held as int64
+    assert PhotonTrace(counts=counts.astype(np.uint8), kind="quantum").counts.dtype == np.int64
+    assert PhotonTrace(counts=[[1, 2]], kind="quantum").counts.dtype == np.int64
+
+
 def test_photon_trace_csv_rejects_negative_counts(tmp_path):
     trace = PhotonTrace(counts=np.array([[3, -1]]), kind="quantum")
     with pytest.raises(InvalidArgumentError, match="non-negative"):
@@ -162,8 +191,9 @@ def test_photon_trace_csv_rejects_negative_counts(tmp_path):
 def test_run_quantum_experiment_holds_the_counts_and_one_block():
     """The driver keeps the counts alone: one block of uniforms, outcomes
     and zetas is the rest of its traced peak, whatever the number of runs.
-    At 12 blocks of 25 measurements a run the peak is about 1.21 times the
-    counts; a full batch before the counts read 2.2."""
+    At 12 blocks of 25 measurements a run the peak is the int32 counts
+    plus about 0.21 of their int64 size; a full batch before the counts
+    read 2.2 times the int64 counts."""
     config = ProtocolConfig(alpha=0.18 * np.pi, phi=np.pi / 3, cycles=24)
     block = Sampler.quantum(config).block
     scratch = []
@@ -175,22 +205,25 @@ def test_run_quantum_experiment_holds_the_counts_and_one_block():
         finally:
             tracemalloc.stop()
         scratch.append(peak - trace.counts.nbytes)
-    assert peak < 1.3 * trace.counts.nbytes, (peak, trace.counts.nbytes)
+    assert trace.counts.dtype == np.int32
+    assert peak < trace.counts.nbytes + 0.3 * 8 * trace.counts.size, (peak, trace.counts.nbytes)
     assert scratch[1] < 1.1 * scratch[0], scratch
 
 
 @pytest.mark.parametrize("runs,length", [(100, 4000), (5120, 40)])
 def test_run_classical_experiment_holds_the_counts_and_one_block(runs, length):
     """The classical driver keeps the counts and one block: 8 runs of a
-    chunk at 4,000 measurements (about 1.34 times the counts), one whole
-    chunk at 40 (about 1.22; a block of three chunks read 1.64)."""
+    chunk at 4,000 measurements, one whole chunk at 40.  Beside the int32
+    counts the block takes about 0.34 and 0.22 of their int64 size (a
+    block of three chunks read 0.64)."""
     tracemalloc.start()
     try:
         trace = run_classical_experiment(0.3, 0.5, length, MODEL, runs, seed=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.4 * trace.counts.nbytes, (peak, trace.counts.nbytes)
+    assert trace.counts.dtype == np.int32
+    assert peak < trace.counts.nbytes + 0.4 * 8 * trace.counts.size, (peak, trace.counts.nbytes)
 
 
 def test_photon_trace_to_csv_streams_in_blocks(tmp_path):
