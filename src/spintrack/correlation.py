@@ -12,11 +12,6 @@ sin(alpha) times the x component of `protocol.recurrence_step` iterated
 from a unit start; `protocol.damped_cosine` defines the approximation
 and states its range of validity.
 
-The joint distribution of the polarising outcome mu and the outcome
-lambda N cycles later is
-
-    p(mu, lambda) = (1 + mu lambda x_N) / 4,      mu, lambda in {+1, -1}.
-
 Correlators are normalised to +-1 outcome values (the raw +-1/2 readout
 eigenvalues would carry an extra factor 1/4):
 
@@ -24,22 +19,21 @@ eigenvalues would carry an extra factor 1/4):
     readout correlator       C_Sz(N)  = sin(alpha) x_N
                                      ~= sin^2(alpha) cos(phi N) e^{-(N-1) alpha^2/4}
 
-`corr_Sz` (the readout model that `calibrate.fit_alpha` fits) and
-`entropy_Sz_Ix` return the approximate forms, both evaluated by
-`protocol.damped_cosine`; the model C_Ix is that function with amplitude
-sin(alpha), or 1 for its unit-amplitude normalisation.
+The strength fit of `calibrate.fit_alpha` evaluates the approximate C_Sz
+by `protocol.damped_cosine`; the model C_Ix is that function with
+amplitude sin(alpha), or 1 for its unit-amplitude normalisation.
 
-Empirical estimators all reduce a record with `lag_products`, as does
-`calibrate.reconstruct_Sz_corr` on photon counts.  'time-average' is the
-stationary estimator over long records (the classical random-phase
-experiment); 'ensemble' correlates the first
+`lag_products` is the one reduction of a record to lag products;
+`calibrate.reconstruct_Sz_corr` applies it to photon counts.
+'time-average' is the stationary estimator over long records (the
+classical random-phase experiment); 'ensemble' correlates the first
 measurement of each run with the one N cycles later, averaged over runs,
-which converges to C_Sz for the quantum protocol (`ensemble_corr`) — a
-single outcome-averaged record is not stationary (the polarisation
-decays), so the two estimators are *not* interchangeable.  The
-time-average sums are FFT autocorrelations (`numpy.fft`) of the record
-and of its square, summed over runs a block at a time; they match a
-lag-by-lag loop to rounding on the scale of the lag-0 sums of x^2 and x^4.
+which converges to C_Sz for the quantum protocol — a single
+outcome-averaged record is not stationary (the polarisation decays), so
+the two estimators are *not* interchangeable.  The time-average sums are
+FFT autocorrelations (`numpy.fft`) of the record and of its square,
+summed over runs a block at a time; they match a lag-by-lag loop to
+rounding on the scale of the lag-0 sums of x^2 and x^4.
 """
 
 from __future__ import annotations
@@ -52,17 +46,8 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .errors import InvalidArgumentError
-from .protocol import damped_cosine
 
-__all__ = [
-    "CorrelationSeries",
-    "joint_distribution",
-    "corr_Sz",
-    "lag_products",
-    "ensemble_corr",
-    "relative_entropy",
-    "entropy_Sz_Ix",
-]
+__all__ = ["CorrelationSeries", "lag_products"]
 
 
 @dataclass
@@ -135,38 +120,6 @@ class CorrelationSeries:
                 return cls(np.array(lags[1:]), np.array(vals), np.array(errs), kind=kind)
             except (ValueError, csv.Error) as exc:
                 raise InvalidArgumentError(f"{path} line {rows.line_num}: {exc}") from None
-
-
-def joint_distribution(x_n: float) -> np.ndarray:
-    """2x2 joint distribution of (initial outcome mu, lag-N outcome lambda).
-
-    Index 0 means +1, index 1 means -1:
-    p[0,0] = p[1,1] = (1 + x_n)/4,  p[0,1] = p[1,0] = (1 - x_n)/4.
-    """
-    if abs(x_n) > 1.0 + 1e-12:
-        raise InvalidArgumentError(f"|x_n| must not exceed 1, got {x_n}")
-    same = (1.0 + x_n) / 4.0
-    diff = (1.0 - x_n) / 4.0
-    return np.array([[same, diff], [diff, same]])
-
-
-def _lag_array(max_lag: int) -> np.ndarray:
-    if max_lag < 1:
-        raise InvalidArgumentError("max_lag must be >= 1")
-    return np.arange(1, max_lag + 1)
-
-
-def corr_Sz(alpha: float, phi: float, max_lag: int) -> CorrelationSeries:
-    """Model readout correlator C_Sz(N) = sin(alpha) x_N for N = 1..max_lag.
-
-    Uses the weak-measurement approximation
-    C_Sz(N) ~= sin^2(alpha) cos(phi N) e^{-(N-1) alpha^2/4}, which is off
-    by O(alpha^2); the exact value is sin^2(alpha) times the unit-start x
-    of `protocol.recurrence_step`.
-    """
-    n = _lag_array(max_lag)
-    vals = damped_cosine(alpha, phi, n, np.sin(alpha) ** 2)
-    return CorrelationSeries(n, vals, np.zeros_like(vals), kind="Sz-model")
 
 
 def _fft_len(n: int) -> int:
@@ -305,68 +258,8 @@ def lag_products(records, max_lag: int, estimator: str):
         raise InvalidArgumentError(f"unknown estimator {estimator!r}")
     nfft = _fft_len(length + max_lag)
     s1, s2 = irfft(_power_sums(m, nfft), n=nfft, axis=1)[:, 1 : max_lag + 1]
-    count = runs * (length - _lag_array(max_lag))
+    count = runs * (length - np.arange(1, max_lag + 1))
     mean = s1 / count
     var = np.maximum(s2 - s1 * mean, 0.0) / np.maximum(count - 1, 1)
     return mean, np.where(count > 1, np.sqrt(var), np.inf), count
 
-
-def ensemble_corr(records: np.ndarray, max_lag: int | None = None) -> CorrelationSeries:
-    """Across-run estimator: C(N) = mean_r [ s_{r,0} * s_{r,N} ].
-
-    `records` has shape (runs, length); column 0 is the reference
-    measurement of each run (the polarising measurement for self-polarised
-    data).  stderr is the standard error over runs.  Integer records
-    pass to `lag_products` without a float copy.
-    """
-    m = np.atleast_2d(records)
-    if max_lag is None:
-        max_lag = m.shape[1] - 1
-    mean, std, count = lag_products(m, max_lag, "ensemble")
-    return CorrelationSeries(_lag_array(max_lag), mean, std / np.sqrt(count), kind="ensemble")
-
-
-def relative_entropy(p, q) -> float:
-    """Kullback-Leibler divergence sum_i p_i ln(p_i / q_i) (natural log).
-
-    Both arguments must be probability vectors of equal length (entries
-    >= 0, summing to 1 within 1e-9).  Terms with p_i = 0 contribute 0;
-    a q_i = 0 with p_i > 0 means disjoint support and raises
-    InvalidArgumentError.  Always >= 0, and 0 exactly when p == q.
-    """
-    p = np.asarray(p, dtype=float).ravel()
-    q = np.asarray(q, dtype=float).ravel()
-    if p.shape != q.shape:
-        raise InvalidArgumentError("p and q must have the same length")
-    for name, v in (("p", p), ("q", q)):
-        if np.any(v < -1e-12):
-            raise InvalidArgumentError(f"{name} has negative entries")
-        if abs(v.sum() - 1.0) > 1e-9:
-            raise InvalidArgumentError(f"{name} must sum to 1, got {v.sum()}")
-    pm = p > 0
-    if np.any(pm & (q <= 0)):
-        raise InvalidArgumentError("q vanishes where p does not (disjoint support)")
-    # where p and q nearly agree, rounding can leave a sum just below 0
-    return max(0.0, float(np.sum(p[pm] * np.log(p[pm] / q[pm]))))
-
-
-def entropy_Sz_Ix(alpha: float, phi: float, lag: int = 1) -> float:
-    """Information distance between weak and projective readout statistics.
-
-    Compares the lag-N weak readout distribution
-    P = ((1 + x_N sin(alpha))/2, (1 - x_N sin(alpha))/2), with
-    x_N = sin(alpha) cos(phi N) e^{-(N-1) alpha^2/4}, against the ideal
-    projective reference Q = ((1 + cos(phi N))/2, (1 - cos(phi N))/2).
-    Approaches 0 as alpha -> pi/2 at N = 1 (weak readout becomes
-    projective); at phi = 0 the reference is deterministic while the weak
-    distribution is not, which violates the support precondition of
-    `relative_entropy` and raises InvalidArgumentError.
-    """
-    if lag < 1:
-        raise InvalidArgumentError("lag must be >= 1")
-    x_n = damped_cosine(alpha, phi, lag, np.sin(alpha))
-    zeta = x_n * np.sin(alpha)
-    ref = np.cos(phi * lag)
-    p = np.array([(1.0 + zeta) / 2.0, (1.0 - zeta) / 2.0])
-    q = np.array([(1.0 + ref) / 2.0, (1.0 - ref) / 2.0])
-    return relative_entropy(p, q)

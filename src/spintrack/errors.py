@@ -6,8 +6,8 @@ failure (including noise amplification) and 4 for degenerate data (no
 usable contrast).
 """
 
-__all__ = ["SpintrackError", "InvalidArgumentError", "UnsupportedStateError",
-           "DegenerateContrastError", "FitFailureError", "AmplificationError"]
+__all__ = ["SpintrackError", "InvalidArgumentError", "DegenerateContrastError",
+           "FitFailureError", "AmplificationError"]
 
 
 class SpintrackError(Exception):
@@ -18,10 +18,6 @@ class SpintrackError(Exception):
 
 class InvalidArgumentError(SpintrackError, ValueError):
     """An argument is outside its documented domain (bad Bloch norm, shape, ...)."""
-
-
-class UnsupportedStateError(SpintrackError):
-    """The requested operation has no closed form for this operator/state pair."""
 
 
 class DegenerateContrastError(SpintrackError):

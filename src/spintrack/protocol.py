@@ -11,8 +11,9 @@ recurrence
 zeta = x' sin(alpha), i.e. the probability of the +1 outcome is
 (1 + zeta)/2.  `recurrence_step` is that map and `recurrence_matrix` its
 2x2 matrix, built by applying it to the unit vectors.  These are reduced
-forms of `spintrack.composite.measurement_cycle`, the full 4x4 route the
-test-suite checks them against; this module does not import it.
+forms of one cycle on the full 4x4 sensor-target composite; the
+test-suite holds that route (`tests/oracles.py`) and checks them
+against it.
 
 On an initially mixed target the very first measurement polarises it to
 (+-sin(alpha), 0, 0) with equal probability for the two readout outcomes
@@ -23,8 +24,7 @@ charge-neutral cycle).
 
 `damped_cosine` is the weak-measurement approximation of the iterated
 recurrence, amplitude * cos(phi N) exp(-(N-1) alpha^2/4); it is the one
-definition of that model behind the correlation functions of
-`spintrack.correlation` and the strength fit of `spintrack.calibrate`.
+definition of that model, behind the strength fit of `spintrack.calibrate`.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def conditioned_update(x, y, alpha: float, outcome):
     Scalars or arrays.  (x, y) is the precessed state the interaction acts
     on; the outcome has probability (1 + outcome x sin(alpha)) / 2.  The
     test-suite checks it against the Kraus route (sensor projectors on the
-    composite of `composite.measurement_cycle`).  The engine applies it to the
+    4x4 composite after one measurement cycle).  The engine applies it to the
     polarising measurement only (see the module docstring of `spintrack.engine`).
     """
     s = np.sin(alpha)

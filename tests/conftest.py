@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from spintrack.composite import S_E, S_X, S_Y, S_Z, bloch_to_density, tensor
+from oracles import S_E, S_X, S_Y, S_Z, bloch_to_density, tensor
 
 
 @pytest.fixture(autouse=True)

@@ -1,7 +1,26 @@
-"""The exact 4x4 route of the sensor-target composite: the oracle that the
-Bloch maps of `spintrack.protocol` are checked against.
+"""References that the test-suite checks the pipeline against.
 
-Conventions used throughout the package:
+No module of `spintrack` imports this one, and `report` runs none of it.
+It holds three groups:
+
+* the exact 4x4 route of the sensor-target composite, which the Bloch maps
+  of `spintrack.protocol` are checked against (acceptance checks 1-2,
+  `tests/test_pauli.py`, `tests/test_propagator.py`, `tests/test_protocol.py`);
+* the two-time outcome statistics: the model correlator and the ensemble
+  estimator of an outcome record (`corr_Sz`, `ensemble_corr`; acceptance
+  checks 4-6), the joint outcome distribution and its information
+  distance from projective readout (`joint_distribution`,
+  `relative_entropy`, `entropy_Sz_Ix`; check 10);
+* the three-variable classical-probability identities behind the
+  Leggett-Garg bound (`wigner_despagnat_check`, `strong_additivity_check`;
+  acceptance check 9).
+
+Tests import it as `from oracles import ...`, as they import `conftest`.
+
+The 4x4 route
+-------------
+
+Conventions:
 
 * Single-spin basis operators are the *half* Paulis ``S_k = sigma_k / 2``
   together with ``S_e = 1/2``, so a qubit state is
@@ -12,9 +31,8 @@ Conventions used throughout the package:
   ``kron(sensor_op, target_op)``.
 * ``hbar = 1``; angles are radians.
 
-Numerical tolerances: algebraic identities are expected to hold to 1e-12,
-eigenvalue positivity to -1e-10, and the commutator Gram matrix is ranked
-with an absolute singular-value cutoff of 1e-10.
+Numerical tolerances: algebraic identities are expected to hold to 1e-12
+and eigenvalue positivity to -1e-10.
 
 Closed-form propagation.  For a Hamiltonian H and state rho such that,
 with B = [H, rho],
@@ -45,8 +63,7 @@ One measurement cycle (`measurement_cycle`) consists of
 5. projective readout of the sensor along z.
 
 `protocol.recurrence_step` and `protocol.conditioned_update` are the
-reduced forms of that cycle; the test-suite checks them against it, so
-no module of the pipeline imports this one.
+reduced forms of that cycle.
 """
 
 from __future__ import annotations
@@ -55,17 +72,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UnsupportedStateError
+from spintrack.correlation import CorrelationSeries, lag_products
+from spintrack.errors import InvalidArgumentError, SpintrackError
+from spintrack.protocol import damped_cosine
 
-__all__ = ["SIGMA", "spin_op", "tensor", "commutator", "bloch_to_density", "density_to_bloch",
-           "partial_trace", "check_density_matrix", "gram_matrix", "gram_rank",
-           "GRAM_RANK_CUTOFF", "BchDecomposition", "check_bch_conditions", "bch_evolve",
-           "exact_evolve", "CycleResult", "INTERACTION_H", "FREE_PRECESSION_H",
-           "measurement_cycle"]
+
+# ---------------------------------------------------------------------------
+# the exact 4x4 route of the sensor-target composite
+
+class UnsupportedStateError(SpintrackError):
+    """The requested operation has no closed form for this operator/state pair."""
+
 
 ALG_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
-GRAM_RANK_CUTOFF = 1e-10
 DEFAULT_TOL = 1e-10
 
 SIGMA = {
@@ -160,44 +180,6 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
     if keep == "target":
         return np.einsum("kikj->ij", r)
     raise InvalidArgumentError(f"keep must be 'sensor' or 'target', got {keep!r}")
-
-
-# Anti-Hermitian rotation generators i sigma_k on either factor; the Gram
-# matrix below measures how the state responds to all six local rotations.
-_GENERATORS = tuple(
-    [tensor(1j * SIGMA[a], _EYE2) for a in "xyz"]
-    + [tensor(_EYE2, 1j * SIGMA[a]) for a in "xyz"]
-)
-
-
-def gram_matrix(rho: np.ndarray) -> np.ndarray:
-    """Real symmetric 6x6 overlap matrix G_ij = tr(W_i W_j)/2, W_j = [R_j, rho].
-
-    R_1..3 = i sigma_k on the sensor, R_4..6 = i sigma_k on the target.
-    Each W_j is Hermitian, so G is real.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise InvalidArgumentError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    w = [commutator(g, rho) for g in _GENERATORS]
-    g = np.empty((6, 6))
-    for i in range(6):
-        for j in range(i, 6):
-            val = 0.5 * np.trace(w[i] @ w[j])
-            g[i, j] = g[j, i] = val.real
-    return g
-
-
-def gram_rank(rho: np.ndarray) -> int:
-    """Rank of the rotation-response Gram matrix (SVD cutoff GRAM_RANK_CUTOFF).
-
-    Counts the independent directions in which local rotations move the
-    state: 0 for the maximally mixed state, up to 6 for states carrying
-    sensor-target correlations.  Invariant under local unitaries
-    SU(2) (x) SU(2), which conjugate G by an orthogonal matrix.
-    """
-    svals = np.linalg.svd(gram_matrix(rho), compute_uv=False)
-    return int(np.sum(svals > GRAM_RANK_CUTOFF))
 
 
 @dataclass
@@ -322,3 +304,184 @@ def measurement_cycle(target_rho: np.ndarray, alpha: float, phi: float) -> Cycle
     target = partial_trace(comp, "target")
     zeta = float(np.trace(sensor @ SIGMA["z"]).real)
     return CycleResult(target_rho=target, sensor_rho=sensor, zeta=zeta)
+
+
+# ---------------------------------------------------------------------------
+# two-time outcome statistics
+
+def joint_distribution(x_n: float) -> np.ndarray:
+    """2x2 joint distribution of (initial outcome mu, lag-N outcome lambda).
+
+    Index 0 means +1, index 1 means -1:
+    p[0,0] = p[1,1] = (1 + x_n)/4,  p[0,1] = p[1,0] = (1 - x_n)/4.
+    """
+    if abs(x_n) > 1.0 + 1e-12:
+        raise InvalidArgumentError(f"|x_n| must not exceed 1, got {x_n}")
+    same = (1.0 + x_n) / 4.0
+    diff = (1.0 - x_n) / 4.0
+    return np.array([[same, diff], [diff, same]])
+
+
+def _lag_array(max_lag: int) -> np.ndarray:
+    if max_lag < 1:
+        raise InvalidArgumentError("max_lag must be >= 1")
+    return np.arange(1, max_lag + 1)
+
+
+def corr_Sz(alpha: float, phi: float, max_lag: int) -> CorrelationSeries:
+    """Model readout correlator C_Sz(N) = sin(alpha) x_N for N = 1..max_lag.
+
+    Uses the weak-measurement approximation
+    C_Sz(N) ~= sin^2(alpha) cos(phi N) e^{-(N-1) alpha^2/4}, which is off
+    by O(alpha^2); the exact value is sin^2(alpha) times the unit-start x
+    of `protocol.recurrence_step`.
+    """
+    n = _lag_array(max_lag)
+    vals = damped_cosine(alpha, phi, n, np.sin(alpha) ** 2)
+    return CorrelationSeries(n, vals, np.zeros_like(vals), kind="Sz-model")
+
+
+def ensemble_corr(records: np.ndarray, max_lag: int | None = None) -> CorrelationSeries:
+    """Across-run estimator: C(N) = mean_r [ s_{r,0} * s_{r,N} ].
+
+    `records` has shape (runs, length); column 0 is the reference
+    measurement of each run (the polarising measurement for self-polarised
+    data).  stderr is the standard error over runs.  Integer records
+    pass to `lag_products` without a float copy.
+    """
+    m = np.atleast_2d(records)
+    if max_lag is None:
+        max_lag = m.shape[1] - 1
+    mean, std, count = lag_products(m, max_lag, "ensemble")
+    return CorrelationSeries(_lag_array(max_lag), mean, std / np.sqrt(count), kind="ensemble")
+
+
+def relative_entropy(p, q) -> float:
+    """Kullback-Leibler divergence sum_i p_i ln(p_i / q_i) (natural log).
+
+    Both arguments must be probability vectors of equal length (entries
+    >= 0, summing to 1 within 1e-9).  Terms with p_i = 0 contribute 0;
+    a q_i = 0 with p_i > 0 means disjoint support and raises
+    InvalidArgumentError.  Always >= 0, and 0 exactly when p == q.
+    """
+    p = np.asarray(p, dtype=float).ravel()
+    q = np.asarray(q, dtype=float).ravel()
+    if p.shape != q.shape:
+        raise InvalidArgumentError("p and q must have the same length")
+    for name, v in (("p", p), ("q", q)):
+        if np.any(v < -1e-12):
+            raise InvalidArgumentError(f"{name} has negative entries")
+        if abs(v.sum() - 1.0) > 1e-9:
+            raise InvalidArgumentError(f"{name} must sum to 1, got {v.sum()}")
+    pm = p > 0
+    if np.any(pm & (q <= 0)):
+        raise InvalidArgumentError("q vanishes where p does not (disjoint support)")
+    # where p and q nearly agree, rounding can leave a sum just below 0
+    return max(0.0, float(np.sum(p[pm] * np.log(p[pm] / q[pm]))))
+
+
+def entropy_Sz_Ix(alpha: float, phi: float, lag: int = 1) -> float:
+    """Information distance between weak and projective readout statistics.
+
+    Compares the lag-N weak readout distribution
+    P = ((1 + x_N sin(alpha))/2, (1 - x_N sin(alpha))/2), with
+    x_N = sin(alpha) cos(phi N) e^{-(N-1) alpha^2/4}, against the ideal
+    projective reference Q = ((1 + cos(phi N))/2, (1 - cos(phi N))/2).
+    Approaches 0 as alpha -> pi/2 at N = 1 (weak readout becomes
+    projective); at phi = 0 the reference is deterministic while the weak
+    distribution is not, which violates the support precondition of
+    `relative_entropy` and raises InvalidArgumentError.
+    """
+    if lag < 1:
+        raise InvalidArgumentError("lag must be >= 1")
+    x_n = damped_cosine(alpha, phi, lag, np.sin(alpha))
+    zeta = x_n * np.sin(alpha)
+    ref = np.cos(phi * lag)
+    p = np.array([(1.0 + zeta) / 2.0, (1.0 - zeta) / 2.0])
+    q = np.array([(1.0 + ref) / 2.0, (1.0 - ref) / 2.0])
+    return relative_entropy(p, q)
+
+
+# ---------------------------------------------------------------------------
+# three-variable classical oracles
+#
+# They operate on joint distributions of three +-1 variables on one
+# probability space (axis order (xi, phi, theta), index 0 <-> value +1):
+# any such joint satisfies both strong additivity and the pairwise
+# marginal inequality P(xi+, phi+) + P(phi-, theta+) >= P(xi+, theta+),
+# which is why a violation in the temporal data rules such a joint out.
+
+#: slack of the oracles' probability identities, for float rounding only
+ROUNDING_TOL = 1e-12
+
+# canonical event masks of the marginal inequality, axis order (xi, phi, theta)
+_IDX = np.indices((2, 2, 2))
+DESPAGNAT_A = (_IDX[0] == 0) & (_IDX[1] == 0)   # {xi = +1, phi = +1}
+DESPAGNAT_B = (_IDX[1] == 1) & (_IDX[2] == 0)   # {phi = -1, theta = +1}
+
+
+_ATOMS = (-3, -2, -1)
+
+
+def _check_joint(p) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    if p.shape[-3:] != (2, 2, 2):
+        raise InvalidArgumentError(f"joint must have shape (..., 2, 2, 2), got {p.shape}")
+    if np.any(p < -ROUNDING_TOL):
+        raise InvalidArgumentError("joint has negative entries")
+    total = p.sum(axis=_ATOMS)
+    off = np.abs(total - 1.0) > 1e-9
+    if np.any(off):
+        raise InvalidArgumentError(f"joint must sum to 1, got {total[off].flat[0]}")
+    return p
+
+
+def _scalar_or_array(x):
+    """A plain float/bool for one joint, the array for a batch."""
+    return x.item() if x.ndim == 0 else x
+
+
+def wigner_despagnat_check(p) -> tuple:
+    """Pairwise-marginal inequality for three +-1 variables on one space.
+
+    Returns (lhs, rhs, holds) for
+
+        P(xi=+1, phi=+1) + P(phi=-1, theta=+1) >= P(xi=+1, theta=+1).
+
+    lhs - rhs equals the probability of the two atoms (+,+,-) and
+    (-,-,+), so `holds` is true for every valid joint; the ROUNDING_TOL
+    slack only absorbs float rounding of the sums.  `p` is one (2,2,2)
+    joint (floats and a bool come back) or a batch (..., 2, 2, 2) (arrays
+    of the batch shape come back).
+    """
+    p = _check_joint(p)
+    lhs = p[..., 0, 0, :].sum(axis=-1) + p[..., :, 1, 0].sum(axis=-1)
+    rhs = p[..., 0, :, 0].sum(axis=-1)
+    return (_scalar_or_array(lhs), _scalar_or_array(rhs),
+            _scalar_or_array(lhs + ROUNDING_TOL >= rhs))
+
+
+def strong_additivity_check(p, set_a=None, set_b=None):
+    """Verify P(A) + P(B) = P(A and B) + P(A or B) on an atom measure.
+
+    `p` is a (2,2,2) probability table, or a batch (..., 2, 2, 2) of them;
+    the sets are boolean masks over it, one mask or one per joint
+    (default: the canonical pair above, which is disjoint, so the
+    identity degenerates to plain additivity).  This is the measure-
+    theoretic fact behind `wigner_despagnat_check`: apply it to the
+    canonical sets and drop the non-shared atoms to get the inequality.
+    The identity must hold to ROUNDING_TOL.  Returns a bool for one
+    joint, a bool array of the batch shape for a batch.
+    """
+    p = _check_joint(p)
+    a = DESPAGNAT_A if set_a is None else np.asarray(set_a, dtype=bool)
+    b = DESPAGNAT_B if set_b is None else np.asarray(set_b, dtype=bool)
+    if a.shape[-3:] != (2, 2, 2) or b.shape[-3:] != (2, 2, 2):
+        raise InvalidArgumentError("set masks must have the joint's (2, 2, 2) shape")
+
+    def measure(mask):
+        return (p * mask).sum(axis=_ATOMS)
+
+    lhs = measure(a) + measure(b)
+    rhs = measure(a & b) + measure(a | b)
+    return _scalar_or_array(np.abs(lhs - rhs) <= ROUNDING_TOL)

@@ -19,31 +19,32 @@ from spintrack.calibrate import (
     reconstruct_Sz_corr,
 )
 from spintrack.cli import main
-from spintrack.correlation import (
-    CorrelationSeries,
-    corr_Sz,
-    ensemble_corr,
-    entropy_Sz_Ix,
-    relative_entropy,
-)
+from spintrack.correlation import CorrelationSeries
 from spintrack.engine import simulate_runs
 from spintrack.errors import InvalidArgumentError
-from spintrack.lg import lg_function, strong_additivity_check, wigner_despagnat_check
-from spintrack.composite import (
-    bch_evolve,
-    bloch_to_density,
-    density_to_bloch,
-    exact_evolve,
-    measurement_cycle,
-    spin_op,
-    tensor,
-)
+from spintrack.lg import lg_function
 from spintrack.protocol import (
     ProtocolConfig,
     damped_cosine,
     recurrence_step,
 )
 from spintrack.readout import ReadoutModel, modulation_trace, run_classical_experiment, run_quantum_experiment
+
+from oracles import (
+    bch_evolve,
+    bloch_to_density,
+    corr_Sz,
+    density_to_bloch,
+    ensemble_corr,
+    entropy_Sz_Ix,
+    exact_evolve,
+    measurement_cycle,
+    relative_entropy,
+    spin_op,
+    strong_additivity_check,
+    tensor,
+    wigner_despagnat_check,
+)
 
 ALPHA_HW = 0.18 * np.pi        # the measurement strength the hardware runs at
 PHI_27 = np.deg2rad(27.0)      # free-precession angle of the headline data set

@@ -16,7 +16,7 @@ from spintrack.calibrate import (
     reconstruct_Sz_corr,
     write_json,
 )
-from spintrack.correlation import CorrelationSeries, corr_Sz, ensemble_corr
+from spintrack.correlation import CorrelationSeries
 from spintrack.engine import CHUNK_SIZE, modulated_drive, simulate_runs
 from spintrack.errors import (
     AmplificationError,
@@ -34,6 +34,8 @@ from spintrack.readout import (
     run_quantum_experiment,
     sweep_fraction,
 )
+
+from oracles import corr_Sz, ensemble_corr
 
 MODEL = ReadoutModel(n_a=1200.0, n_b=600.0, phi_0=0.02, repetitions=200)
 

@@ -14,15 +14,15 @@ import spintrack
 from spintrack import cli
 from spintrack.calibrate import fit_alpha
 from spintrack.cli import main
-from spintrack.correlation import corr_Sz
 from spintrack.errors import (
     AmplificationError,
     DegenerateContrastError,
     FitFailureError,
     InvalidArgumentError,
-    UnsupportedStateError,
 )
 from spintrack.readout import PhotonTrace
+
+from oracles import corr_Sz
 
 ALPHA = 0.18 * np.pi
 PHI = np.pi / 3
@@ -499,7 +499,7 @@ def test_degenerate_contrast_exits_4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("error, code", [
-    (InvalidArgumentError, 2), (UnsupportedStateError, 2), (FitFailureError, 3),
+    (InvalidArgumentError, 2), (FitFailureError, 3),
     (AmplificationError, 3), (DegenerateContrastError, 4)])
 def test_each_error_class_owns_its_exit_code(tmp_path, capsys, monkeypatch, error, code):
     def fail(args, settings):

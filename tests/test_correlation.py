@@ -15,17 +15,14 @@ from spintrack.correlation import (
     _SPECTRA_BLOCK,
     CorrelationSeries,
     _fft_len,
-    corr_Sz,
-    ensemble_corr,
-    entropy_Sz_Ix,
-    joint_distribution,
     lag_products,
-    relative_entropy,
 )
 from spintrack.errors import InvalidArgumentError
 from spintrack.lg import LgSeries
 from spintrack.protocol import damped_cosine
 from spintrack.readout import ModulationTrace
+
+from oracles import corr_Sz, ensemble_corr, entropy_Sz_Ix, joint_distribution, relative_entropy
 
 
 def test_joint_distribution_marginals():

@@ -5,14 +5,17 @@ cost counts as start-up and none falls inside the timed `cli.main`; scipy
 is not among them, and the subcommands run where it cannot be imported.
 Each case runs in a fresh interpreter, because this suite's own process
 has loaded scipy long before.  In a fresh interpreter too, `import
-spintrack.cli` loads the pipeline modules and no other package module.  The
-last test parses, without importing, which package modules each pipeline
-module imports: never `composite`.
+spintrack.cli` loads every module of the package: the package holds only
+the pipeline, and the oracles it is checked against live in
+`tests/oracles.py`.  The last tests parse, without importing, which package
+modules each module imports.
 """
 
 import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -102,9 +105,8 @@ def test_the_modulated_report_runs_without_scipy(tmp_path):
     assert json.loads((tmp_path / "out" / "summary.json").read_text())["alpha_fit"] > 0
 
 
-#: the modules the pipeline runs; `composite`, the exact 4x4 route their
-#: Bloch maps are checked against, is not among them
-PIPELINE = ("calibrate", "cli", "correlation", "engine", "errors", "lg", "protocol", "readout")
+#: the modules the pipeline runs: every module of the package
+PIPELINE = tuple(sorted(m.name for m in pkgutil.iter_modules(spintrack.__path__)))
 
 
 #: imports the module named on argv and prints the package modules loaded
@@ -115,7 +117,7 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "spintrack"
 """
 
 #: the package modules each import loads besides the root, which imports
-#: nothing: for the CLI, the pipeline and not composite
+#: nothing: for the CLI, the whole pipeline
 LOADS = {"cli": PIPELINE, "protocol": ("errors", "protocol")}
 
 
@@ -140,5 +142,12 @@ def test_pipeline_modules_import_only_pipeline_modules(name):
         elif isinstance(node, ast.Import):
             absolute |= {a.name for a in node.names}
     assert [m for m in absolute if m.split(".")[0] == "spintrack"] == []
-    assert "composite" not in own
     assert own <= set(PIPELINE), own - set(PIPELINE)
+
+
+def test_the_package_has_no_composite():
+    """The exact 4x4 route that the Bloch maps of `protocol` are checked
+    against is a test oracle (`tests/oracles.py`), not a package module."""
+    assert "composite" not in PIPELINE
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("spintrack.composite")

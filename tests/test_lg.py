@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spintrack.correlation import CorrelationSeries, joint_distribution
+from spintrack.correlation import CorrelationSeries
 from spintrack.errors import InvalidArgumentError
-from spintrack.lg import (
+from spintrack.lg import lg_function
+
+from oracles import (
     DESPAGNAT_A,
     DESPAGNAT_B,
-    lg_function,
+    joint_distribution,
     strong_additivity_check,
     wigner_despagnat_check,
 )

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spintrack.errors import InvalidArgumentError
-from spintrack.composite import (
-    GRAM_RANK_CUTOFF,
+
+from oracles import (
     S_E,
     S_X,
     S_Y,
@@ -14,14 +14,11 @@ from spintrack.composite import (
     check_density_matrix,
     commutator,
     density_to_bloch,
-    gram_matrix,
-    gram_rank,
     partial_trace,
     spin_op,
     tensor,
 )
-
-from conftest import interaction_family_state, random_density
+from conftest import random_density
 
 
 def test_spin_operators_satisfy_su2_algebra():
@@ -104,9 +101,8 @@ def test_check_density_matrix_rejects_bad_inputs():
 
 
 def test_two_qubit_maps_reject_a_matrix_that_is_not_4x4():
-    for func in (lambda rho: partial_trace(rho, "sensor"), gram_matrix):
-        with pytest.raises(InvalidArgumentError, match="expected a 4x4 matrix"):
-            func(np.eye(2) / 2.0)
+    with pytest.raises(InvalidArgumentError, match="expected a 4x4 matrix"):
+        partial_trace(np.eye(2) / 2.0, "sensor")
 
 
 def test_partial_trace_of_product_state(rng):
@@ -125,68 +121,3 @@ def test_partial_trace_preserves_trace(rng):
         red = partial_trace(rho, keep)
         assert np.trace(red).real == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(red, red.conj().T)
-
-
-def test_gram_matrix_is_symmetric_psd(rng):
-    rho = random_density(rng, dim=4)
-    g = gram_matrix(rho)
-    assert g.shape == (6, 6)  # three sensor + three target rotation directions
-    assert np.allclose(g, g.T, atol=1e-12)
-    assert np.linalg.eigvalsh(g).min() > -1e-12
-
-
-# Frozen commutant dimensions: how many independent rotation directions
-# actually move the state.  These pin the operational meaning of the rank.
-def test_gram_rank_frozen_values():
-    mixed = np.eye(4) / 4.0
-    assert gram_rank(mixed) == 0
-
-    both_z = tensor(S_E + S_Z, S_E + S_Z)
-    assert gram_rank(both_z) == 4
-
-    sensor_only = tensor(S_E + S_X, S_E)
-    assert gram_rank(sensor_only) == 2
-
-    generic_product = tensor(
-        bloch_to_density([0.3, 0.1, 0.7]), bloch_to_density([0.0, 0.5, 0.2])
-    )
-    assert gram_rank(generic_product) == 4
-
-
-def test_gram_rank_entangled_mid_protocol_state():
-    """After the coupling pulse a mixed polarised target is entangled
-    with the sensor and all six local directions move the state."""
-    from spintrack.composite import INTERACTION_H, exact_evolve
-
-    rho = interaction_family_state(0.6, 0.3)
-    evolved = exact_evolve(INTERACTION_H, rho, 0.18 * np.pi)
-    assert gram_rank(evolved) == 6
-
-
-def _random_su2(rng):
-    # Euler-angle parametrisation is good enough for a test
-    a, b, c = rng.uniform(0, 2 * np.pi, size=3)
-    rz = lambda t: np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)])
-    ry = np.array(
-        [[np.cos(b / 2), -np.sin(b / 2)], [np.sin(b / 2), np.cos(b / 2)]],
-        dtype=complex,
-    )
-    return rz(a) @ ry @ rz(c)
-
-
-def test_gram_rank_invariant_under_local_rotations(rng):
-    states = [
-        tensor(S_E + S_Z, S_E + S_Z),
-        tensor(S_E + S_X, S_E),
-        interaction_family_state(0.6, 0.3),
-    ]
-    for rho in states:
-        base = gram_rank(rho)
-        for _ in range(5):
-            u = tensor(_random_su2(rng), _random_su2(rng))
-            rotated = u @ rho @ u.conj().T
-            assert gram_rank(rotated) == base
-
-
-def test_gram_rank_cutoff_default():
-    assert GRAM_RANK_CUTOFF == 1e-10

@@ -1,20 +1,21 @@
 import numpy as np
 import pytest
 
-from spintrack.errors import InvalidArgumentError, UnsupportedStateError
-from spintrack.composite import (
+from spintrack.errors import InvalidArgumentError
+
+from oracles import (
     FREE_PRECESSION_H,
     INTERACTION_H,
     S_E,
     S_X,
     S_Z,
+    UnsupportedStateError,
     bch_evolve,
     check_bch_conditions,
     commutator,
     exact_evolve,
     tensor,
 )
-
 from conftest import interaction_family_state, random_density
 
 

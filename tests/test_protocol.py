@@ -3,7 +3,15 @@ import pytest
 
 from spintrack.engine import simulate_runs
 from spintrack.errors import InvalidArgumentError
-from spintrack.composite import (
+from spintrack.protocol import (
+    ProtocolConfig,
+    conditioned_update,
+    damped_cosine,
+    recurrence_matrix,
+    recurrence_step,
+)
+
+from oracles import (
     FREE_PRECESSION_H,
     INTERACTION_H,
     S_E,
@@ -17,14 +25,6 @@ from spintrack.composite import (
     partial_trace,
     tensor,
 )
-from spintrack.protocol import (
-    ProtocolConfig,
-    conditioned_update,
-    damped_cosine,
-    recurrence_matrix,
-    recurrence_step,
-)
-
 from conftest import target_density
 
 
