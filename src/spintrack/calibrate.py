@@ -326,8 +326,8 @@ def reconstruct_Sz_corr(
     products inside each run ('time-average').  `meta["estimator"]`
     names the one used.  Standard errors are those of the product means
     scaled by 4/(n_a - n_b)^2; calibration uncertainty is not propagated.
-    The int32 or int64 counts go to `lag_products` as they are, with no
-    float copy.
+    The int16, int32 or int64 counts go to `lag_products` as they are,
+    with no float copy.
     """
     contrast = model.contrast
     if contrast <= 0:
@@ -492,7 +492,7 @@ def fit_alpha_modulated(trace: PhotonTrace, phi_s: float = 1.0) -> FitResult:
     alpha on ALPHA_BOUNDS, weighted by the per-position standard errors
     of the mean.
     """
-    counts = trace.counts  # int32 or int64: mean and std accumulate in float64, as on a float copy
+    counts = trace.counts  # int16 to int64: mean and std accumulate in float64, as on a float copy
     runs, length = counts.shape
     if runs < 2:
         raise InvalidArgumentError("need at least 2 runs to estimate the mean path")

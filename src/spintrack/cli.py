@@ -76,7 +76,7 @@ SCHEMA_VERSION = 1
 REQUIRED = "required"
 #: the most photon measurements (runs x record length) a config may ask
 #: for, and the most readouts of its calibration sweep (sweep samples x
-#: repetitions); the int32 counts alone take 400 MB at the cap
+#: repetitions); the int16 counts alone take 200 MB at the cap
 MAX_MEASUREMENTS = 10**8
 
 #: every config key once: (type, default), or REQUIRED for a key that must
@@ -269,13 +269,13 @@ class _Beside(threading.Thread):
             raise self._error
 
 
-def _sample_trace(settings: dict) -> ro.PhotonTrace:
-    """Simulate the photon record."""
+def _experiment(settings: dict) -> ro._Experiment:
+    """The photon record of the config, yet to be drawn."""
     model, runs, seed = settings["readout"], settings["runs"], settings["seed"]
     if settings["kind"] == "quantum":
-        return ro.run_quantum_experiment(settings["protocol"], model, runs, seed,
-                                         charge=settings["charge"])
-    return ro.run_classical_experiment(
+        return ro._quantum_experiment(settings["protocol"], model, runs, seed,
+                                      charge=settings["charge"])
+    return ro._classical_experiment(
         **settings["classical"], model=model, runs=runs, seed=seed,
         modulated=settings["kind"] == "classical-modulated")
 
@@ -307,11 +307,12 @@ def _lg_stage(series: CorrelationSeries, out: str) -> dict:
 
 def cmd_trace(args, settings: dict) -> dict:
     """`simulate` and `classical`: write the photon record of an allowed kind
-    (`read_config` checks the kind)."""
-    trace = _sample_trace(settings)
-    _write_trace(trace, settings["staging"])
-    return {"kind": settings["kind"], "runs": trace.runs, "length": trace.length,
-            "seed": trace.meta["seed"], "artifacts": ["trace.csv"]}
+    (`read_config` checks the kind) a block at a time, as it is drawn."""
+    experiment = _experiment(settings)
+    experiment.to_csv(os.path.join(settings["staging"], "trace.csv"))
+    return {"kind": settings["kind"], "runs": settings["runs"],
+            "length": experiment.sampler.length, "seed": settings["seed"],
+            "artifacts": ["trace.csv"]}
 
 
 def cmd_calibrate(args, settings: dict) -> dict:
@@ -343,7 +344,7 @@ def cmd_report(args, settings: dict) -> dict:
     the sampler, the trace write beside the analysis."""
     out = settings["staging"]
     with _Beside(_calibrate, settings, out) as sweep:
-        trace = _sample_trace(settings)
+        trace = _experiment(settings).trace()
     with _Beside(_write_trace, trace, out):
         return _analyse(settings, trace, sweep.value)
 

@@ -229,13 +229,13 @@ def lag_products(records, max_lag: int, estimator: str):
     (count = runs); 'time-average' pools the products s_i s_{i+N} inside
     every run (count = runs * (length - N)).  A single product has no
     spread estimate: its std is inf, so every standard error built on it
-    is inf too.  Integer records (the int32 or int64 photon counts) are
+    is inf too.  Integer records (the int16 to int64 photon counts) are
     read as they are, with no float copy: the ensemble multiplies them into
     float64 products (no integer wrap) a block of runs at a time, in two
     passes (`_ensemble_sum`), and its mean and std are np.mean's and
     np.std(ddof=1)'s, bit for bit; the time-average copies a few runs at a
     time to float.  Each count becomes a float64 before any arithmetic,
-    so int32 counts and their int64 copy give the same floats.
+    so int16 or int32 counts and their int64 copy give the same floats.
 
     The time-average takes the per-lag sums S1 of s_i s_{i+N} and S2 of
     their squares from the autocorrelations of s and of s^2: each run is

@@ -26,10 +26,13 @@ uniforms gives the numbers of k calls for n, and elementwise IEEE
 arithmetic does not depend on the array width: the streams are those of
 the chunk-by-chunk sampler.
 
-A photon record holds its counts as int32 while they fit: `_Record` is
-the one rule, which `Sampler.counts` and `readout.PhotonTrace.from_csv`
-fill block by block, widening the record once to int64 the first time a
-block holds a count above 2^31 - 1.  `Sampler.batch` keeps int64 counts.
+A photon record holds its counts as the narrowest of int16, int32 and
+int64 that fits them: `_Record` is the one rule, which `Sampler.counts`
+and `readout.PhotonTrace.from_csv` fill block by block, widening the
+record the first time a block holds a count its dtype cannot.
+`Sampler.batch` keeps int64 counts.  `Sampler.fill` hands each block's
+counts to any sink with `_Record`'s `append`: `readout` streams them into
+`trace.csv` that way, without holding the record.
 
 The target spin follows the maps of `spintrack.protocol`: a self-polarised
 run starts from `conditioned_update`, and every cycle is the outcome-averaged
@@ -102,25 +105,31 @@ def _draw_photons(rng, outcomes, bright, dark, live=None, nv0_mean=None):
     return rng.poisson(lam).astype(np.int64, copy=False)
 
 
-_INT32_MAX = np.iinfo(np.int32).max
+#: the record dtypes, narrowest first, each with its largest count
+_WIDTHS = [(int(np.iinfo(dtype).max), dtype) for dtype in (np.int16, np.int32, np.int64)]
 
 
 class _Record:
     """Photon counts of `shape` stored in row-major order, a block at a
-    time: int32 while every count fits, and copied once to int64 (the
-    counts stored so far) when a block holds one above 2^31 - 1.  A record
-    built with dtype int64 starts wide."""
+    time, as the narrowest of int16, int32 and int64 that holds them: the
+    first block with a count above the record's dtype copies the counts
+    stored so far, once, to the narrowest dtype that holds that block.  A
+    record built with a wider dtype starts there."""
 
-    def __init__(self, shape, dtype=np.int32):
+    def __init__(self, shape, dtype=np.int16):
         self.counts = np.empty(shape, dtype=dtype)
+        self.top = int(np.iinfo(dtype).max)
         self.stored = 0
 
     def append(self, values: np.ndarray, top: int | None = None) -> None:
         """Store the non-negative `values` after the counts so far; `top`,
-        when given, bounds them from above and spares their max."""
-        if (self.counts.dtype == np.int32 and (top is None or top > _INT32_MAX)
-                and values.max(initial=0) > _INT32_MAX):
-            wide = np.empty(self.counts.shape, dtype=np.int64)
+        when given, bounds them from above and spares their max while it
+        fits the record's dtype."""
+        if top is None or top > self.top:
+            top = int(values.max(initial=0))
+        if top > self.top:
+            self.top, dtype = next(width for width in _WIDTHS if top <= width[0])
+            wide = np.empty(self.counts.shape, dtype=dtype)
             wide.reshape(-1)[:self.stored] = self.counts.reshape(-1)[:self.stored]
             self.counts = wide
         end = self.stored + values.size
@@ -132,7 +141,8 @@ class Sampler:
     """How one kind of run is drawn, a block of runs at a time (see the
     module docstring).  Build one with `Sampler.quantum` or
     `Sampler.classical`; `batch` keeps every array of a `RunBatch`,
-    `counts` only the photon counts.  A subclass sets
+    `counts` only the photon counts, and `fill` hands them to a sink a
+    block at a time.  A subclass sets
 
     length     measurements per run
     first_lag  lag carried by column 0 (see `RunBatch`)
@@ -172,19 +182,26 @@ class Sampler:
 
     def counts(self, runs: int, seed: int, bright: float, dark: float,
                nv0_mean: float | None = None) -> np.ndarray:
-        """The (runs, length) photon counts of `batch`, bit for bit: int32
-        unless one exceeds 2^31 - 1 (`_Record`), with one block of outcomes
-        and zetas that every block overwrites."""
+        """The (runs, length) photon counts of `batch`, bit for bit, in the
+        narrowest dtype that holds them (`_Record`)."""
+        _check_runs(runs, bright, dark)  # before the record is allocated
+        return self.fill(_Record((runs, self.length)), runs, seed, bright, dark, nv0_mean).counts
+
+    def fill(self, record, runs: int, seed: int, bright: float, dark: float,
+             nv0_mean: float | None = None):
+        """Append the photon counts of `batch` to `record` in row-major
+        order, a part of a block at a time, and return it; `record` is a
+        `_Record` or any sink with its `append(values)`.  One block of
+        outcomes and zetas is held, which every block overwrites."""
         if bright is None or dark is None:
             raise InvalidArgumentError("counts need bright and dark")
         _check_runs(runs, bright, dark)
         outcomes = np.empty((min(self.block, runs), self.length), dtype=np.int8)
         zetas = np.empty(outcomes.shape)
-        record = _Record((runs, self.length))
         self._sample(runs, seed, bright, dark, nv0_mean,
                      lambda rows: (outcomes[:rows.stop - rows.start],
                                    zetas[:rows.stop - rows.start]), record)
-        return record.counts
+        return record
 
     def _sample(self, runs, seed, bright, dark, nv0_mean, dest, record):
         """The signs of `runs` runs, each block's outcomes and zetas written

@@ -70,7 +70,7 @@ SWEEP_SAMPLES = SAMPLES_PER_ANGLE * (len(SWEEP_ANGLES_DEG) - 1) + ANCHOR_SAMPLES
 #: at a time: at 200 repetitions a block is 163 samples, so an angle's 50
 #: samples are one block and the anchor's 500 are four
 _SWEEP_BLOCK_BYTES = 1 << 18
-#: rows `PhotonTrace.to_csv` encodes at a time: about 1 MiB of working arrays
+#: rows `_TraceWriter` encodes at a time: about 1 MiB of working arrays
 _CSV_BLOCK_ROWS = 16384
 #: body bytes `PhotonTrace.from_csv` decodes at a time: a block's per-row
 #: arrays stay in cache, and its short-lived arrays stay small enough that
@@ -152,12 +152,14 @@ class PhotonTrace:
     rejects a file that departs from it with an `InvalidArgumentError`
     naming the file.  Both directions work in numpy, a block at a time:
     `to_csv` builds the bytes of a block of rows, `from_csv` checks a block
-    of bytes and decodes it into the counts, adding each row's digits from
-    its CR back, one digit position at a time.
+    of bytes and decodes it into the counts, one digit position at a time
+    by Horner's rule, each row's digits gathered back from its CR.
 
-    `counts` keeps an int32 or int64 array as given and holds any other
-    input as int64.  The simulators and `from_csv` give int32 counts
-    unless one exceeds 2^31 - 1 (`engine._Record`).
+    `counts` keeps an int16, int32 or int64 array as given and holds any
+    other input as int64.  The simulators and `from_csv` give the narrowest
+    of int16, int32 and int64 that holds every count (`engine._Record`).
+    `cli`'s trace command writes the same bytes without a `PhotonTrace`:
+    `_TraceWriter` takes the sampler's counts a block at a time.
     """
 
     counts: np.ndarray
@@ -167,7 +169,7 @@ class PhotonTrace:
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
-        if counts.dtype not in (np.int32, np.int64):
+        if counts.dtype not in (np.int16, np.int32, np.int64):
             counts = counts.astype(np.int64)
         self.counts = np.atleast_2d(counts)
 
@@ -180,21 +182,9 @@ class PhotonTrace:
         return self.counts.shape[1]
 
     def to_csv(self, path) -> None:
-        header = {"kind": self.kind, "runs": self.runs, "length": self.length,
-                  "first_lag": self.first_lag, "meta": self.meta}
-        flat = self.counts.ravel()
-        if flat.min(initial=0) < 0:
-            raise InvalidArgumentError("counts must be non-negative")
-        if not _is_trace_header(header):
-            raise InvalidArgumentError(f"trace not written: {_HEADER_RULE}")
-        line = ("# " + json.dumps(header, sort_keys=True) + "\n").encode()
-        if len(line) > _CSV_HEADER_MAX:
-            raise InvalidArgumentError(
-                f"trace header is {len(line)} bytes, above the {_CSV_HEADER_MAX} `from_csv` reads")
+        line = _header_line(self.kind, self.runs, self.length, self.first_lag, self.meta)
         with open(path, "wb") as fh:
-            fh.write(line + _CSV_COLUMNS)
-            for start in range(0, flat.size, _CSV_BLOCK_ROWS):
-                fh.write(_encode_rows(flat[start:start + _CSV_BLOCK_ROWS]))
+            _TraceWriter(fh, line).append(self.counts)
 
     @classmethod
     def from_csv(cls, path) -> "PhotonTrace":
@@ -234,6 +224,38 @@ class PhotonTrace:
                    first_lag=header["first_lag"], meta=header["meta"])
 
 
+def _header_line(kind, runs, length, first_lag, meta) -> bytes:
+    """The header line of a trace, LF included; a header that `from_csv`
+    would refuse raises instead."""
+    header = {"kind": kind, "runs": runs, "length": length, "first_lag": first_lag, "meta": meta}
+    if not _is_trace_header(header):
+        raise InvalidArgumentError(f"trace not written: {_HEADER_RULE}")
+    line = ("# " + json.dumps(header, sort_keys=True) + "\n").encode()
+    if len(line) > _CSV_HEADER_MAX:
+        raise InvalidArgumentError(
+            f"trace header is {len(line)} bytes, above the {_CSV_HEADER_MAX} `from_csv` reads")
+    return line
+
+
+class _TraceWriter:
+    """The one `trace.csv` encoder: writes the header `line` and
+    ``count\\r\\n`` to the open binary file `fh`, then the rows of each
+    block of counts that `append` is handed, in row-major order."""
+
+    def __init__(self, fh, line: bytes):
+        fh.write(line + _CSV_COLUMNS)
+        self.fh = fh
+
+    def append(self, values: np.ndarray) -> None:
+        """Write the rows of `values`, `_CSV_BLOCK_ROWS` at a time; a
+        negative count raises before any row of `values` is written."""
+        flat = values.reshape(-1)
+        if flat.min(initial=0) < 0:
+            raise InvalidArgumentError("counts must be non-negative")
+        for start in range(0, flat.size, _CSV_BLOCK_ROWS):
+            self.fh.write(_encode_rows(flat[start:start + _CSV_BLOCK_ROWS]))
+
+
 def _is_trace_header(header) -> bool:
     """True for exactly the header `PhotonTrace.to_csv` writes."""
     return (isinstance(header, dict)
@@ -256,9 +278,11 @@ def _padded_digits(values: np.ndarray, digits: int) -> np.ndarray:
     """ASCII digits of non-negative `values` of at most `digits` digits, zero-padded
     to a multiple of 4: one uint8 row per value, one table lookup per base-10^4 limb."""
     limbs = np.empty((values.size, -(-digits // 4)), dtype=np.uint32)
-    for j in range(limbs.shape[1] - 1, -1, -1):
+    for j in range(limbs.shape[1] - 1, 0, -1):
         values, low = np.divmod(values, 10000)
         limbs[:, j] = _DIGIT_TABLE.take(low)
+    # what is left is below 10^4: the first limb needs no division
+    limbs[:, 0] = _DIGIT_TABLE.take(values)
     return limbs.view(np.uint8)
 
 
@@ -305,17 +329,18 @@ def _decode_block(buf: np.ndarray, record, path) -> int:
     the offset after the last.  Each row must be exactly what `to_csv`
     writes: a count of 1 to 19 digits without a leading zero and at most
     2^63 - 1, then CRLF."""
-    lf = np.flatnonzero(buf == ord("\n"))
-    if not lf.size:
+    # each row's CR sits right before its LF
+    cr = np.flatnonzero(buf == ord("\n"))
+    if not cr.size:
         return 0
-    rows, stop = lf.size, int(lf[-1]) + 1
+    cr -= 1
+    rows, stop = cr.size, int(cr[-1]) + 2
     size = record.counts.size
     if record.stored + rows > size:
         raise InvalidArgumentError(f"{path}: header promises {size} counts, found more rows")
     # a row starts after the LF before it, the first one at 0
-    first = np.concatenate(([0], lf[:-1] + 1))
-    cr = lf - 1
-    width = cr - first
+    width = np.diff(cr, prepend=-2)
+    width -= 2
     widest = int(width.max())
     # a CR where `to_csv` puts it, and no other non-digit besides the LFs:
     # then every other byte of the rows is a digit
@@ -323,20 +348,24 @@ def _decode_block(buf: np.ndarray, record, path) -> int:
     if (width.min() < 1 or widest > 19
             or not (buf.take(cr) == ord("\r")).all()
             or body.size - np.count_nonzero((body - ord("0")) < 10) != 2 * rows
-            or ((buf.take(first) == ord("0")) & (width > 1)).any()):
+            or ((buf.take(cr - width) == ord("0")) & (width > 1)).any()):
         raise _malformed(path)
-    # digit j of each row, counted from its CR back, times 10^j; rows narrower
-    # than j + 1 digits add nothing (their byte there belongs to a row before,
-    # or is clipped to the block's first)
+    # Horner's rule over digit j of each row, counted from its CR back, from
+    # the widest row's first digit to the last; a row narrower than j + 1
+    # digits takes a 0 there (its byte there belongs to a row before, or is
+    # clipped to the block's first); `cr` steps forward to that digit
     values = np.zeros(rows, dtype=np.uint64)
-    for j in range(widest):
-        digit = buf.take(cr - 1 - j, mode="clip") - ord("0")
+    cr -= widest
+    for j in range(widest - 1, -1, -1):
+        digit = buf.take(cr, mode="clip") - ord("0")
         digit *= width > j
-        values += digit * np.uint64(10**j)
+        values *= 10
+        values += digit
+        cr += 1
     if widest == 19 and values.max() > np.iinfo(np.int64).max:
         raise InvalidArgumentError(
             f"{path}: counts must be at most 2^63 - 1 = {np.iinfo(np.int64).max}")
-    # fewer than 10 digits fit in int32, so only wider rows need their max
+    # fewer than 5 digits fit int16, so only wider rows need their max
     record.append(values.view(np.int64), top=10**widest - 1)
     return stop
 
@@ -401,6 +430,60 @@ def modulation_trace(model: ReadoutModel, rng: np.random.Generator) -> Modulatio
     )
 
 
+@dataclass
+class _Experiment:
+    """A photon record yet to be drawn: its sampler, the arguments of
+    `Sampler.counts` and its trace's kind and meta."""
+
+    sampler: engine.Sampler
+    draw: tuple
+    kind: str
+    meta: dict
+
+    def trace(self) -> PhotonTrace:
+        """The record, held whole."""
+        return PhotonTrace(self.sampler.counts(*self.draw), kind=self.kind,
+                           first_lag=self.sampler.first_lag, meta=self.meta)
+
+    def to_csv(self, path) -> None:
+        """The bytes of `trace().to_csv(path)`, written as the sampler draws
+        each block: the record is never held."""
+        line = _header_line(self.kind, self.draw[0], self.sampler.length, self.sampler.first_lag,
+                            self.meta)
+        with open(path, "wb") as fh:
+            self.sampler.fill(_TraceWriter(fh, line), *self.draw)
+
+
+def _quantum_experiment(config: ProtocolConfig, model: ReadoutModel, runs: int, seed: int,
+                        charge: ChargeModel | None = None) -> _Experiment:
+    """The record of `run_quantum_experiment`, yet to be drawn."""
+    sampler = engine.Sampler.quantum(config, 1.0 if charge is None else charge.p_minus)
+    meta = {
+        "seed": seed,
+        "protocol": asdict(config),
+        "readout": asdict(model),
+        "charge": None if charge is None else asdict(charge),
+    }
+    return _Experiment(sampler, (runs, seed, model.n_a, model.n_b,
+                                 None if charge is None else charge.nv0_mean), "quantum", meta)
+
+
+def _classical_experiment(alpha: float, theta_step: float, measurements_per_run: int,
+                          model: ReadoutModel, runs: int, seed: int, modulated: bool = False,
+                          phi_s: float = 1.0) -> _Experiment:
+    """The record of `run_classical_experiment`, yet to be drawn."""
+    sampler = engine.Sampler.classical(alpha, theta_step, measurements_per_run, modulated, phi_s)
+    meta = {
+        "seed": seed,
+        "classical": {"alpha": alpha, "theta_step": theta_step,
+                      "measurements_per_run": measurements_per_run,
+                      "modulated": modulated, "phi_s": phi_s},
+        "readout": asdict(model),
+    }
+    kind = "classical-modulated" if modulated else "classical"
+    return _Experiment(sampler, (runs, seed, model.n_a, model.n_b), kind, meta)
+
+
 def run_quantum_experiment(
     config: ProtocolConfig,
     model: ReadoutModel,
@@ -414,16 +497,7 @@ def run_quantum_experiment(
 
     `workers` is accepted and ignored: sampling runs in one process.
     """
-    sampler = engine.Sampler.quantum(config, 1.0 if charge is None else charge.p_minus)
-    counts = sampler.counts(runs, seed, model.n_a, model.n_b,
-                            None if charge is None else charge.nv0_mean)
-    meta = {
-        "seed": seed,
-        "protocol": asdict(config),
-        "readout": asdict(model),
-        "charge": None if charge is None else asdict(charge),
-    }
-    return PhotonTrace(counts, kind="quantum", first_lag=sampler.first_lag, meta=meta)
+    return _quantum_experiment(config, model, runs, seed, charge).trace()
 
 
 def run_classical_experiment(
@@ -444,14 +518,5 @@ def run_classical_experiment(
     counts this is, without its outcomes and zetas; `workers` is accepted
     and ignored: sampling runs in one process.
     """
-    counts = engine.Sampler.classical(alpha, theta_step, measurements_per_run, modulated,
-                                      phi_s).counts(runs, seed, model.n_a, model.n_b)
-    meta = {
-        "seed": seed,
-        "classical": {"alpha": alpha, "theta_step": theta_step,
-                      "measurements_per_run": measurements_per_run,
-                      "modulated": modulated, "phi_s": phi_s},
-        "readout": asdict(model),
-    }
-    kind = "classical-modulated" if modulated else "classical"
-    return PhotonTrace(counts, kind=kind, first_lag=0, meta=meta)
+    return _classical_experiment(alpha, theta_step, measurements_per_run, model, runs, seed,
+                                 modulated, phi_s).trace()

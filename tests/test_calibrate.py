@@ -159,42 +159,46 @@ def _traced_peak(fn, *args):
 
 def test_reconstruct_reads_the_counts_in_place():
     """The ensemble reduction of a quantum trace holds one float products
-    array and no float copy of the counts: its traced peak is about 1.09
-    times the counts.  A float copy of the counts reads about 3."""
+    array and no float copy of the counts: its traced peak is about 3.1
+    bytes a count (1.09 times the counts when they were int32).  A float
+    copy of the counts reads about 12."""
     cfg = ProtocolConfig(alpha=0.18 * np.pi, phi=np.pi / 3, cycles=24)
     trace = run_quantum_experiment(cfg, MODEL, runs=20 * CHUNK_SIZE, seed=31)
     peak = _traced_peak(reconstruct_Sz_corr, trace, MODEL)
-    assert peak < 1.2 * trace.counts.nbytes, (peak, trace.counts.nbytes)
+    assert peak < 4.8 * trace.counts.size, (peak, trace.counts.size)
 
 
 def test_fit_alpha_modulated_reads_the_counts_in_place():
-    """The mean path and its spread come from the int32 counts as they are:
+    """The mean path and its spread come from the int16 counts as they are:
     the traced peak is about 1.05 times the counts' float64 size (np.std's
     one centred copy).  A float copy of the counts reads about 2."""
     trace = run_classical_experiment(0.3, 0.5, 64, MODEL, runs=20 * CHUNK_SIZE, seed=97,
                                      modulated=True)
     peak = _traced_peak(fit_alpha_modulated, trace)
-    assert trace.counts.dtype == np.int32
+    assert trace.counts.dtype == np.int16
     assert peak < 1.2 * 8 * trace.counts.size, (peak, trace.counts.nbytes)
 
 
 @pytest.mark.parametrize("kind", ["quantum", "classical", "classical-modulated"])
-def test_int32_and_int64_counts_give_the_same_floats(kind):
+def test_int16_int32_and_int64_counts_give_the_same_floats(kind):
     """The analysis turns counts into float64 before any arithmetic, so an
-    int32 record and its int64 copy give the same results, bit for bit."""
+    int16 record and its int32 and int64 copies give the same results, bit
+    for bit."""
     if kind == "quantum":
         cfg = ProtocolConfig(alpha=0.18 * np.pi, phi=np.pi / 3, cycles=24)
         trace = run_quantum_experiment(cfg, MODEL, runs=3 * CHUNK_SIZE + 17, seed=5)
     else:
         trace = run_classical_experiment(0.3, 0.5, 600, MODEL, runs=50, seed=5,
                                          modulated=kind == "classical-modulated")
-    assert trace.counts.dtype == np.int32
-    wide = PhotonTrace(trace.counts.astype(np.int64), kind=kind, first_lag=trace.first_lag)
-    got, want = reconstruct_Sz_corr(trace, MODEL), reconstruct_Sz_corr(wide, MODEL)
+    assert trace.counts.dtype == np.int16
+    got = reconstruct_Sz_corr(trace, MODEL)
     assert got.meta["estimator"] == ("ensemble" if kind == "quantum" else "time-average")
-    assert np.array_equal(got.values, want.values) and np.array_equal(got.stderr, want.stderr)
-    if kind == "classical-modulated":
-        assert fit_alpha_modulated(trace).as_dict() == fit_alpha_modulated(wide).as_dict()
+    for dtype in (np.int32, np.int64):
+        wide = PhotonTrace(trace.counts.astype(dtype), kind=kind, first_lag=trace.first_lag)
+        want = reconstruct_Sz_corr(wide, MODEL)
+        assert np.array_equal(got.values, want.values) and np.array_equal(got.stderr, want.stderr)
+        if kind == "classical-modulated":
+            assert fit_alpha_modulated(trace).as_dict() == fit_alpha_modulated(wide).as_dict()
 
 
 def test_reconstruct_time_average_exact_alternation():

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,9 +21,17 @@ from spintrack.errors import (
     FitFailureError,
     InvalidArgumentError,
 )
-from spintrack.readout import PhotonTrace
+from spintrack.engine import Sampler
+from spintrack.protocol import ProtocolConfig
+from spintrack.readout import (
+    PhotonTrace,
+    ReadoutModel,
+    run_classical_experiment,
+    run_quantum_experiment,
+)
 
 from oracles import corr_Sz
+from test_golden import CONFIGS, GOLDEN
 
 ALPHA = 0.18 * np.pi
 PHI = np.pi / 3
@@ -69,6 +78,92 @@ def test_simulate_writes_trace_and_summary(tmp_path):
     assert summary["kind"] == "quantum"
     assert summary["runs"] == 400
     assert summary["artifacts"] == ["trace.csv"]
+
+
+def _trace_command(tmp_path, kind, **overrides):
+    """The trace command of the `test_golden` config `kind`, run with
+    `overrides`; returns the bytes of the trace.csv it wrote."""
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(dict(CONFIGS[kind], **overrides)))
+    out = tmp_path / f"{kind}-out"
+    command = "simulate" if kind == "quantum" else "classical"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    return (out / "trace.csv").read_bytes()
+
+
+def _sampler(kind) -> Sampler:
+    cfg = CONFIGS[kind]
+    if kind == "quantum":
+        return Sampler.quantum(ProtocolConfig(**cfg["protocol"]))
+    c = cfg["classical"]
+    return Sampler.classical(c["alpha"], c["theta_step"], c["measurements_per_run"],
+                             kind == "classical-modulated", c.get("phi_s", 1.0))
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_trace_commands_stream_the_golden_trace(tmp_path, kind):
+    """`simulate` and `classical` write each block of counts as it is drawn,
+    and their trace.csv has the sha256 of `report`'s.  At three sampler
+    blocks and 17 runs, across the seams of the sampler's blocks and of
+    the encoder's `_CSV_BLOCK_ROWS`, it is the bytes of the
+    `run_*_experiment` trace's `to_csv`."""
+    streamed = _trace_command(tmp_path, kind)
+    assert hashlib.sha256(streamed).hexdigest() == GOLDEN[kind]["trace.csv"]
+    cfg, runs = CONFIGS[kind], 3 * _sampler(kind).block + 17
+    model = ReadoutModel(**cfg["readout"])
+    if kind == "quantum":
+        trace = run_quantum_experiment(ProtocolConfig(**cfg["protocol"]), model, runs, cfg["seed"])
+    else:
+        trace = run_classical_experiment(**cfg["classical"], model=model, runs=runs,
+                                         seed=cfg["seed"], modulated=kind == "classical-modulated")
+    assert trace.counts.size > 3 * cli.ro._CSV_BLOCK_ROWS
+    trace.to_csv(tmp_path / "held.csv")
+    assert _trace_command(tmp_path, kind, runs=runs) == (tmp_path / "held.csv").read_bytes()
+
+
+def test_simulate_holds_no_record(tmp_path):
+    """`simulate` holds one block of the sampler and of the encoder, not the
+    record: its traced peak at 12 sampler blocks stays within 1.1x that at
+    3, and below the int16 record of 12 blocks (about 0.68 MB against
+    0.77 MB at 25 measurements a run; holding the record, the peak grows
+    with it)."""
+    protocol = ProtocolConfig(alpha=ALPHA, phi=PHI, cycles=24)
+    block = Sampler.quantum(protocol).block
+    cfg = quantum_config(tmp_path, protocol={"alpha": ALPHA, "phi": PHI, "cycles": 24})
+    peaks = []
+    for blocks in (3, 12):
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", cfg, "--out", str(tmp_path / f"b{blocks}"),
+                         "--runs", str(blocks * block)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    record = 2 * 12 * block * (protocol.cycles + 1)
+    assert peaks[1] < 1.1 * peaks[0] and peaks[1] < record, (peaks, record)
+
+
+def test_a_failure_mid_stream_publishes_nothing(tmp_path, capsys, monkeypatch):
+    """An error while `simulate` streams trace.csv, after its header and
+    first block are written, exits 2 and leaves --out as it was: no
+    trace.csv, no summary.json and no staging directory."""
+    encode, calls = cli.ro._encode_rows, []
+
+    def failing(counts):
+        calls.append(counts.size)
+        if len(calls) == 2:
+            raise OSError("probe write")
+        return encode(counts)
+
+    monkeypatch.setattr(cli.ro, "_encode_rows", failing)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept.txt").write_text("kept")
+    assert main(["simulate", "--config", quantum_config(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error[OSError]: probe write\n"
+    assert len(calls) == 2
+    assert sorted(_digests(out)) == ["kept.txt"] and _partials(tmp_path) == []
 
 
 def test_calibrate_writes_fit(tmp_path):
@@ -717,7 +812,7 @@ def test_a_sampling_error_wins_over_the_sweeps(tmp_path, capsys, monkeypatch, fi
     """Whichever of the two fails first, the sampler's error is the one
     reported, as when the sweep ran after the sampler."""
     sampled, fitted = threading.Event(), threading.Event()
-    monkeypatch.setattr(cli.ro, "run_classical_experiment", _raising(
+    monkeypatch.setattr(cli.ro._Experiment, "trace", _raising(
         InvalidArgumentError("probe sampler"), sampled, fitted if first == "sweep" else None))
     monkeypatch.setattr(cli.cal, "fit_na_nb", _raising(
         FitFailureError("probe sweep"), fitted, sampled if first == "sampler" else None))

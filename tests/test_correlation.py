@@ -180,7 +180,8 @@ def test_time_average_is_the_one_block_loop_bit_for_bit(rng):
     assert 1 < step < group
     for runs in (1, step - 1, step, step + 1, group - 1, group, group + 1, 3 * group + 17):
         counts = rng.poisson(900, size=(runs, length))
-        for m in (counts, counts.astype(np.int32), rng.normal(size=(runs, length))):
+        for m in (counts, counts.astype(np.int32), counts.astype(np.int16),
+                  rng.normal(size=(runs, length))):
             got = lag_products(m, max_lag, "time-average")
             for a, b in zip(got, _one_block_time_average(m, max_lag)):
                 assert np.array_equal(a, b), (runs, m.dtype)

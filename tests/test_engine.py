@@ -170,7 +170,7 @@ def test_simulate_runs_holds_no_second_copy_of_the_batch():
 def test_counts_are_the_batch_counts(setup):
     """`Sampler.counts` gives the counts of `Sampler.batch` bit for bit, over
     several blocks: of whole chunks, and of 32 runs inside a chunk.  At
-    these levels they fit int32, which `counts` holds them in."""
+    these levels they fit int16, which `counts` holds them in."""
     if setup in QUANTUM_SETUPS:
         cfg, p_minus, nv0_mean = QUANTUM_SETUPS[setup]
         sampler, photons = Sampler.quantum(cfg, p_minus), (90.0, 30.0, nv0_mean)
@@ -179,17 +179,23 @@ def test_counts_are_the_batch_counts(setup):
         sampler, photons = Sampler.classical(0.3, 0.5, length, setup == "long modulated"), (90.0, 30.0)
     runs = 2 * sampler.block + 17 if sampler.block >= CHUNK_SIZE else CHUNK_SIZE + 17
     counts = sampler.counts(runs, 31, *photons)
-    assert counts.dtype == np.int32
+    assert counts.dtype == np.int16
     assert np.array_equal(counts, sampler.batch(runs, 31, *photons).counts)
     with pytest.raises(InvalidArgumentError, match="bright and dark"):
         sampler.counts(runs, 31, None, None)
 
 
-@pytest.mark.parametrize("bright,dtype", [(1200.0, np.int32), (3e9, np.int64)])
+#: the record dtypes, narrowest first
+WIDTHS = [np.int16, np.int32, np.int64]
+
+
+@pytest.mark.parametrize("bright,dtype", [(1200.0, np.int16), (40000.0, np.int32),
+                                          (3e9, np.int64)])
 def test_counts_widen_to_int64_beyond_int32(bright, dtype):
-    """At the README levels the counts are int32; a bright level of 3e9
-    puts counts above 2^31 - 1 in the first block, and the record is int64
-    from there on.  Either way the counts are `batch`'s, bit for bit."""
+    """At the README levels the counts are int16; a bright level of 40,000
+    puts counts above 2^15 - 1 in the first block, and one of 3e9 counts
+    above 2^31 - 1: the record is the narrowest dtype that holds them from
+    there on.  Either way the counts are `batch`'s, bit for bit."""
     for sampler in (Sampler.quantum(ProtocolConfig(alpha=ALPHA, phi=PHI, cycles=24)),
                     Sampler.classical(0.3, 0.5, 600)):
         runs = 2 * sampler.block + 17
@@ -198,20 +204,45 @@ def test_counts_widen_to_int64_beyond_int32(bright, dtype):
         assert want.dtype == np.int64
         assert counts.dtype == dtype
         assert np.array_equal(counts, want)
-        assert (counts.max() > np.iinfo(np.int32).max) == (dtype == np.int64)
+        narrower = WIDTHS[:WIDTHS.index(dtype)]
+        assert all(counts.max() > np.iinfo(width).max for width in narrower)
 
 
 def test_record_widens_once_keeping_the_rows_stored():
-    """The first block with a count above 2^31 - 1 widens the record to
-    int64, copying the rows stored before it; later blocks go in as int64."""
-    record = _Record((3, 4))
+    """A count of 2^15 - 1 keeps the record int16.  The first block with a
+    count above the record's dtype copies the rows stored before it, once,
+    to the narrowest dtype that holds the block: int16 to int32 at 2^15,
+    then to int64 at 2^31; later blocks go in as they are.  A block that
+    holds 2^31 widens an int16 record straight to int64, so the traced
+    peak of that append is the int64 copy alone (through int32 it would be
+    1.5 times that)."""
+    record = _Record((5, 4))
     record.append(np.arange(4))
-    assert record.counts.dtype == np.int32
-    record.append(np.array([0, 2**31, 1, 2]))
-    assert record.counts.dtype == np.int64
+    int16 = record.counts
+    record.append(np.array([0, 2**15 - 1, 1, 2]))
+    assert record.counts is int16 and int16.dtype == np.int16
+    record.append(np.array([3, 2**15, 4, 5]))
+    int32 = record.counts
+    assert int32.dtype == np.int32
+    record.append(np.array([6, 2**31, 7, 8]))
+    assert record.counts.dtype == np.int64 and record.counts is not int32
+    wide = record.counts
     record.append(np.array([5, 6, 7, 8]), top=9)
-    assert record.stored == 12
-    assert np.array_equal(record.counts, [[0, 1, 2, 3], [0, 2**31, 1, 2], [5, 6, 7, 8]])
+    assert record.counts is wide and record.stored == 20
+    assert np.array_equal(record.counts, [[0, 1, 2, 3], [0, 2**15 - 1, 1, 2], [3, 2**15, 4, 5],
+                                          [6, 2**31, 7, 8], [5, 6, 7, 8]])
+
+    record = _Record((1000, 100))
+    record.append(np.arange(99_000) % 1000)
+    tracemalloc.start()
+    try:
+        record.append(np.full(1000, 2**31))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.counts.dtype == np.int64 and record.stored == record.counts.size
+    assert np.array_equal(record.counts.reshape(-1)[:99_000], np.arange(99_000) % 1000)
+    assert peak < 1.1 * record.counts.nbytes, (peak, record.counts.nbytes)
 
 
 def test_chunking_is_invisible():

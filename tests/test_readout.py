@@ -171,7 +171,31 @@ def test_photon_trace_from_csv_reads_int32_until_a_count_exceeds_it(tmp_path):
     assert back.counts.dtype == np.int64 and np.array_equal(back.counts, wide)
 
 
-@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("top,dtype", [(2**15 - 1, np.int16), (2**15, np.int32),
+                                       (2**31, np.int64)])
+def test_photon_trace_from_csv_widens_like_the_record(tmp_path, top, dtype):
+    """`from_csv` holds the narrowest dtype that fits the counts: a count of
+    2^15 - 1 keeps the record int16, 2^15 widens it to int32 and 2^31 to
+    int64.  That count is the last, past the first block of bytes, so the
+    widening keeps the rows read before it and copies them once: the traced
+    peak is the int16 rows and one wide copy (int16 to int32 to int64 would
+    hold 12 bytes a count)."""
+    counts = np.random.default_rng(4).integers(0, 10, size=(8, 2**17))
+    counts[-1, -1] = top
+    PhotonTrace(counts=counts, kind="classical").to_csv(tmp_path / "trace.csv")
+    body = (tmp_path / "trace.csv").read_bytes().split(b"count\r\n", 1)[1]
+    assert b"%d" % top not in body[:_CSV_READ_BYTES]
+    tracemalloc.start()
+    try:
+        back = PhotonTrace.from_csv(tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.counts.dtype == dtype and np.array_equal(back.counts, counts)
+    assert peak < (2 + back.counts.itemsize) * counts.size + 2**20, peak
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
 def test_photon_trace_keeps_int32_and_int64_counts(dtype):
     counts = np.arange(12, dtype=dtype).reshape(3, 4)
     trace = PhotonTrace(counts=counts, kind="quantum")
@@ -191,7 +215,7 @@ def test_photon_trace_csv_rejects_negative_counts(tmp_path):
 def test_run_quantum_experiment_holds_the_counts_and_one_block():
     """The driver keeps the counts alone: one block of uniforms, outcomes
     and zetas is the rest of its traced peak, whatever the number of runs.
-    At 12 blocks of 25 measurements a run the peak is the int32 counts
+    At 12 blocks of 25 measurements a run the peak is the int16 counts
     plus about 0.21 of their int64 size; a full batch before the counts
     read 2.2 times the int64 counts."""
     config = ProtocolConfig(alpha=0.18 * np.pi, phi=np.pi / 3, cycles=24)
@@ -205,7 +229,7 @@ def test_run_quantum_experiment_holds_the_counts_and_one_block():
         finally:
             tracemalloc.stop()
         scratch.append(peak - trace.counts.nbytes)
-    assert trace.counts.dtype == np.int32
+    assert trace.counts.dtype == np.int16
     assert peak < trace.counts.nbytes + 0.3 * 8 * trace.counts.size, (peak, trace.counts.nbytes)
     assert scratch[1] < 1.1 * scratch[0], scratch
 
@@ -213,7 +237,7 @@ def test_run_quantum_experiment_holds_the_counts_and_one_block():
 @pytest.mark.parametrize("runs,length", [(100, 4000), (5120, 40)])
 def test_run_classical_experiment_holds_the_counts_and_one_block(runs, length):
     """The classical driver keeps the counts and one block: 8 runs of a
-    chunk at 4,000 measurements, one whole chunk at 40.  Beside the int32
+    chunk at 4,000 measurements, one whole chunk at 40.  Beside the int16
     counts the block takes about 0.34 and 0.22 of their int64 size (a
     block of three chunks read 0.64)."""
     tracemalloc.start()
@@ -222,7 +246,7 @@ def test_run_classical_experiment_holds_the_counts_and_one_block(runs, length):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert trace.counts.dtype == np.int32
+    assert trace.counts.dtype == np.int16
     assert peak < trace.counts.nbytes + 0.4 * 8 * trace.counts.size, (peak, trace.counts.nbytes)
 
 
