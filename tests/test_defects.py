@@ -1,7 +1,7 @@
 """A register of the open defects: one strict xfail per ROADMAP item.
 
-Each test asserts its item's gate on one small fixed-seed case and fails
-on today's code, so every run of the suite shows the defects as xfailed.
+Each test asserts its item's gate on small cases with seeds fixed before
+measuring and fails on today's code, so every run of the suite shows the defects as xfailed.
 `strict=True` makes a fix that mends one read XPASS, which fails the suite
 until the fixing change removes the marker.  Every exact reference is the
 unit-start iterate of `protocol.recurrence_matrix`, never the damped
@@ -116,3 +116,25 @@ def test_item_23_classical_record_of_the_quantum_shape_never_violates(tmp_path):
                   classical={"alpha": ALPHA, "theta_step": PHI, "measurements_per_run": 25})
     _, lg, summary = _report(tmp_path, config)
     assert summary["violations"] == 0, lg[lg[:, 3] == 1, 0]
+
+
+@_defect(24, "report's strength fit and LG verdict miss the exact model")
+def test_item_24_report_recovers_the_readme_verdict(tmp_path):
+    """The README config at 20,000 runs, seeds 1-10: every alpha_fit within
+    3 SE of 0.5655, LG(1) within 3 SE of exact and LG(tau), taus 2-12, within
+    4 SE, a violation at tau 1 alone, and the strength fit's residual /
+    (n_points - 1) below 2.  Measured: seed 4 reads alpha z = -5.72, 8 of 10
+    seeds show no violation, and chi^2/dof runs from 0.71 to 8.28."""
+    x = _unit_start_x(ALPHA, PHI, 24)
+    exact = 2.0 * x[:12] - x[1::2]  # LG(tau) = 2 x_tau - x_2tau, taus 1-12
+    rows = []
+    for seed in range(1, 11):
+        _, lg, summary = _report(tmp_path, dict(_quantum(README), seed=seed))
+        fit = json.loads((tmp_path / "out" / "fit.json").read_text())["alpha"]
+        assert lg[:, 0].tolist() == list(range(1, 13))
+        z = ((lg[:, 1] - exact) / lg[:, 2]).tolist()
+        rows.append((seed, round((summary["alpha_fit"] - ALPHA) / summary["alpha_stderr"], 2),
+                     round(z[0], 2), round(max(map(abs, z[1:])), 2), summary["violated_taus"],
+                     round(fit["residual"] / (fit["n_points"] - 1), 2)))
+    assert all(abs(alpha_z) <= 3 and abs(lg1_z) <= 3 and lg_z <= 4 and taus == [1] and chi2 < 2
+               for _, alpha_z, lg1_z, lg_z, taus, chi2 in rows), rows

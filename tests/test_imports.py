@@ -8,7 +8,8 @@ has loaded scipy long before.  In a fresh interpreter too, `import
 spintrack.cli` loads every module of the package: the package holds only
 the pipeline, and the oracles it is checked against live in
 `tests/oracles.py`.  The last tests parse, without importing, which package
-modules each module imports.
+modules each module imports, and check that none imports a thread or
+process module.
 """
 
 import ast
@@ -127,22 +128,37 @@ def test_import_loads_only_the_modules_it_needs(name):
     assert loaded == ["spintrack"] + sorted(f"spintrack.{m}" for m in LOADS[name])
 
 
-@pytest.mark.parametrize("name", PIPELINE)
-def test_pipeline_modules_import_only_pipeline_modules(name):
-    """Parsed, not imported: the package's own imports of each pipeline module."""
+def _imports(name: str):
+    """Parsed, not imported: the package's own modules that module `name`
+    imports (from . import x, from .x import y) and its absolute imports."""
     path = os.path.join(os.path.dirname(spintrack.__file__), f"{name}.py")
     with open(path) as fh:
         tree = ast.parse(fh.read())
     own, absolute = set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level:  # from .x import y, from . import x
+        if isinstance(node, ast.ImportFrom) and node.level:
             own |= {node.module} if node.module else {a.name for a in node.names}
         elif isinstance(node, ast.ImportFrom):
             absolute.add(node.module)
         elif isinstance(node, ast.Import):
             absolute |= {a.name for a in node.names}
+    return own, absolute
+
+
+@pytest.mark.parametrize("name", PIPELINE)
+def test_pipeline_modules_import_only_pipeline_modules(name):
+    own, absolute = _imports(name)
     assert [m for m in absolute if m.split(".")[0] == "spintrack"] == []
     assert own <= set(PIPELINE), own - set(PIPELINE)
+
+
+def test_no_module_imports_threads_or_processes():
+    """The pipeline runs on one thread of one process: no module of the
+    package imports threading, concurrent.futures or multiprocessing."""
+    found = {name: sorted(m for m in _imports(name)[1]
+                          if m.split(".")[0] in ("threading", "concurrent", "multiprocessing"))
+             for name in ("__init__", *PIPELINE)}
+    assert {name: ms for name, ms in found.items() if ms} == {}
 
 
 def test_the_package_has_no_composite():
