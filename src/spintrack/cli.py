@@ -71,9 +71,9 @@ __all__ = ["main", "build_parser", "read_config", "CONFIG_KEYS"]
 
 SCHEMA_VERSION = 1
 REQUIRED = "required"
-#: the most photon measurements (runs x record length) a config may ask
-#: for, and the most readouts of its calibration sweep (sweep samples x
-#: repetitions); the int16 counts alone take 200 MB at the cap
+#: the most photon measurements (runs x record length) a config may ask for
+#: (their int16 counts take 200 MB at the cap), and the most binomial trials
+#: of its calibration sweep (sweep samples x repetitions)
 MAX_MEASUREMENTS = 10**8
 
 #: every config key once: (type, default), or REQUIRED for a key that must

@@ -13,7 +13,9 @@ reflect how measurements are composed of repeated optical readouts:
   carries the correlation signal;
 * calibration readout (`modulation_trace`): every one of the
   ``repetitions`` readouts re-prepares and re-rotates the sensor, so one
-  measurement sums `repetitions` independent projection+Poisson draws.
+  measurement sums `repetitions` independent projection+Poisson draws:
+  a binomial count k of bright readouts, then, as a sum of Poisson counts
+  is Poisson, one count at mean (k n_a + (repetitions - k) n_b) / repetitions.
   The mean is unchanged but the bright/dark mixture variance shrinks by
   1/repetitions, which is what makes the photon-level calibration of
   (n_a, n_b) converge.
@@ -66,10 +68,6 @@ ANCHOR_ANGLE = 90
 ANCHOR_SAMPLES = 500
 #: measurements in one sweep: 1,100, each summing `repetitions` readouts
 SWEEP_SAMPLES = SAMPLES_PER_ANGLE * (len(SWEEP_ANGLES_DEG) - 1) + ANCHOR_SAMPLES
-#: bytes of float64 uniforms, and of Poisson means, `modulation_trace` draws
-#: at a time: at 200 repetitions a block is 163 samples, so an angle's 50
-#: samples are one block and the anchor's 500 are four
-_SWEEP_BLOCK_BYTES = 1 << 18
 #: rows `_TraceWriter` encodes at a time: about 1 MiB of working arrays
 _CSV_BLOCK_ROWS = 16384
 #: body bytes `PhotonTrace.from_csv` decodes at a time: a block's per-row
@@ -405,26 +403,19 @@ def modulation_trace(model: ReadoutModel, rng: np.random.Generator) -> Modulatio
     (ANCHOR_SAMPLES times at ANCHOR_ANGLE); each measurement sums
     `model.repetitions` independently re-prepared readouts, see the
     module docstring.  The per-readout bright probability at angle phi
-    is (1 + sweep_fraction(phi, phi_0)) / 2.  Each angle draws all its
-    uniforms, then all its Poisson counts, a block of rows at a time: the
-    streams are those of drawing each whole matrix at once.
+    is (1 + sweep_fraction(phi, phi_0)) / 2.  The sweep draws every
+    measurement's bright readouts, then every count; a mean that rounds
+    above n_a is held at n_a, within numpy's Poisson limit.
     """
-    all_angles, all_counts = [], []
     reps = model.repetitions
-    step = max(1, _SWEEP_BLOCK_BYTES // (8 * reps))
-    for ang in SWEEP_ANGLES_DEG:
-        n = ANCHOR_SAMPLES if ang == ANCHOR_ANGLE else SAMPLES_PER_ANGLE
-        p_bright = 0.5 * (1.0 + sweep_fraction(ang, model.phi_0))
-        bright = np.empty((n, reps), dtype=bool)
-        for i in range(0, n, step):
-            bright[i:i + step] = rng.random(bright[i:i + step].shape) < p_bright
-        all_angles.append(np.full(n, float(ang)))
-        all_counts += [rng.poisson(np.where(bright[i:i + step], model.n_a / reps,
-                                            model.n_b / reps)).sum(axis=1)
-                       for i in range(0, n, step)]
+    angles = np.repeat(np.array(SWEEP_ANGLES_DEG, dtype=float),
+                       [ANCHOR_SAMPLES if ang == ANCHOR_ANGLE else SAMPLES_PER_ANGLE
+                        for ang in SWEEP_ANGLES_DEG])
+    bright = rng.binomial(reps, 0.5 * (1.0 + sweep_fraction(angles, model.phi_0)))
+    mean = np.minimum((bright * model.n_a + (reps - bright) * model.n_b) / reps, model.n_a)
     return ModulationTrace(
-        angles_deg=np.concatenate(all_angles),
-        counts=np.concatenate(all_counts).astype(np.int64),
+        angles_deg=angles,
+        counts=rng.poisson(mean),
         meta={"model": asdict(model), "samples_per_angle": SAMPLES_PER_ANGLE,
               "anchor_angle": ANCHOR_ANGLE, "anchor_samples": ANCHOR_SAMPLES},
     )

@@ -74,10 +74,15 @@ def test_item_02_prepolarised_neighbour_correlation_is_exact():
 
 @_defect(6, "the counts are centred on the sweep's levels, not the record's mean")
 def test_item_06_readout_correlation_is_unbiased_at_low_contrast(tmp_path):
-    """C_Sz(1) at 120/80 within 3 SE of exact.  Measured: 0.432 +- 0.053
-    against 0.1436 (z = +5.4); at 1200/600 this run count gives only z = -2.6."""
-    series, _, _ = _report(tmp_path, _quantum(LOW))
-    _within_3se(series, 1, np.sin(ALPHA) ** 2 * _unit_start_x(ALPHA, PHI, 1)[0])
+    """C_Sz(1) at 120/80, seeds 1-10, each within 4 SE of exact (item 16's
+    family rule).  Measured: z from -6.31 to +4.36, beyond 4 SE on seeds 4,
+    6, 9 and 10 (seed 6 reads -0.305 +- 0.071 against 0.1436)."""
+    exact = np.sin(ALPHA) ** 2 * _unit_start_x(ALPHA, PHI, 1)[0]
+    z = []
+    for seed in range(1, 11):
+        series, _, _ = _report(tmp_path, dict(_quantum(LOW), seed=seed))
+        z.append(round((series.values[0] - exact) / series.stderr[0], 2))
+    assert all(abs(v) <= 4 for v in z), z
 
 
 @_defect(6, "fit_alpha fits the damped cosine, not the exact iterate")
@@ -103,19 +108,30 @@ def test_item_13_charge_interrupted_correlation_is_exact(tmp_path):
 
 @_defect(14, "at low contrast the LG values exceed even the quantum bound")
 def test_item_14_low_contrast_lg_stays_within_the_quantum_bound(tmp_path):
-    """No LG value at 120/80 above 1.5 + 3 SE.  Measured: max_lg 5.77."""
-    _, lg, _ = _report(tmp_path, _quantum(LOW))
-    assert np.all(lg[:, 1] <= 1.5 + 3 * lg[:, 2]), lg[:, 1].max()
+    """No LG value at 120/80 above 1.5 + 3 SE, seeds 1-10.  Measured: seeds
+    7 and 10 exceed it, with max_lg 5.33 and 6.62."""
+    over = []
+    for seed in range(1, 11):
+        _, lg, _ = _report(tmp_path, dict(_quantum(LOW), seed=seed))
+        if not np.all(lg[:, 1] <= 1.5 + 3 * lg[:, 2]):
+            over.append((seed, round(lg[:, 1].max(), 2)))
+    assert not over, over
 
 
 @_defect(23, "the analysis violates the LG bound on a classical record")
 def test_item_23_classical_record_of_the_quantum_shape_never_violates(tmp_path):
     """A classical record of 25 measurements at 120/80 shows no violation
-    (its exact LG is at most 0.75).  Measured: violations at taus 1, 5, 6."""
-    config = dict(schema=1, kind="classical", readout=LOW, runs=20_000, seed=123, max_lag=12,
-                  classical={"alpha": ALPHA, "theta_step": PHI, "measurements_per_run": 25})
-    _, lg, summary = _report(tmp_path, config)
-    assert summary["violations"] == 0, lg[lg[:, 3] == 1, 0]
+    (its exact LG is at most 0.75), seeds 1-10.  Measured: seeds 2, 3, 7 and
+    10 violate, at taus 1 and 5 (seed 3 also at 6)."""
+    violated = []
+    for seed in range(1, 11):
+        config = dict(schema=1, kind="classical", readout=LOW, runs=20_000, seed=seed,
+                      max_lag=12,
+                      classical={"alpha": ALPHA, "theta_step": PHI, "measurements_per_run": 25})
+        _, lg, summary = _report(tmp_path, config)
+        if summary["violations"]:
+            violated.append((seed, lg[lg[:, 3] == 1, 0].tolist()))
+    assert not violated, violated
 
 
 @_defect(24, "report's strength fit and LG verdict miss the exact model")
@@ -123,8 +139,8 @@ def test_item_24_report_recovers_the_readme_verdict(tmp_path):
     """The README config at 20,000 runs, seeds 1-10: every alpha_fit within
     3 SE of 0.5655, LG(1) within 3 SE of exact and LG(tau), taus 2-12, within
     4 SE, a violation at tau 1 alone, and the strength fit's residual /
-    (n_points - 1) below 2.  Measured: seed 4 reads alpha z = -5.72, 8 of 10
-    seeds show no violation, and chi^2/dof runs from 0.71 to 8.28."""
+    (n_points - 1) below 2.  Measured: seed 10 reads alpha z = -4.18, 7 of 10
+    seeds show no violation, and chi^2/dof runs from 0.71 to 9.90."""
     x = _unit_start_x(ALPHA, PHI, 24)
     exact = 2.0 * x[:12] - x[1::2]  # LG(tau) = 2 x_tau - x_2tau, taus 1-12
     rows = []

@@ -49,27 +49,27 @@ CONFIGS = {
 
 GOLDEN = {
     "quantum": {
-        "corr_ix.csv": "36002d53b127f19ae2cf61c3c0217b3af4ad8273ba1dddad820f6519b56f9794",
-        "corr_sz.csv": "5cd0a506fbdd9b1074cb2ce9180149a935c470cafe53db0afd50737a60307a4d",
-        "fit.json": "b7794d0bc76b9ed3a60317955292de8886e5ea78648b6a339ff9e3d545578de6",
-        "lg.csv": "6156be6bca539331910c2187fd2e03ddabb3fb1630301f109f3ebc7253893eca",
-        "modulation.csv": "fd1d367645e44e0bdc58c227b5a238b64e724bb5cca8c78c9012041a254f6d69",
-        "summary.json": "ba28a3c4332883e0868339160bc1b1e3134f8af37a166e957292a601535e3c86",
+        "corr_ix.csv": "1809f00e11e380fce0f626fe953e2b4df074e1e53d3ec6e2a8a533e2928e93aa",
+        "corr_sz.csv": "205f45aa20d92fea53627650120c7e854fa7b00440338cc07157e4918e580527",
+        "fit.json": "80996eedcc6c920b41c5a976de479b388a7550440fdbd09cb3f042db8792d8d4",
+        "lg.csv": "35b70ee5426f69901a20cfcf2921ac6ee686ca2ec9ca9e4382604f65428bb611",
+        "modulation.csv": "23fdeb3758f4e54473d10e80977cf70c2378812553657db8989a968e90423c2b",
+        "summary.json": "ac5f58d769c821d3ff90af4e613ec74e79253ba83788cf3f51761bb5ec3947b7",
         "trace.csv": "347a9600ed3658b1b5c9bbd9d6d70a299bf369c13011182cbd74552a0d5e8a69",
     },
     "classical": {
-        "corr_ix.csv": "d8297e7c205ca0855f2e0cac316a3e4ecb9e3e177d611c10534577b33754807b",
-        "corr_sz.csv": "ca7955a4192115517b032a9d1d8fdfecabdb625dcd4a69b88c72a8d7f66c9eb4",
-        "fit.json": "fb3cd6bcf85f72cfbb98793cafe190f84fca11aefacd291069457fcfdffb3192",
-        "lg.csv": "445a7b72f32ade7286b057158547784e38423f4cad14d1b796980209688eed10",
-        "modulation.csv": "ae71a6a4645a5cf559683ae0884f2bf63b1e094aed6e312c7d608fb23e39a0e3",
-        "summary.json": "5d95f565d8dfe1a5100bc9408d11c05d5acf58aa58847423082726eb1787ef57",
+        "corr_ix.csv": "2dde0b80434cc950e6073c0a6c738feb3d9cec58b2e220dcc31d4823cbdc285c",
+        "corr_sz.csv": "0f03a67f7b604ce38c04871d99ca0828b96527d710ba7212bf3dc80ea89ec0e5",
+        "fit.json": "967b432e9646c2d5dacba8e854e3766b98563ca65d4176e27f08eb6ee9f0e0ef",
+        "lg.csv": "3c07d731f4f7c318c66b647e6d5be6a95bd917c9f9c15260587f51503e9b58f3",
+        "modulation.csv": "1ddd2550d5bde3506d4f9bfb64bd931fe6ca627e83960df405d5ccc946241b84",
+        "summary.json": "4c40516be48c88d7f6f5e391cb3169bf25be7782ef7f59294be1850dd02286eb",
         "trace.csv": "b8ceb1c0a04ba0c81950f39d19a490b783d2964ba006ed638eccdf97f484a261",
     },
     "classical-modulated": {
-        "fit.json": "5d5d1602ccc9a3d898e4ad74f3ad9efb275f3c52892fc95cd91d3383ada20897",
-        "modulation.csv": "b094a3bf8785b060c4dffa4dafb6afb89a26c3d040c71221b2b7d10d1105d468",
-        "summary.json": "c77bdb6033ee35af21a3bba17dde501ea2dd64fcd17e63e1de42a085a25ef80d",
+        "fit.json": "f753959bfe576ed606085c2e81da49b4b6e922bd1718a498b4aa7ea08e25b9da",
+        "modulation.csv": "e676a3d8fb5fabdeea5c160567c2bfb660298693c78c779d9883e22e1316829d",
+        "summary.json": "c16fbd060e767cd21831ccfb232c9e75be3a03ced246aaf33e75d405aef7e5f7",
         "trace.csv": "34a23a37c24ccacff8e5f524b72b23bbee99f8e49aed3c3d0790dd24067e790b",
     },
 }

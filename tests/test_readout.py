@@ -15,12 +15,10 @@ from spintrack.readout import (
     _CSV_BLOCK_ROWS,
     _CSV_HEADER_MAX,
     _CSV_READ_BYTES,
+    _POISSON_LAM_MAX,
     ChargeModel,
     PhotonTrace,
     ReadoutModel,
-    ANCHOR_ANGLE,
-    ANCHOR_SAMPLES,
-    SAMPLES_PER_ANGLE,
     SWEEP_ANGLES_DEG,
     SWEEP_SAMPLES,
     modulation_trace,
@@ -403,15 +401,23 @@ def test_photon_trace_reader_fuzz(tmp_path_factory, runs, length, seed, data):
 
 
 def test_modulation_trace_matches_fringe_model(rng):
-    # six pooled sweeps: 300 samples per angle
-    sweeps = [modulation_trace(MODEL, rng) for _ in range(6)]
-    angles = np.concatenate([t.angles_deg for t in sweeps])
-    counts = np.concatenate([t.counts for t in sweeps])
-    for ang in np.unique(angles):
-        sel = angles == ang
-        expected = MODEL.n_av + 0.5 * MODEL.contrast * sweep_fraction(ang, MODEL.phi_0)
-        se = counts[sel].std(ddof=1) / np.sqrt(sel.sum())
-        assert abs(counts[sel].mean() - expected) < 5 * se + 1e-9
+    """Six pooled sweeps at 1 and at 200 repetitions (300 samples per angle):
+    each angle's mean and variance within 4 SE of n = n_b + p c and
+    n + p (1 - p) c^2 / repetitions, p the bright probability and c = n_a - n_b."""
+    for reps in (1, 200):
+        model = ReadoutModel(n_a=1200.0, n_b=600.0, phi_0=0.02, repetitions=reps)
+        sweeps = [modulation_trace(model, rng) for _ in range(6)]
+        angles = np.concatenate([t.angles_deg for t in sweeps])
+        counts = np.concatenate([t.counts for t in sweeps]).astype(float)
+        for ang in SWEEP_ANGLES_DEG:
+            x = counts[angles == ang]
+            p = 0.5 * (1.0 + sweep_fraction(ang, model.phi_0))
+            mean = model.n_b + p * model.contrast
+            var = mean + p * (1.0 - p) * model.contrast**2 / reps
+            s2, m4 = x.var(ddof=1), ((x - x.mean()) ** 4).mean()
+            var_se = np.sqrt((m4 - s2**2 * (x.size - 3) / (x.size - 1)) / x.size)
+            assert abs(x.mean() - mean) <= 4 * np.sqrt(s2 / x.size), (reps, ang, x.mean(), mean)
+            assert abs(s2 - var) <= 4 * var_se, (reps, ang, s2, var)
 
 
 def test_modulation_trace_anchor_oversampling(rng):
@@ -438,33 +444,28 @@ def test_repetition_averaging_shrinks_variance(rng):
 
 
 def test_modulation_trace_bounds_its_working_memory():
-    """At 9,090 repetitions, each angle's whole matrices of uniforms, Poisson
-    means and counts traced a 74 MiB peak; drawn 256 KiB of rows at a time
-    they trace 4.8 MiB, most of it the anchor angle's bright/dark matrix
-    (12.3 MiB with 4 MiB blocks)."""
-    model = ReadoutModel(n_a=1200.0, n_b=600.0, phi_0=0.02, repetitions=9090)
-    tracemalloc.start()
-    try:
-        modulation_trace(model, np.random.default_rng(5))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20, peak
+    """One binomial and one Poisson draw per measurement: the traced peak,
+    about 53 KiB, does not grow with repetitions."""
+    peaks = []
+    for reps in (1, 9090):
+        model = ReadoutModel(n_a=1200.0, n_b=600.0, phi_0=0.02, repetitions=reps)
+        tracemalloc.start()
+        try:
+            modulation_trace(model, np.random.default_rng(5))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 1.25 * min(peaks) and max(peaks) < 256 * 2**10, peaks
 
 
-def test_modulation_trace_blocks_keep_the_streams():
-    """At 3,001 repetitions a block is 10 rows, so every angle takes several
-    (the anchor's 500 rows fifty); the counts are those of drawing each
-    angle's matrices whole."""
-    model = ReadoutModel(n_a=1200.0, n_b=600.0, phi_0=0.02, repetitions=3001)
-    rng, whole = np.random.default_rng(9), []
-    for ang in SWEEP_ANGLES_DEG:
-        n = ANCHOR_SAMPLES if ang == ANCHOR_ANGLE else SAMPLES_PER_ANGLE
-        p_bright = 0.5 * (1.0 + sweep_fraction(ang, model.phi_0))
-        bright = rng.random((n, 3001)) < p_bright
-        whole.append(rng.poisson(np.where(bright, 1200.0 / 3001, 600.0 / 3001)).sum(axis=1))
-    blocked = modulation_trace(model, np.random.default_rng(9))
-    assert np.array_equal(blocked.counts, np.concatenate(whole))
+def test_modulation_trace_keeps_its_mean_under_the_poisson_limit():
+    """At n_a = n_b = numpy's Poisson limit, k n_a + (repetitions - k) n_b
+    over repetitions rounds above it at 35, 37, 38, ... repetitions; the
+    sweep holds each mean at n_a and draws."""
+    for reps in range(1, 65):
+        model = ReadoutModel(n_a=_POISSON_LAM_MAX, n_b=_POISSON_LAM_MAX, repetitions=reps)
+        trace = modulation_trace(model, np.random.default_rng(reps))
+        assert trace.counts.size == SWEEP_SAMPLES and trace.counts.min() > 0, reps
 
 
 def test_run_quantum_experiment_shape_and_meta():
