@@ -25,7 +25,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
-from .correlation import CorrelationSeries, lag_products
+from .correlation import CorrelationSeries, _blocked_sum, lag_products
 from .engine import modulated_drive
 from .errors import (
     AmplificationError,
@@ -492,14 +492,20 @@ def fit_alpha_modulated(trace: PhotonTrace, phi_s: float = 1.0) -> FitResult:
     alpha on ALPHA_BOUNDS, weighted by the per-position standard errors
     of the mean.
     """
-    counts = trace.counts  # int16 to int64: mean and std accumulate in float64, as on a float copy
+    counts = trace.counts  # int16 to int64
     runs, length = counts.shape
     if runs < 2:
         raise InvalidArgumentError("need at least 2 runs to estimate the mean path")
     if length < 4:
         raise InvalidArgumentError("need at least 4 positions per run to fit 3 parameters")
-    mean_path = counts.mean(axis=0)
-    se = counts.std(axis=0, ddof=1) / np.sqrt(runs)
+
+    def deviations(rows, out):  # np.std(ddof=1)'s squared deviations, as float64
+        np.subtract(rows, mean_path, out=out)
+        out *= out
+
+    # np.mean's and np.std(ddof=1)'s floats, bit for bit, a block of runs at a time
+    mean_path = _blocked_sum(counts, length, lambda rows, out: np.copyto(out, rows)) / runs
+    se = np.sqrt(_blocked_sum(counts, length, deviations) / (runs - 1)) / np.sqrt(runs)
     se = np.maximum(se, 1e-9 * max(1.0, np.abs(mean_path).max()))
     w = 1.0 / se**2
     k = np.arange(length)

@@ -137,17 +137,14 @@ def _fft_len(n: int) -> int:
     return best
 
 
-#: products the ensemble forms at a time, `_PRODUCT_BLOCK // max_lag` runs:
-#: 256 KiB of float64
-_PRODUCT_BLOCK = 2**15
+#: float64 values of scratch a blocked sum fills at a time, `_SCRATCH // size`
+#: runs of `size` values each: 256 KiB
+_SCRATCH = 2**15
 
 #: the time-average sums its power spectra over groups of
 #: `_FFT_BLOCK // bins` runs, then adds each group's sum to the total; the
 #: grouping fixes the rounding of the sums
 _FFT_BLOCK = 2**17
-#: about this many complex values of spectra the time-average builds at a
-#: time, `_SPECTRA_BLOCK // bins` runs of a group: 256 KiB
-_SPECTRA_BLOCK = 2**14
 
 
 def _check_lag_products(max_lag: int, estimator: str | None, runs: int | None = None,
@@ -162,63 +159,23 @@ def _check_lag_products(max_lag: int, estimator: str | None, runs: int | None = 
         raise InvalidArgumentError("need at least 2 runs for an ensemble estimate")
 
 
-def _carry(buf: np.ndarray, rows: int, first: bool) -> np.ndarray:
-    """Add rows 1..rows of `buf` to the sum that its row 0 carries (none
-    when `first`) and return the new sum, in row 0.  numpy sums axis 0 of a
-    C-contiguous array row by row, so block after block this is numpy's
-    axis-0 sum of all the rows at once, bit for bit, while the rows are
-    wider than one value (a single column numpy sums pairwise)."""
-    buf[0] = buf[int(first) : rows + 1].sum(axis=0)
-    return buf[0]
-
-
-def _ensemble_sum(m, max_lag: int, mean=None) -> np.ndarray:
-    """Per-lag sum over runs of the products m[:, 0] m[:, N], or, given
-    their mean, of the squared deviations from it: numpy's own axis-0 sum
-    of the whole products array, bit for bit, one block of runs at a time
-    (`_carry`).  max_lag 1 takes all runs as one block (its products are
-    one float per run), as numpy sums a single column pairwise."""
-    runs = len(m)
-    block = runs if max_lag == 1 else max(1, _PRODUCT_BLOCK // max_lag)
-    buf = np.empty((min(block, runs) + 1, max_lag))
+def _blocked_sum(m, width, fill) -> np.ndarray:
+    """numpy's axis-0 sum over the runs of `m` of every run's array of shape
+    `width`, as if all were formed at once, bit for bit.  `fill(rows, out)`
+    writes the arrays of a block of runs `rows` into `out`, rows 1.. of one
+    scratch buffer of `_SCRATCH` values, whose row 0 carries the sum so far.
+    numpy sums axis 0 of a C-contiguous array row by row, so the block size
+    does not change the sum, while a run's array holds more than one value:
+    a single column numpy sums pairwise, so a width of one takes all runs
+    as one block."""
+    runs, shape = len(m), np.atleast_1d(width)
+    block = runs if shape.prod() == 1 else max(1, _SCRATCH // shape.prod())
+    buf = np.empty((min(block, runs) + 1, *shape))
     for start in range(0, runs, block):
         rows = m[start : start + block]
-        prod = buf[1 : len(rows) + 1]
-        np.multiply(rows[:, :1], rows[:, 1 : max_lag + 1], out=prod, dtype=float)
-        if mean is not None:
-            prod -= mean
-            prod *= prod
-        total = _carry(buf, len(rows), start == 0)
-    return total
-
-
-def _power_sums(m, nfft: int) -> np.ndarray:
-    """The power spectra |rfft(s, nfft)|^2 of every run s of `m` and of its
-    square, summed over runs: shape (2, nfft // 2 + 1).  The runs go in
-    groups of `_FFT_BLOCK // bins`, whose sums add up to the total; inside
-    a group `_carry` sums the spectra of `_SPECTRA_BLOCK // bins` runs at a
-    time, as numpy's axis-0 sum of the whole group's spectra."""
-    runs, bins = len(m), nfft // 2 + 1
-    group = max(1, _FFT_BLOCK // bins)
-    step = min(max(1, _SPECTRA_BLOCK // bins), group, runs)
-    buf = np.empty((step + 1, 2, bins))  # row i + 1: run i's two spectra
-    power = np.zeros((2, bins))
-    for lo in range(0, runs, group):
-        hi = min(lo + group, runs)
-        for start in range(lo, hi, step):
-            rows = np.array(m[start : min(start + step, hi)], dtype=float)
-            for k in range(2):
-                if k:
-                    rows *= rows
-                spec = rfft(rows, n=nfft, axis=1)
-                # |spec|^2 = re^2 + im^2, squared in spec's own memory
-                np.square(spec.real, out=spec.real)
-                np.square(spec.imag, out=spec.imag)
-                np.add(spec.real, spec.imag, out=buf[1 : len(rows) + 1, k])
-                del spec  # the next spectrum is built without this one alive
-            total = _carry(buf, len(rows), start == lo)
-        power += total
-    return power
+        fill(rows, buf[1 : len(rows) + 1])
+        buf[0] = buf[int(start == 0) : len(rows) + 1].sum(axis=0)
+    return buf[0]
 
 
 def lag_products(records, max_lag: int, estimator: str):
@@ -232,7 +189,7 @@ def lag_products(records, max_lag: int, estimator: str):
     is inf too.  Integer records (the int16 to int64 photon counts) are
     read as they are, with no float copy: the ensemble multiplies them into
     float64 products (no integer wrap) a block of runs at a time, in two
-    passes (`_ensemble_sum`), and its mean and std are np.mean's and
+    passes of `_blocked_sum`, and its mean and std are np.mean's and
     np.std(ddof=1)'s, bit for bit; the time-average copies a few runs at a
     time to float.  Each count becomes a float64 before any arithmetic,
     so int16 or int32 counts and their int64 copy give the same floats.
@@ -240,8 +197,9 @@ def lag_products(records, max_lag: int, estimator: str):
     The time-average takes the per-lag sums S1 of s_i s_{i+N} and S2 of
     their squares from the autocorrelations of s and of s^2: each run is
     zero-padded to at least `length + max_lag`, so no lag wraps around,
-    the power spectra are summed over runs (`_power_sums`) and one inverse
-    FFT gives each sum.  mean = S1 / count and the variance is
+    the power spectra are summed over runs (one `_blocked_sum` for each
+    group of `_FFT_BLOCK // bins` runs, the groups' sums added in turn) and
+    one inverse FFT gives each sum.  mean = S1 / count and the variance is
     (S2 - S1 mean) / (count - 1), clipped at 0.  Rounding sets the error
     against a lag-by-lag loop: count |d mean| and (count - 1) |d std^2|
     stay near 1e-15 times the lag-0 sums of x^2 and of x^4 (the tests hold
@@ -251,15 +209,39 @@ def lag_products(records, max_lag: int, estimator: str):
     runs, length = m.shape
     _check_lag_products(max_lag, estimator, runs, length)
     if estimator == "ensemble":
-        mean = _ensemble_sum(m, max_lag) / runs
-        std = np.sqrt(_ensemble_sum(m, max_lag, mean) / (runs - 1))
+        def products(rows, out):
+            np.multiply(rows[:, :1], rows[:, 1 : max_lag + 1], out=out, dtype=float)
+
+        def deviations(rows, out):
+            products(rows, out)
+            out -= mean
+            out *= out
+
+        mean = _blocked_sum(m, max_lag, products) / runs
+        std = np.sqrt(_blocked_sum(m, max_lag, deviations) / (runs - 1))
         return mean, std, np.full(max_lag, runs)
     if estimator != "time-average":
         raise InvalidArgumentError(f"unknown estimator {estimator!r}")
     nfft = _fft_len(length + max_lag)
-    s1, s2 = irfft(_power_sums(m, nfft), n=nfft, axis=1)[:, 1 : max_lag + 1]
+    bins = nfft // 2 + 1
+
+    def spectra(rows, out):  # out[i, k]: |rfft(s^(k + 1), nfft)|^2 of run i
+        rows = np.array(rows, dtype=float)
+        for k in range(2):
+            if k:
+                rows *= rows
+            spec = rfft(rows, n=nfft, axis=1)
+            # |spec|^2 = re^2 + im^2, squared in spec's own memory
+            np.square(spec.real, out=spec.real)
+            np.square(spec.imag, out=spec.imag)
+            np.add(spec.real, spec.imag, out=out[:, k])
+            del spec  # the next spectrum is built without this one alive
+
+    group = max(1, _FFT_BLOCK // bins)
+    power = sum(_blocked_sum(m[lo : lo + group], (2, bins), spectra)
+                for lo in range(0, runs, group))
+    s1, s2 = irfft(power, n=nfft, axis=1)[:, 1 : max_lag + 1]
     count = runs * (length - np.arange(1, max_lag + 1))
     mean = s1 / count
     var = np.maximum(s2 - s1 * mean, 0.0) / np.maximum(count - 1, 1)
     return mean, np.where(count > 1, np.sqrt(var), np.inf), count
-

@@ -6,11 +6,12 @@ It holds three groups:
 * the exact 4x4 route of the sensor-target composite, which the Bloch maps
   of `spintrack.protocol` are checked against (acceptance checks 1-2,
   `tests/test_pauli.py`, `tests/test_propagator.py`, `tests/test_protocol.py`);
-* the two-time outcome statistics: the model correlator and the ensemble
-  estimator of an outcome record (`corr_Sz`, `ensemble_corr`; acceptance
-  checks 4-6), the joint outcome distribution and its information
-  distance from projective readout (`joint_distribution`,
-  `relative_entropy`, `entropy_Sz_Ix`; check 10);
+* the two-time outcome statistics: the exact unit-start iterate
+  (`unit_start_x`; acceptance checks 3, 4 and 8 and the defect register),
+  the model correlator and the ensemble estimator of an outcome record
+  (`corr_Sz`, `ensemble_corr`; acceptance checks 4-6), the joint outcome
+  distribution and its information distance from projective readout
+  (`joint_distribution`, `relative_entropy`, `entropy_Sz_Ix`; check 10);
 * the three-variable classical-probability identities behind the
   Leggett-Garg bound (`wigner_despagnat_check`, `strong_additivity_check`;
   acceptance check 9).
@@ -74,7 +75,7 @@ import numpy as np
 
 from spintrack.correlation import CorrelationSeries, lag_products
 from spintrack.errors import InvalidArgumentError, SpintrackError
-from spintrack.protocol import damped_cosine
+from spintrack.protocol import damped_cosine, recurrence_step
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +309,18 @@ def measurement_cycle(target_rho: np.ndarray, alpha: float, phi: float) -> Cycle
 
 # ---------------------------------------------------------------------------
 # two-time outcome statistics
+
+def unit_start_x(alpha: float, phi: float, n_max: int) -> np.ndarray:
+    """x_N, N = 1..n_max: the x component of the target spin after N
+    outcome-averaged cycles (`protocol.recurrence_step`) from the unit start
+    (1, 0).  The exact readout correlator is sin^2(alpha) x_N."""
+    x, y = 1.0, 0.0
+    out = np.empty(n_max)
+    for n in range(n_max):
+        x, y = recurrence_step(x, y, alpha, phi)
+        out[n] = x
+    return out
+
 
 def joint_distribution(x_n: float) -> np.ndarray:
     """2x2 joint distribution of (initial outcome mu, lag-N outcome lambda).

@@ -43,6 +43,7 @@ from oracles import (
     spin_op,
     strong_additivity_check,
     tensor,
+    unit_start_x,
     wigner_despagnat_check,
 )
 
@@ -57,16 +58,6 @@ def announce(capsys):
         with capsys.disabled():
             print(f"\n[acceptance] {num:2d} {label}: {'PASS' if ok else 'FAIL'}{tail}")
     return _announce
-
-
-def _exact_unit_x(alpha, phi, n_max):
-    """x component of the measured spin after each cycle, unit start."""
-    x, y = 1.0, 0.0
-    out = np.empty(n_max)
-    for n in range(n_max):
-        x, y = recurrence_step(x, y, alpha, phi)
-        out[n] = x
-    return out
 
 
 def test_01_closed_form_propagator_matches_exact(announce):
@@ -121,7 +112,7 @@ def test_03_damped_cosine_approximation_quality(announce):
     alpha = 0.1 * np.pi
     amp = np.sin(alpha)
     approx = damped_cosine(alpha, PHI_27, np.arange(1, 51), amp)
-    exact = amp * _exact_unit_x(alpha, PHI_27, 50)
+    exact = amp * unit_start_x(alpha, PHI_27, 50)
     gap = np.abs(np.asarray(approx) - exact).max()
     ok = gap <= 0.02
     announce(3, "damped-cosine amplitude approximation, 50 cycles", ok,
@@ -132,7 +123,7 @@ def test_03_damped_cosine_approximation_quality(announce):
 def test_04_monte_carlo_outcome_correlation(announce):
     # (a) Sampler gate: the 1e5-run ensemble correlation E[s_0 s_N] must sit
     # within 3 SE of sin^2(a) x_N at every lag, where x_N is the exact
-    # unit-start recurrence (`_exact_unit_x`; test 02 ties the recurrence to
+    # unit-start recurrence (`unit_start_x`; test 02 ties the recurrence to
     # the 4x4 composite).  Measured: 1.71 SE.  Replacing the engine's
     # back-action factor cos(a) by exp(-a^2/2), which differs only at
     # O(a^4), gives 3.33 SE; sqrt(cos a) gives 24.6 SE.
@@ -158,7 +149,7 @@ def test_04_monte_carlo_outcome_correlation(announce):
     ser = ensemble_corr(batch.outcomes, max_lag=40)
     dt = time.perf_counter() - t0
 
-    exact = np.sin(ALPHA_HW) ** 2 * _exact_unit_x(ALPHA_HW, phi, 40)
+    exact = np.sin(ALPHA_HW) ** 2 * unit_start_x(ALPHA_HW, phi, 40)
     z_exact = float((np.abs(ser.values - exact) / ser.stderr).max())
 
     gap = np.abs(corr_Sz(ALPHA_HW, phi, 40).values - exact)
@@ -262,7 +253,7 @@ def test_08_charge_state_slows_decay_and_scales_amplitude(announce):
     for p_minus in (0.7, 1.0):
         zetas = simulate_runs(cfg, runs=runs, seed=88, p_minus=p_minus).zetas
         g[p_minus] = 1.0 - p_minus * (1.0 - np.cos(alpha))
-        law = p_minus * np.sin(alpha) * _exact_unit_x(np.arccos(g[p_minus]), PHI_27, 100)
+        law = p_minus * np.sin(alpha) * unit_start_x(np.arccos(g[p_minus]), PHI_27, 100)
         dev[p_minus] = np.abs(zetas.mean(axis=0) - law)
         se[p_minus] = zetas.std(axis=0, ddof=1) / np.sqrt(runs)
     # at p = 1 every run has the same path, so its SE is rounding noise

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize, minimize_scalar
 
+from spintrack import calibrate
 from spintrack.calibrate import (
     MAX_GAIN,
     FitResult,
@@ -16,7 +17,7 @@ from spintrack.calibrate import (
     reconstruct_Sz_corr,
     write_json,
 )
-from spintrack.correlation import CorrelationSeries
+from spintrack.correlation import _SCRATCH, CorrelationSeries
 from spintrack.engine import CHUNK_SIZE, modulated_drive, simulate_runs
 from spintrack.errors import (
     AmplificationError,
@@ -169,14 +170,46 @@ def test_reconstruct_reads_the_counts_in_place():
 
 
 def test_fit_alpha_modulated_reads_the_counts_in_place():
-    """The mean path and its spread come from the int16 counts as they are:
-    the traced peak is about 1.05 times the counts' float64 size (np.std's
-    one centred copy).  A float copy of the counts reads about 2."""
+    """The mean path and its spread come from the int16 counts as they are,
+    a block of runs at a time: the traced peak is about 0.40 MB, one block
+    of 256 KiB scratch and the fit's own arrays, or 0.15 times the counts'
+    float64 size.  np.std's one centred float64 copy read 2.76 MB (1.05
+    times), and a float copy of the counts reads about 2 times."""
     trace = run_classical_experiment(0.3, 0.5, 64, MODEL, runs=20 * CHUNK_SIZE, seed=97,
                                      modulated=True)
     peak = _traced_peak(fit_alpha_modulated, trace)
     assert trace.counts.dtype == np.int16
-    assert peak < 1.2 * 8 * trace.counts.size, (peak, trace.counts.nbytes)
+    assert peak < 2 * 8 * _SCRATCH, (peak, trace.counts.nbytes)
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+def test_fit_alpha_modulated_moments_are_numpys_bit_for_bit(dtype, monkeypatch):
+    """The mean path and its weights 1 / SE^2 that the modulated fit takes
+    are the floats of counts.mean(axis=0) and of counts.std(axis=0, ddof=1)
+    / sqrt(runs), bit for bit: for two runs, around one block, over several
+    blocks and a partial one."""
+    seen = []
+
+    def capture(design, mean_path, w, *rest):
+        seen.append((mean_path, w))
+        raise _Captured
+
+    monkeypatch.setattr(calibrate, "_profile_fit", capture)
+    rng = np.random.default_rng(11)
+    length = 64
+    block = _SCRATCH // length
+    for runs in (2, block - 1, block, block + 1, 3 * block + 17):
+        counts = rng.poisson(900, size=(runs, length)).astype(dtype)
+        with pytest.raises(_Captured):
+            fit_alpha_modulated(PhotonTrace(counts, kind="classical-modulated"))
+        mean_path, w = seen.pop()
+        se = counts.std(axis=0, ddof=1) / np.sqrt(runs)
+        assert np.array_equal(mean_path, counts.mean(axis=0)), (runs, dtype)
+        assert np.array_equal(w, 1.0 / se**2), (runs, dtype)
 
 
 @pytest.mark.parametrize("kind", ["quantum", "classical", "classical-modulated"])

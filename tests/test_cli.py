@@ -248,19 +248,6 @@ def test_flag_overrides_beat_config(tmp_path):
     assert summary["seed"] == 9
 
 
-def test_identical_output_across_invocations_and_workers(tmp_path):
-    cfg = quantum_config(tmp_path, runs=600)
-    outs = [tmp_path / f"d{i}" for i in range(3)]
-    assert main(["report", "--config", cfg, "--out", str(outs[0])]) == 0
-    assert main(["report", "--config", cfg, "--out", str(outs[1])]) == 0
-    assert main(["report", "--config", cfg, "--out", str(outs[2]), "--workers", "3"]) == 0
-    for name in ("trace.csv", "modulation.csv", "corr_sz.csv", "corr_ix.csv",
-                 "lg.csv", "fit.json", "summary.json"):
-        ref = (outs[0] / name).read_bytes()
-        assert (outs[1] / name).read_bytes() == ref, name
-        assert (outs[2] / name).read_bytes() == ref, name
-
-
 def test_trace_commands_check_the_kind(tmp_path, capsys):
     out = str(tmp_path / "o")
     assert main(["classical", "--config", quantum_config(tmp_path), "--out", out]) == 2

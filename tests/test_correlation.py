@@ -11,8 +11,7 @@ from scipy.fft import next_fast_len
 
 from spintrack.correlation import (
     _FFT_BLOCK,
-    _PRODUCT_BLOCK,
-    _SPECTRA_BLOCK,
+    _SCRATCH,
     CorrelationSeries,
     _fft_len,
     lag_products,
@@ -104,7 +103,7 @@ def test_blocked_ensemble_is_the_one_array_formula(max_lag, rng):
     products array, bit for bit: around one block, over several and a
     partial one, and on counts near 4e9, whose products exceed int64."""
     length = max_lag + 1 if max_lag < 24 else 25  # 24 is length - 1
-    block = _PRODUCT_BLOCK // max_lag
+    block = _SCRATCH // max_lag
     sizes = [2, 3 * block + 17] if max_lag == 1 else [block - 1, block, block + 1, 3 * block + 17]
     for runs in sizes:
         records = [rng.integers(4_000_000_000 - 500, 4_000_000_000 + 500, size=(runs, length)),
@@ -176,7 +175,7 @@ def test_time_average_is_the_one_block_loop_bit_for_bit(rng):
     three groups and a partial one."""
     length, max_lag = 600, 300
     bins = _fft_len(length + max_lag) // 2 + 1
-    group, step = _FFT_BLOCK // bins, _SPECTRA_BLOCK // bins
+    group, step = _FFT_BLOCK // bins, _SCRATCH // (2 * bins)
     assert 1 < step < group
     for runs in (1, step - 1, step, step + 1, group - 1, group, group + 1, 3 * group + 17):
         counts = rng.poisson(900, size=(runs, length))
